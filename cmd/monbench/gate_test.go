@@ -220,15 +220,10 @@ func TestGateEndToEndPassAndArtefactSchema(t *testing.T) {
 		}
 	}
 
-	// Re-running the same sweep against the fresh baseline passes the
-	// gate (generous tolerance: this pins mechanics, not the hardware).
-	code, out, errOut := runTool(t, append(sweep, "-baseline", basePath, "-tolerance", "0.95")...)
-	if code != 0 {
-		t.Fatalf("gate run: exit %d, err=%q", code, errOut)
-	}
-	if !strings.Contains(out, "perf gate passed") {
-		t.Fatalf("gate verdict missing:\n%s", out)
-	}
+	// The artefact gated against itself passes: this pins the gate's
+	// mechanics, not the hardware (regression verdicts are pinned on
+	// synthetic rows above).
+	selfGate(t, basePath)
 }
 
 func TestGateRejectsMissingOrMismatchedBaseline(t *testing.T) {

@@ -588,6 +588,25 @@ func runCollectorSweep(repeats int, out, errOut io.Writer) ([]map[string]any, ma
 // (peak_heap_bytes rides it like any other measurement).
 const soakSelfGateRatio = 3.0
 
+// soakSelfGate compares the peak heap of the largest E9 backlog with
+// the smallest one's and returns the growth ratio, with an error when
+// it breaks the streaming bound (soakSelfGateRatio, beyond the
+// heapFloorBytes sampler noise).
+func soakSelfGate(small, large experiment.SoakBenchRow) (float64, error) {
+	// A fast pass can report a zero peak (GC keeps HeapAlloc at the
+	// baseline); a 1 MiB denominator floor keeps the ratio meaningful.
+	denom := float64(small.PeakHeapBytes)
+	if denom < 1<<20 {
+		denom = 1 << 20
+	}
+	ratio := float64(large.PeakHeapBytes) / denom
+	if ratio > soakSelfGateRatio && float64(large.PeakHeapBytes-small.PeakHeapBytes) > heapFloorBytes {
+		return ratio, fmt.Errorf("peak heap grew %.1fx across a %dx backlog growth (bound %.1fx) — compaction memory tracks the backlog, not the chunk budget",
+			ratio, large.Backlog/small.Backlog, soakSelfGateRatio)
+	}
+	return ratio, nil
+}
+
 // runSoakSweep executes the E9 long-horizon compaction sweep and
 // returns its artefact rows and config entries (exit code non-zero on
 // failure). The rows carry "bench":"soak"; peak_heap_bytes is both
@@ -607,20 +626,12 @@ func runSoakSweep(repeats int, out, errOut io.Writer) ([]map[string]any, map[str
 		return nil, nil, 1
 	}
 	fmt.Fprint(out, experiment.SoakBenchTable(rows).String())
-	small, large := rows[0], rows[len(rows)-1]
-	if large.Backlog > small.Backlog {
-		// A fast pass can report a zero peak (GC keeps HeapAlloc at the
-		// baseline); a 1 MiB denominator floor keeps the ratio meaningful.
-		denom := float64(small.PeakHeapBytes)
-		if denom < 1<<20 {
-			denom = 1 << 20
-		}
-		ratio := float64(large.PeakHeapBytes) / denom
+	if small, large := rows[0], rows[len(rows)-1]; large.Backlog > small.Backlog {
+		ratio, err := soakSelfGate(small, large)
 		fmt.Fprintf(out, "\na %dx larger backlog costs %.1fx the peak heap (streaming bound: ~1x)\n",
 			large.Backlog/small.Backlog, ratio)
-		if ratio > soakSelfGateRatio && float64(large.PeakHeapBytes-small.PeakHeapBytes) > heapFloorBytes {
-			fmt.Fprintf(errOut, "monbench: peak heap grew %.1fx across a %dx backlog growth (bound %.1fx) — compaction memory tracks the backlog, not the chunk budget\n",
-				ratio, large.Backlog/small.Backlog, soakSelfGateRatio)
+		if err != nil {
+			fmt.Fprintf(errOut, "monbench: %v\n", err)
 			return nil, nil, 1
 		}
 	}

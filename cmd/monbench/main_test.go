@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"robustmon/internal/experiment"
 )
 
 func runTool(t *testing.T, args ...string) (int, string, string) {
@@ -13,6 +15,27 @@ func runTool(t *testing.T, args ...string) (int, string, string) {
 	var out, errOut strings.Builder
 	code := run(args, &out, &errOut)
 	return code, out.String(), errOut.String()
+}
+
+// selfGate gates the artefact at path against itself — the perf gate's
+// mechanics (config block, row keys, verdict) on a real artefact's
+// schema. A second timed run would measure this host's load rather
+// than the gate; regression verdicts are pinned on synthetic rows in
+// gate_test.go.
+func selfGate(t *testing.T, path string) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art benchArtefact
+	if err := json.Unmarshal(blob, &art); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	if code := gateAgainstBaseline(path, art, 0.25, &out, &errOut); code != 0 || !strings.Contains(out.String(), "perf gate passed") {
+		t.Fatalf("self-baseline gate: exit %d, err=%q\n%s", code, errOut.String(), out.String())
+	}
 }
 
 func TestArchVerifies(t *testing.T) {
@@ -243,16 +266,15 @@ func TestTraceStoreStandaloneArtefactAndSelfGate(t *testing.T) {
 			t.Fatalf("row missing the bench key that separates E5 from E4 rows: %+v", row)
 		}
 	}
-	// A sweep gated against its own artefact must pass (the CI gate's
-	// happy path).
-	code, _, errOut = runTool(t, "-tracestore", "-repeats", "1", "-baseline", path, "-tolerance", "0.99")
-	if code != 0 {
-		t.Fatalf("self-baseline gate failed: %s", errOut)
-	}
+	// An artefact gated against itself must pass (the CI gate's happy
+	// path).
+	selfGate(t, path)
 }
 
+// TestSoakStandaloneArtefactAndSelfGate is deliberately not parallel:
+// E9 samples the whole process's heap, so running beside the package's
+// parallel tests would measure their allocations too.
 func TestSoakStandaloneArtefactAndSelfGate(t *testing.T) {
-	t.Parallel()
 	path := filepath.Join(t.TempDir(), "soak.json")
 	code, out, errOut := runTool(t, "-soak", "-repeats", "1", "-json", path)
 	if code != 0 {
@@ -288,11 +310,33 @@ func TestSoakStandaloneArtefactAndSelfGate(t *testing.T) {
 			t.Fatalf("row missing the bench key that separates E9 from the other rows: %+v", row)
 		}
 	}
-	// A sweep gated against its own artefact must pass (the CI gate's
-	// happy path, heap ceiling included).
-	code, _, errOut = runTool(t, "-soak", "-repeats", "1", "-baseline", path, "-tolerance", "0.99")
-	if code != 0 {
-		t.Fatalf("self-baseline gate failed: %s", errOut)
+	// An artefact gated against itself must pass (the CI gate's happy
+	// path, heap ceiling included).
+	selfGate(t, path)
+}
+
+// TestSoakSelfGate pins the E9 standalone bound on synthetic rows: heap
+// that stays flat as the backlog grows passes, heap that tracks the
+// backlog fails, and jitter below the absolute floor never fails.
+func TestSoakSelfGate(t *testing.T) {
+	t.Parallel()
+	row := func(backlog int, peakMiB float64) experiment.SoakBenchRow {
+		return experiment.SoakBenchRow{Backlog: backlog, PeakHeapBytes: int64(peakMiB * (1 << 20))}
+	}
+	for _, c := range []struct {
+		name         string
+		small, large experiment.SoakBenchRow
+		fail         bool
+	}{
+		{"flat", row(32768, 3), row(131072, 3.5), false},
+		{"zero small peak uses the 1 MiB floor", row(32768, 0), row(131072, 2.5), false},
+		{"tracks the backlog", row(32768, 3), row(131072, 47), true},
+		{"large ratio below the noise floor", row(32768, 0.5), row(131072, 7), false},
+	} {
+		ratio, err := soakSelfGate(c.small, c.large)
+		if (err != nil) != c.fail {
+			t.Errorf("%s: ratio %.1f, err %v; want failure %v", c.name, ratio, err, c.fail)
+		}
 	}
 }
 
@@ -334,10 +378,7 @@ func TestRecordPathStandaloneArtefactAndSelfGate(t *testing.T) {
 			t.Fatalf("row missing the bench key that separates E6 from E4/E5 rows: %+v", row)
 		}
 	}
-	// A sweep gated against its own artefact must pass (the CI gate's
-	// happy path, alloc ceiling included).
-	code, _, errOut = runTool(t, "-recordpath", "-repeats", "1", "-baseline", path, "-tolerance", "0.99")
-	if code != 0 {
-		t.Fatalf("self-baseline gate failed: %s", errOut)
-	}
+	// An artefact gated against itself must pass (the CI gate's happy
+	// path, alloc ceiling included).
+	selfGate(t, path)
 }

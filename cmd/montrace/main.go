@@ -528,12 +528,18 @@ func indexCmd(args []string) int {
 		for _, mr := range f.Monitors {
 			mons = append(mons, mr.Monitor)
 		}
+		markers := 0
+		for _, a := range f.Annotations {
+			if a.Kind == export.KindMarker {
+				markers++
+			}
+		}
 		torn := ""
 		if f.Torn {
 			torn = "  (torn tail)"
 		}
 		fmt.Printf("  %s  v%d  seq %d..%d  %d events  %d markers  [%s]%s\n",
-			f.Name, f.Version, f.MinSeq, f.MaxSeq, f.Events, len(f.Markers), strings.Join(mons, ","), torn)
+			f.Name, f.Version, f.MinSeq, f.MaxSeq, f.Events, markers, strings.Join(mons, ","), torn)
 	}
 	return 0
 }

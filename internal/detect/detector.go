@@ -188,12 +188,12 @@ type Checker interface {
 // health snapshots, and Flush forces everything consumed so far to
 // the sink.
 //
-// This seam used to be three interfaces — SegmentExporter with
-// optional MarkerExporter/HealthExporter extensions discovered by
-// type sniffing — which meant a sink could silently lose markers or
-// health records by not implementing an extension it never heard of.
-// One interface makes the full record surface explicit; exporters
-// that genuinely ignore a record kind implement it with a no-op.
+// This seam used to be a segment-only interface with optional
+// marker/health extensions discovered by type sniffing, which meant a
+// sink could silently lose markers or health records by not
+// implementing an extension it never heard of. One interface makes
+// the full record surface explicit; exporters that genuinely ignore a
+// record kind implement it with a no-op.
 type TraceExporter interface {
 	// Consume accepts one drained per-monitor segment (the
 	// history.DrainTee signature).
@@ -208,28 +208,6 @@ type TraceExporter interface {
 	ConsumeAlert(a obsrules.Alert)
 	// Flush forces everything consumed so far to the sink.
 	Flush() error
-}
-
-// SegmentExporter is the segment-and-flush subset of the old
-// three-interface exporter seam.
-//
-// Deprecated: Config.Exporter now requires the full TraceExporter.
-// The name remains so older call sites that merely reference the
-// interface keep compiling; implement TraceExporter (with no-op
-// ConsumeMarker/ConsumeHealth if markers and health snapshots are
-// irrelevant to the sink).
-type SegmentExporter interface {
-	Consume(monitor string, seg event.Seq)
-	Flush() error
-}
-
-// MarkerExporter is the old optional extension through which recovery
-// markers reached the export stream.
-//
-// Deprecated: ConsumeMarker is part of TraceExporter; the detector no
-// longer type-sniffs for this interface.
-type MarkerExporter interface {
-	ConsumeMarker(history.RecoveryMarker)
 }
 
 // counts carries the cumulative r/s counters of one coordinator across

@@ -17,7 +17,7 @@ import (
 // checkpoints stream every drained segment out, and Run's shutdown
 // flush leaves the sink holding the complete run — all without
 // WithFullTrace. (External test package: detect itself must not depend
-// on export; the SegmentExporter seam is the point.)
+// on export; the TraceExporter seam is the point.)
 func TestDetectorFeedsExporter(t *testing.T) {
 	t.Parallel()
 	for _, hold := range []bool{true, false} {

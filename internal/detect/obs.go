@@ -16,15 +16,6 @@ import (
 // export WAL carries the detector's health timeline alongside its
 // trace (see internal/export and `montrace stats`).
 
-// HealthExporter is the old optional extension through which health
-// snapshots reached the export stream.
-//
-// Deprecated: ConsumeHealth is part of TraceExporter; the detector no
-// longer type-sniffs for this interface.
-type HealthExporter interface {
-	ConsumeHealth(obs.HealthRecord)
-}
-
 // detMetrics are the detector's obs handles. checkNs is always live —
 // a standalone histogram when no registry is configured — because
 // Stats.CheckP50/CheckP99 are computed from it either way; every

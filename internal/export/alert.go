@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -34,33 +33,21 @@ type AlertSink interface {
 const alertVersion = 1
 
 // appendAlert serialises an alert into the self-contained payload blob
-// of a recAlert WAL record, appended to dst: a version byte, varint
+// of a KindAlert WAL record, appended to dst: a version byte, varint
 // instant and horizon, the rule/metric/origin strings length-prefixed,
 // the observed value and ceiling as IEEE-754 bit patterns, and the
 // transition direction as one byte. Deterministic by construction, so
 // identical alerts encode to identical bytes — the dedup identity
-// (AlertKey) that lets replay collapse compaction overlap, exactly as
-// for health records.
+// (Record.Key) that lets replay collapse compaction overlap.
 func appendAlert(dst []byte, a obsrules.Alert) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) {
-		dst = append(dst, scratch[:binary.PutVarint(scratch[:], v)]...)
-	}
-	putUvarint := func(v uint64) {
-		dst = append(dst, scratch[:binary.PutUvarint(scratch[:], v)]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		dst = append(dst, s...)
-	}
 	dst = append(dst, alertVersion)
-	putVarint(a.At.UnixNano())
-	putVarint(a.Seq)
-	putString(a.Rule)
-	putString(a.Metric)
-	putString(a.Origin)
-	putUvarint(math.Float64bits(a.Value))
-	putUvarint(math.Float64bits(a.Ceiling))
+	dst = binary.AppendVarint(dst, a.At.UnixNano())
+	dst = binary.AppendVarint(dst, a.Seq)
+	dst = appendString(dst, a.Rule)
+	dst = appendString(dst, a.Metric)
+	dst = appendString(dst, a.Origin)
+	dst = binary.AppendUvarint(dst, math.Float64bits(a.Value))
+	dst = binary.AppendUvarint(dst, math.Float64bits(a.Ceiling))
 	firing := byte(0)
 	if a.Firing {
 		firing = 1
@@ -69,13 +56,7 @@ func appendAlert(dst []byte, a obsrules.Alert) []byte {
 	return dst
 }
 
-// encodeAlert is appendAlert into a fresh buffer (tests and non-pooled
-// callers).
-func encodeAlert(a obsrules.Alert) []byte {
-	return appendAlert(nil, a)
-}
-
-// decodeAlert reverses encodeAlert.
+// decodeAlert reverses appendAlert.
 func decodeAlert(payload []byte) (obsrules.Alert, error) {
 	br := bytes.NewReader(payload)
 	var a obsrules.Alert
@@ -85,20 +66,6 @@ func decodeAlert(payload []byte) (obsrules.Alert, error) {
 	}
 	if ver != alertVersion {
 		return a, fmt.Errorf("unknown alert version %d", ver)
-	}
-	getString := func(what string) (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", fmt.Errorf("alert %s length: %w", what, err)
-		}
-		if n > maxMonitorName {
-			return "", fmt.Errorf("implausible alert %s length %d", what, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", fmt.Errorf("alert %s: %w", what, err)
-		}
-		return string(buf), nil
 	}
 	getFloat := func(what string) (float64, error) {
 		bits, err := binary.ReadUvarint(br)
@@ -115,14 +82,14 @@ func decodeAlert(payload []byte) (obsrules.Alert, error) {
 	if a.Seq, err = binary.ReadVarint(br); err != nil {
 		return a, fmt.Errorf("alert horizon: %w", err)
 	}
-	if a.Rule, err = getString("rule"); err != nil {
-		return a, err
+	if a.Rule, err = readString(br); err != nil {
+		return a, fmt.Errorf("alert rule: %w", err)
 	}
-	if a.Metric, err = getString("metric"); err != nil {
-		return a, err
+	if a.Metric, err = readString(br); err != nil {
+		return a, fmt.Errorf("alert metric: %w", err)
 	}
-	if a.Origin, err = getString("origin"); err != nil {
-		return a, err
+	if a.Origin, err = readString(br); err != nil {
+		return a, fmt.Errorf("alert origin: %w", err)
 	}
 	if a.Value, err = getFloat("value"); err != nil {
 		return a, err
@@ -142,14 +109,4 @@ func decodeAlert(payload []byte) (obsrules.Alert, error) {
 		return a, fmt.Errorf("%d trailing bytes after alert", br.Len())
 	}
 	return a, nil
-}
-
-// AlertKey is the exact-duplicate identity of an alert — its
-// deterministic encoding — used by MergeReplay (and the compactor) to
-// collapse the duplicates an interrupted compaction leaves behind.
-// Alert is Go-comparable, but keying on the encoding keeps the dedup
-// semantics identical across all record kinds: two alerts are the same
-// record iff their bytes are.
-func AlertKey(a obsrules.Alert) string {
-	return string(encodeAlert(a))
 }

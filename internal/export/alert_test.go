@@ -29,7 +29,7 @@ func TestAlertCodecRoundTrip(t *testing.T) {
 		{At: time.Unix(0, 0), Rule: "r"}, // minimal
 		{At: time.Unix(1, 1).Add(-3 * time.Second), Seq: -7, Rule: "neg", Value: -0.25, Ceiling: -1},
 	} {
-		got, err := decodeAlert(encodeAlert(a))
+		got, err := decodeAlert(appendAlert(nil, a))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", a, err)
 		}
@@ -44,7 +44,7 @@ func TestAlertCodecRoundTrip(t *testing.T) {
 }
 
 func TestAlertCodecRejectsDamage(t *testing.T) {
-	good := encodeAlert(testAlert(9, true))
+	good := appendAlert(nil, testAlert(9, true))
 	if _, err := decodeAlert(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated payload decoded")
 	}
@@ -65,12 +65,12 @@ func TestAlertCodecRejectsDamage(t *testing.T) {
 
 func TestAlertKeyIdentity(t *testing.T) {
 	a := testAlert(10, true)
-	if AlertKey(a) != AlertKey(a) {
-		t.Fatal("AlertKey not deterministic")
+	if (Record{Alert: &a}).Key() != (Record{Alert: ptr(a)}).Key() {
+		t.Fatal("alert key not deterministic")
 	}
 	b := a
 	b.Firing = false
-	if AlertKey(a) == AlertKey(b) {
+	if (Record{Alert: &a}).Key() == (Record{Alert: &b}).Key() {
 		t.Fatal("fired and cleared alerts share a key")
 	}
 }
@@ -124,7 +124,7 @@ func TestWALSinkAlertRoundTrip(t *testing.T) {
 func TestMergeReplayDedupsAlerts(t *testing.T) {
 	a := testAlert(5, true)
 	b := testAlert(12, false)
-	merged, err := MergeReplay(nil, nil, nil, nil, []obsrules.Alert{a, b, a})
+	merged, err := MergeReplay(nil, []Record{{Alert: &a}, {Alert: &b}, {Alert: &a}})
 	if err != nil {
 		t.Fatal(err)
 	}

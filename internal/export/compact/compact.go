@@ -90,9 +90,7 @@ import (
 	"robustmon/internal/event"
 	"robustmon/internal/export"
 	"robustmon/internal/export/index"
-	"robustmon/internal/history"
 	"robustmon/internal/obs"
-	obsrules "robustmon/internal/obs/rules"
 )
 
 // tmpDirName is the staging subdirectory inside the export directory.
@@ -233,11 +231,13 @@ func (r Result) String() string {
 }
 
 // input is one scanned eligible file: its header-only summary plus the
-// byte locations of its segment records.
+// byte locations of its segment records, and whether retention drops
+// it.
 type input struct {
 	name string
 	fs   export.FileSummary
 	locs []export.SegmentLocation
+	drop bool
 }
 
 // Dir compacts the eligible rotated files of an export directory. It
@@ -307,11 +307,11 @@ func run(dir string, cfg Config) (*Result, error) {
 
 	// Partition into retention-dropped and kept-for-merge.
 	var dropped, keep []input
-	for _, in := range inputs {
-		if droppable(in, cfg) {
-			dropped = append(dropped, in)
+	for i := range inputs {
+		if inputs[i].drop = droppable(inputs[i], cfg); inputs[i].drop {
+			dropped = append(dropped, inputs[i])
 		} else {
-			keep = append(keep, in)
+			keep = append(keep, inputs[i])
 		}
 	}
 	if len(dropped) == 0 && len(keep) < 2 {
@@ -326,30 +326,38 @@ func run(dir string, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Prior tombstones fold forward from every input — including
-	// dropped ones, or truncation history would vanish with the file
-	// that carried it.
-	priors, err := readTombstones(inputs, res)
+	// One pass over the inputs' annotations. Prior tombstones fold
+	// forward from every input — including dropped ones, or truncation
+	// history would vanish with the file that carried it; the other
+	// kinds come from kept files only, since dropped files' copies lie
+	// below the retention floor by construction.
+	anns, err := readAnnotations(inputs, res)
 	if err != nil {
 		return nil, err
+	}
+	var priors []export.Tombstone
+	carried := anns[:0]
+	horizons := make(map[string]int64)
+	for _, a := range anns {
+		switch {
+		case a.Tombstone != nil:
+			priors = append(priors, *a.Tombstone)
+			continue
+		case a.Marker != nil:
+			res.Markers++
+			if cfg.DropBelowReset {
+				horizons[a.Marker.Monitor] = max(horizons[a.Marker.Monitor], a.Marker.Horizon)
+			}
+		case a.Health != nil:
+			res.Healths++
+		case a.Alert != nil:
+			res.Alerts++
+		}
+		carried = append(carried, a)
 	}
 	tomb := foldTombstone(priors, dropped, res)
 
-	// Side records (markers, health snapshots, alerts) come from kept
-	// files only — dropped files' copies are below the retention floor
-	// by construction — via point reads at their scanned offsets.
-	markers, healths, alerts, horizons, err := readSideRecords(keep, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Markers = len(markers)
-	res.Healths = len(healths)
-	res.Alerts = len(alerts)
-	if !cfg.DropBelowReset {
-		horizons = nil
-	}
-
-	outs, err := writeOutputs(tmpDir, cfg, keep, tomb, markers, healths, alerts, horizons, res)
+	outs, err := writeOutputs(tmpDir, cfg, keep, tomb, carried, horizons, res)
 	if err != nil {
 		return nil, err
 	}
@@ -434,32 +442,29 @@ func belowFloor(fs export.FileSummary, floor int64) bool {
 	if fs.Events > 0 && fs.MaxSeq >= floor {
 		return false
 	}
-	for _, mk := range fs.Markers {
-		if mk.Horizon >= floor {
-			return false
-		}
-	}
-	for _, hi := range fs.Healths {
-		if hi.Seq >= floor {
-			return false
-		}
-	}
-	for _, ai := range fs.Alerts {
-		if ai.Seq >= floor {
+	for _, a := range fs.Annotations {
+		if a.Kind != export.KindTombstone && a.Horizon >= floor {
 			return false
 		}
 	}
 	return true
 }
 
-// readTombstones point-reads every tombstone of every input. A
-// CRC-corrupt tombstone is skipped and counted like any other corrupt
-// record.
-func readTombstones(inputs []input, res *Result) ([]export.Tombstone, error) {
-	var tombs []export.Tombstone
+// readAnnotations point-reads the inputs' annotation records at their
+// scanned offsets — no segment payload is decoded — in input and record
+// order: every tombstone, and the other kinds of kept inputs only.
+// Exact duplicates (the leftovers of an interrupted earlier compaction)
+// collapse to their first occurrence. A CRC-corrupt record is skipped
+// and counted like any other corrupt record.
+func readAnnotations(inputs []input, res *Result) ([]export.Record, error) {
+	var anns []export.Record
+	seen := make(map[string]bool)
 	for _, in := range inputs {
-		for _, ti := range in.fs.Tombstones {
-			tb, err := export.ReadTombstoneAt(in.name, ti.Offset)
+		for _, ai := range in.fs.Annotations {
+			if in.drop && ai.Kind != export.KindTombstone {
+				continue
+			}
+			a, err := export.ReadRecordAt(in.name, ai.Offset)
 			if err != nil {
 				if errors.Is(err, export.ErrCorruptRecord) {
 					res.CorruptDropped++
@@ -467,10 +472,16 @@ func readTombstones(inputs []input, res *Result) ([]export.Tombstone, error) {
 				}
 				return nil, err
 			}
-			tombs = append(tombs, tb)
+			if ai.Kind != export.KindTombstone {
+				res.RecordsIn++
+			}
+			if k := a.Key(); !seen[k] {
+				seen[k] = true
+				anns = append(anns, a)
+			}
 		}
 	}
-	return tombs, nil
+	return anns, nil
 }
 
 // foldTombstone merges the prior tombstones and this pass's drops into
@@ -506,7 +517,14 @@ func foldTombstone(priors []export.Tombstone, dropped []input, res *Result) *exp
 	}
 	maxDropSeq := t.Horizon - 1 // keeps the horizon monotonic
 	for _, in := range dropped {
-		records := int64(in.fs.Records - len(in.fs.Tombstones))
+		records := int64(in.fs.Records)
+		for _, a := range in.fs.Annotations {
+			if a.Kind == export.KindTombstone {
+				records--
+			} else if a.Horizon > maxDropSeq {
+				maxDropSeq = a.Horizon
+			}
+		}
 		if records > 0 {
 			// A tombstone-only file is infrastructure, not data: removing
 			// it folds its record forward rather than dropping anything.
@@ -518,21 +536,6 @@ func foldTombstone(priors []export.Tombstone, dropped []input, res *Result) *exp
 		}
 		if in.fs.Events > 0 && in.fs.MaxSeq > maxDropSeq {
 			maxDropSeq = in.fs.MaxSeq
-		}
-		for _, mk := range in.fs.Markers {
-			if mk.Horizon > maxDropSeq {
-				maxDropSeq = mk.Horizon
-			}
-		}
-		for _, hi := range in.fs.Healths {
-			if hi.Seq > maxDropSeq {
-				maxDropSeq = hi.Seq
-			}
-		}
-		for _, ai := range in.fs.Alerts {
-			if ai.Seq > maxDropSeq {
-				maxDropSeq = ai.Seq
-			}
 		}
 		for _, mr := range in.fs.Monitors {
 			tr := mons[mr.Monitor]
@@ -590,78 +593,6 @@ func newerTombstone(a, b export.Tombstone) bool {
 	return a.At.After(b.At)
 }
 
-// readSideRecords point-reads the kept files' recovery markers, health
-// snapshots and threshold alerts at their scanned offsets (no segment
-// payload is decoded), collapsing exact duplicates — the leftovers of
-// an interrupted earlier compaction — while preserving first-
-// occurrence order, and returns each monitor's highest reset horizon
-// for DropBelowReset.
-func readSideRecords(keep []input, res *Result) ([]history.RecoveryMarker, []obs.HealthRecord, []obsrules.Alert, map[string]int64, error) {
-	var markers []history.RecoveryMarker
-	var healths []obs.HealthRecord
-	var alerts []obsrules.Alert
-	horizons := make(map[string]int64)
-	seenM := make(map[history.RecoveryMarker]bool)
-	seenH := make(map[string]bool)
-	seenA := make(map[string]bool)
-	for _, in := range keep {
-		for _, mk := range in.fs.Markers {
-			m, err := export.ReadMarkerAt(in.name, mk.Offset)
-			if err != nil {
-				if errors.Is(err, export.ErrCorruptRecord) {
-					res.CorruptDropped++
-					continue
-				}
-				return nil, nil, nil, nil, err
-			}
-			res.RecordsIn++
-			if m.Horizon > horizons[m.Monitor] {
-				horizons[m.Monitor] = m.Horizon
-			}
-			if seenM[m] {
-				continue
-			}
-			seenM[m] = true
-			markers = append(markers, m)
-		}
-		for _, hi := range in.fs.Healths {
-			h, err := export.ReadHealthAt(in.name, hi.Offset)
-			if err != nil {
-				if errors.Is(err, export.ErrCorruptRecord) {
-					res.CorruptDropped++
-					continue
-				}
-				return nil, nil, nil, nil, err
-			}
-			res.RecordsIn++
-			k := export.HealthKey(h)
-			if seenH[k] {
-				continue
-			}
-			seenH[k] = true
-			healths = append(healths, h)
-		}
-		for _, ai := range in.fs.Alerts {
-			a, err := export.ReadAlertAt(in.name, ai.Offset)
-			if err != nil {
-				if errors.Is(err, export.ErrCorruptRecord) {
-					res.CorruptDropped++
-					continue
-				}
-				return nil, nil, nil, nil, err
-			}
-			res.RecordsIn++
-			k := export.AlertKey(a)
-			if seenA[k] {
-				continue
-			}
-			seenA[k] = true
-			alerts = append(alerts, a)
-		}
-	}
-	return markers, healths, alerts, horizons, nil
-}
-
 // monCursor walks one input file's segment records of one monitor in
 // sequence order, decoding one record at a time through the shared
 // per-file RecordReader — the unit of the merge's memory bound.
@@ -704,15 +635,14 @@ func (c *monCursor) peek(res *Result) (e event.Event, ok bool, err error) {
 }
 
 // writeOutputs streams the merged monitors, the folded tombstone and
-// the side records through a WALSink in the staging directory and
-// returns the output paths in creation order. The sink fsyncs each
+// the carried annotations through a WALSink in the staging directory
+// and returns the output paths in creation order. The sink fsyncs each
 // file as it rotates, so everything returned is durable. Record
 // order: tombstone first (the lowest-numbered output must carry it),
-// then each monitor's chunked stream in order of first event, then
-// markers, then health snapshots, then threshold alerts.
+// then each monitor's chunked stream in order of first event, then the
+// annotations in their input record order.
 func writeOutputs(tmpDir string, cfg Config, keep []input, tomb *export.Tombstone,
-	markers []history.RecoveryMarker, healths []obs.HealthRecord,
-	alerts []obsrules.Alert, horizons map[string]int64, res *Result) ([]string, error) {
+	anns []export.Record, horizons map[string]int64, res *Result) ([]string, error) {
 	var summaries []export.FileSummary
 	sink, err := export.NewWALSink(tmpDir, export.WALConfig{
 		MaxFileBytes: cfg.MaxFileBytes,
@@ -856,20 +786,8 @@ func writeOutputs(tmpDir string, cfg Config, keep []input, tomb *export.Tombston
 		}
 	}
 
-	for _, m := range markers {
-		if err := sink.WriteMarker(m); err != nil {
-			return nil, err
-		}
-		res.RecordsOut++
-	}
-	for _, h := range healths {
-		if err := sink.WriteHealth(h); err != nil {
-			return nil, err
-		}
-		res.RecordsOut++
-	}
-	for _, a := range alerts {
-		if err := sink.WriteAlert(a); err != nil {
+	for _, a := range anns {
+		if err := a.Apply(sink); err != nil {
 			return nil, err
 		}
 		res.RecordsOut++

@@ -29,7 +29,7 @@ func th(seq int64) obs.HealthRecord {
 func healthKeys(hs []obs.HealthRecord) []string {
 	keys := make([]string, len(hs))
 	for i, h := range hs {
-		keys[i] = export.HealthKey(h)
+		keys[i] = healthKey(h)
 	}
 	return keys
 }
@@ -148,7 +148,7 @@ func TestCompactionDedupsDuplicateHealths(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after.DuplicateHealths != 0 || len(after.Healths) != 1 ||
-		export.HealthKey(after.Healths[0]) != export.HealthKey(h) {
+		healthKey(after.Healths[0]) != healthKey(h) {
 		t.Fatalf("compaction did not converge the duplicate: %d healths, %d duplicates",
 			len(after.Healths), after.DuplicateHealths)
 	}
@@ -156,3 +156,6 @@ func TestCompactionDedupsDuplicateHealths(t *testing.T) {
 		t.Fatalf("compaction lost events: %d of 9", len(after.Events))
 	}
 }
+
+// healthKey is a health snapshot's exact-duplicate identity.
+func healthKey(h obs.HealthRecord) string { return export.Record{Health: &h}.Key() }

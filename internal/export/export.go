@@ -30,14 +30,15 @@
 // flushes on shutdown.
 //
 // WALSink persists to numbered files of typed, CRC-protected records —
-// segments (per-record monitor id, seq range, count) and recovery
-// markers (see MarkerSink; a marker records a shard-local online reset
-// and the resulting deliberate gap in the monitor's trace) — fsyncing
-// on rotation, which is size-based (MaxFileBytes) and optionally
-// age-based (RotateEvery). ReadDir replays a directory into a Replay:
-// the record payloads k-way-merged (event.Merge) back into the global
-// <L order in Replay.Events, the recovery markers in Replay.Markers,
-// and crash-truncated-tail recovery reported via Replay.Recovered — a
+// segments (per-record monitor id, seq range, count) and annotations:
+// recovery markers (a shard-local online reset and the deliberate gap
+// it leaves in the monitor's trace), health snapshots, retention
+// tombstones and threshold alerts — fsyncing on rotation, which is
+// size-based (MaxFileBytes) and optionally age-based (RotateEvery).
+// ReadDir replays a directory into a Replay: the record payloads
+// k-way-merged (event.Merge) back into the global <L order in
+// Replay.Events, the annotations in its typed slices, and
+// crash-truncated-tail recovery reported via Replay.Recovered — a
 // torn record is tolerated only at the tail of the newest file, where
 // it is the expected signature of a crash mid-append; anywhere else it
 // is corruption and an error. A CRC-corrupt full-length record is
@@ -48,12 +49,24 @@
 // order: for a lossless (Block-policy) run Replay.Events is
 // byte-identical to what ExportBinary of a WithFullTrace run produces.
 //
+// # Record path
+//
+// Between the WAL bytes and Replay every record travels in one decoded
+// form, Record: the reader decodes into it, Record.header derives the
+// header fields both writers frame it with and the reader checks it
+// against, Record.Key is the one dedup identity, ReadRecordAt the one
+// point read, FileSummary.Annotations the one index table, and
+// Record.Apply the one route into a sink. Typed seams remain only at
+// the edges, where callers handle concrete types: the detector's
+// TraceExporter (Consume*), the sinks' optional Write* extensions, and
+// Replay's typed slices.
+//
 // # Trace store
 //
 // Two subpackages make the on-disk artefact cheap to consume and keep
 // it bounded (see DESIGN.md §5). index maintains a sparse per-file
 // index — WALConfig.OnSeal hands each sealed file's FileSummary
-// (seq ranges, monitor set, marker offsets, header-chain CRC; also
+// (seq ranges, monitor set, annotation offsets, header-chain CRC; also
 // rebuildable via ScanFile) to an index.Maintainer — and answers
 // windowed queries (index.SeekReader.ReplayRange) by opening only the
 // files the index admits. compact merges the rotated backlog into

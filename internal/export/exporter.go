@@ -82,9 +82,7 @@ type Config struct {
 // is the disabled mode.
 type expMetrics struct {
 	segments, events, written          *obs.Counter
-	markers, markersWritten            *obs.Counter
-	healths, healthsWritten            *obs.Counter
-	alerts, alertsWritten              *obs.Counter
+	accepted, stored                   [numKinds]*obs.Counter // per annotation kind
 	droppedSegsFull, droppedSegsClosed *obs.Counter
 	droppedEvsFull, droppedEvsClosed   *obs.Counter
 	writeErrors                        *obs.Counter
@@ -92,20 +90,23 @@ type expMetrics struct {
 	queueDepth                         *obs.Gauge
 }
 
+// numKinds sizes the exporter's per-kind annotation counters.
+const numKinds = KindAlert + 1
+
+// exportedKinds names the annotation kinds an exporter carries by their
+// metric stem: export_<stem>_total counts accepted records,
+// export_<stem>_written_total the ones the sink stored. Tombstones are
+// written by compaction directly, never through an exporter.
+var exportedKinds = map[Kind]string{KindMarker: "markers", KindHealth: "healths", KindAlert: "alerts"}
+
 func newExpMetrics(reg *obs.Registry) expMetrics {
 	if reg == nil {
 		return expMetrics{}
 	}
-	return expMetrics{
+	m := expMetrics{
 		segments:          reg.Counter("export_segments_total"),
 		events:            reg.Counter("export_events_total"),
 		written:           reg.Counter("export_written_total"),
-		markers:           reg.Counter("export_markers_total"),
-		markersWritten:    reg.Counter("export_markers_written_total"),
-		healths:           reg.Counter("export_healths_total"),
-		healthsWritten:    reg.Counter("export_healths_written_total"),
-		alerts:            reg.Counter("export_alerts_total"),
-		alertsWritten:     reg.Counter("export_alerts_written_total"),
 		droppedSegsFull:   reg.Counter(`export_dropped_segments_total{reason="full"}`),
 		droppedSegsClosed: reg.Counter(`export_dropped_segments_total{reason="closed"}`),
 		droppedEvsFull:    reg.Counter(`export_dropped_events_total{reason="full"}`),
@@ -115,6 +116,11 @@ func newExpMetrics(reg *obs.Registry) expMetrics {
 		compactErrors:     reg.Counter("export_compact_errors_total"),
 		queueDepth:        reg.Gauge("export_queue_depth"),
 	}
+	for k, stem := range exportedKinds {
+		m.accepted[k] = reg.Counter("export_" + stem + "_total")
+		m.stored[k] = reg.Counter("export_" + stem + "_written_total")
+	}
+	return m
 }
 
 // SealedFileCounter is the optional Sink extension the background-
@@ -161,14 +167,12 @@ type Stats struct {
 // ErrClosed reports an operation on a closed exporter.
 var ErrClosed = errors.New("export: exporter closed")
 
-// item is one unit of writer work: a segment, a recovery marker, a
-// health snapshot, a threshold alert, or a flush request.
+// item is one unit of writer work: a segment, an annotation record, or
+// a flush request.
 type item struct {
-	seg    Segment
-	marker *history.RecoveryMarker
-	health *obs.HealthRecord
-	alert  *obsrules.Alert
-	flush  chan error
+	seg   Segment
+	ann   *Record
+	flush chan error
 }
 
 // Exporter streams drained history segments to a Sink off the hot
@@ -187,9 +191,7 @@ type Exporter struct {
 	closed bool
 
 	segments, events, written           atomic.Int64
-	markers, markersWritten             atomic.Int64
-	healths, healthsWritten             atomic.Int64
-	alerts, alertsWritten               atomic.Int64
+	accepted, stored                    [numKinds]atomic.Int64 // per annotation kind
 	droppedSegsFull, droppedEvsFull     atomic.Int64
 	droppedSegsClosed, droppedEvsClosed atomic.Int64
 	writeErrors                         atomic.Int64
@@ -236,67 +238,21 @@ func (e *Exporter) writer() {
 			it.flush <- e.sink.Flush()
 			continue
 		}
-		if it.marker != nil {
-			ms, ok := e.sink.(MarkerSink)
-			if !ok {
-				continue // sink has no marker support; nothing to persist
-			}
-			if err := ms.WriteMarker(*it.marker); err != nil {
-				e.writeErrors.Add(1)
-				e.met.writeErrors.Inc()
-				e.setErr(err)
-				if e.cfg.OnError != nil {
-					e.cfg.OnError(err)
-				}
-			} else {
-				e.markersWritten.Add(1)
-				e.met.markersWritten.Inc()
-			}
-			continue
-		}
-		if it.health != nil {
-			hs, ok := e.sink.(HealthSink)
-			if !ok {
-				continue // sink has no health support; nothing to persist
-			}
-			if err := hs.WriteHealth(*it.health); err != nil {
-				e.writeErrors.Add(1)
-				e.met.writeErrors.Inc()
-				e.setErr(err)
-				if e.cfg.OnError != nil {
-					e.cfg.OnError(err)
-				}
-			} else {
-				e.healthsWritten.Add(1)
-				e.met.healthsWritten.Inc()
-			}
-			continue
-		}
-		if it.alert != nil {
-			as, ok := e.sink.(AlertSink)
-			if !ok {
-				continue // sink has no alert support; nothing to persist
-			}
-			if err := as.WriteAlert(*it.alert); err != nil {
-				e.writeErrors.Add(1)
-				e.met.writeErrors.Inc()
-				e.setErr(err)
-				if e.cfg.OnError != nil {
-					e.cfg.OnError(err)
-				}
-			} else {
-				e.alertsWritten.Add(1)
-				e.met.alertsWritten.Inc()
+		if it.ann != nil {
+			// A sink without the kind's extension cannot store it:
+			// nothing to persist, and nothing counted as written.
+			stored, err := it.ann.deliver(e.sink)
+			if err != nil {
+				e.writeFailed(err)
+			} else if stored {
+				k := it.ann.Info().Kind
+				e.stored[k].Add(1)
+				e.met.stored[k].Inc()
 			}
 			continue
 		}
 		if err := e.sink.WriteSegment(it.seg); err != nil {
-			e.writeErrors.Add(1)
-			e.met.writeErrors.Inc()
-			e.setErr(err)
-			if e.cfg.OnError != nil {
-				e.cfg.OnError(err)
-			}
+			e.writeFailed(err)
 			continue
 		}
 		e.written.Add(1)
@@ -312,6 +268,16 @@ func (e *Exporter) setErr(err error) {
 	e.errMu.Lock()
 	e.lastErr = err
 	e.errMu.Unlock()
+}
+
+// writeFailed accounts one failed sink write.
+func (e *Exporter) writeFailed(err error) {
+	e.writeErrors.Add(1)
+	e.met.writeErrors.Inc()
+	e.setErr(err)
+	if e.cfg.OnError != nil {
+		e.cfg.OnError(err)
+	}
 }
 
 // maybeCompact launches the configured background compaction when the
@@ -395,56 +361,40 @@ func (e *Exporter) Consume(monitor string, events event.Seq) {
 	e.met.queueDepth.Set(int64(len(e.ch)))
 }
 
-// ConsumeMarker accepts one recovery marker (detect.MarkerExporter's
-// signature, so a detector's shard-local resets reach the sink through
-// the same pipeline as their segments). Markers are rare and
-// load-bearing — a dropped marker would make a deliberate trace gap
-// look like corruption — so the send always blocks for a free slot,
-// even under the Drop policy, exactly like Flush. A marker arriving
-// after Close is discarded.
+// ConsumeMarker accepts one recovery marker, so a detector's
+// shard-local resets reach the sink through the same pipeline as
+// their segments (see consumeAnnotation).
 func (e *Exporter) ConsumeMarker(m history.RecoveryMarker) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return
-	}
-	e.ch <- item{marker: &m}
-	e.markers.Add(1)
-	e.met.markers.Inc()
+	e.consumeAnnotation(&Record{Marker: &m})
 }
 
-// ConsumeHealth accepts one health snapshot (detect.HealthExporter's
-// signature). Like markers, health records are rare and cheap, and a
-// gap in the health timeline is a diagnostic loss exactly when the
-// system is under the pressure the timeline exists to explain — so the
-// send always blocks for a free slot, even under the Drop policy. A
-// snapshot arriving after Close is discarded.
+// ConsumeHealth accepts one health snapshot (see consumeAnnotation).
 func (e *Exporter) ConsumeHealth(h obs.HealthRecord) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return
-	}
-	e.ch <- item{health: &h}
-	e.healths.Add(1)
-	e.met.healths.Inc()
+	e.consumeAnnotation(&Record{Health: &h})
 }
 
-// ConsumeAlert accepts one threshold alert (detect.AlertExporter's
-// signature). Alerts mark the pipeline's own degradation episodes —
-// rare, small, and most valuable exactly when the system is under
-// pressure — so like markers and health snapshots the send always
-// blocks for a free slot, even under the Drop policy. An alert
-// arriving after Close is discarded.
+// ConsumeAlert accepts one threshold alert (see consumeAnnotation).
 func (e *Exporter) ConsumeAlert(a obsrules.Alert) {
+	e.consumeAnnotation(&Record{Alert: &a})
+}
+
+// consumeAnnotation enqueues one annotation record. Annotations are
+// rare, small and load-bearing — a dropped marker would make a
+// deliberate trace gap look like corruption, and a gap in the health
+// or alert timeline is a diagnostic loss exactly when the system is
+// under the pressure the timeline exists to explain — so the send
+// always blocks for a free slot, even under the Drop policy, exactly
+// like Flush. An annotation arriving after Close is discarded.
+func (e *Exporter) consumeAnnotation(r *Record) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return
 	}
-	e.ch <- item{alert: &a}
-	e.alerts.Add(1)
-	e.met.alerts.Inc()
+	e.ch <- item{ann: r}
+	k := r.Info().Kind
+	e.accepted[k].Add(1)
+	e.met.accepted[k].Inc()
 }
 
 // dropFull counts a segment discarded because the buffer was full
@@ -525,12 +475,12 @@ func (e *Exporter) Stats() Stats {
 		Segments:              e.segments.Load(),
 		Events:                e.events.Load(),
 		Written:               e.written.Load(),
-		Markers:               e.markers.Load(),
-		MarkersWritten:        e.markersWritten.Load(),
-		Healths:               e.healths.Load(),
-		HealthsWritten:        e.healthsWritten.Load(),
-		Alerts:                e.alerts.Load(),
-		AlertsWritten:         e.alertsWritten.Load(),
+		Markers:               e.accepted[KindMarker].Load(),
+		MarkersWritten:        e.stored[KindMarker].Load(),
+		Healths:               e.accepted[KindHealth].Load(),
+		HealthsWritten:        e.stored[KindHealth].Load(),
+		Alerts:                e.accepted[KindAlert].Load(),
+		AlertsWritten:         e.stored[KindAlert].Load(),
 		DroppedSegments:       dsf + dsc,
 		DroppedEvents:         def + dec,
 		DroppedSegmentsFull:   dsf,

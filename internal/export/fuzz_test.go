@@ -48,7 +48,7 @@ func fuzzSeedWAL(f *testing.F) []byte {
 
 // FuzzReadWALFile throws corrupt, truncated and hostile byte streams
 // at the WAL segment-file reader. The contract mirrors the event
-// decoder's: readWALFile either returns decoded records, a torn-tail
+// decoder's: ReadWALFile either returns decoded records, a torn-tail
 // report, or an error — it must never panic, and a lying header length
 // field must never balloon the allocator. Whatever it does accept must
 // round-trip through the WAL writer byte-identically.
@@ -68,7 +68,7 @@ func FuzzReadWALFile(f *testing.F) {
 	// Valid magic, absurd monitor-name length (v1: no record-type byte).
 	f.Add(append(append([]byte{}, magicV1...), 0xff, 0xff, 0x01))
 	// Same in the current format, behind a segment record-type byte.
-	f.Add(append(append([]byte{}, magicV2...), recSegment, 0xff, 0xff, 0x01))
+	f.Add(append(append([]byte{}, magicV2...), byte(KindSegment), 0xff, 0xff, 0x01))
 	// Unknown record type right after a valid v2 magic.
 	f.Add(append(append([]byte{}, magicV2...), 0x7f))
 	// Full v1 record header whose payload-length field lies just under
@@ -135,32 +135,36 @@ func FuzzReadWALFile(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		fr, err := readWALFile(name)
+		fr, err := ReadWALFile(name)
 		runtime.ReadMemStats(&after)
 		// A hostile header may claim up to 1 GiB of payload; anything the
 		// reader actually allocates must be backed by real input bytes,
 		// not by the claim (generous slack for decode overhead).
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))*8+1<<20 {
-			t.Fatalf("readWALFile allocated %d bytes on %d input bytes", grew, len(data))
+			t.Fatalf("ReadWALFile allocated %d bytes on %d input bytes", grew, len(data))
 		}
 		if err != nil {
 			return // corruption verdicts need no further checking
 		}
-		segs, markers, torn := fr.segs, fr.markers, fr.torn
+		var segs []event.Seq
+		for _, seg := range fr.Segments {
+			segs = append(segs, seg.Events)
+		}
 		// Whatever the reader accepts, the header-only scanner must
 		// accept too, and their structural views must agree — the index
 		// is built from scans but admits files for the replaying reader.
 		sum, serr := ScanFile(name)
 		if serr != nil {
-			t.Fatalf("ScanFile rejected what readWALFile accepted: %v", serr)
+			t.Fatalf("ScanFile rejected what ReadWALFile accepted: %v", serr)
 		}
-		if want := len(segs) + len(markers) + len(fr.healths) + len(fr.tombs) + fr.corrupt; sum.Records != want {
+		if want := len(segs) + len(fr.Annotations) + fr.CorruptRecords; sum.Records != want {
 			t.Fatalf("ScanFile saw %d records, reader decoded %d", sum.Records, want)
 		}
 		// Corrupt records keep their headers in the scan, so the scanner
-		// may index more markers than the reader decoded — never fewer.
-		if len(sum.Markers) < len(markers) {
-			t.Fatalf("ScanFile indexed %d markers, reader decoded %d", len(sum.Markers), len(markers))
+		// may index more annotations than the reader decoded — never
+		// fewer.
+		if len(sum.Annotations) < len(fr.Annotations) {
+			t.Fatalf("ScanFile indexed %d annotations, reader decoded %d", len(sum.Annotations), len(fr.Annotations))
 		}
 		// Accepted records must be internally coherent and re-writable:
 		// replaying them through a fresh sink and reading back yields the
@@ -206,6 +210,5 @@ func FuzzReadWALFile(f *testing.F) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatal("round trip changed event bytes")
 		}
-		_, _ = torn, markers
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"robustmon/internal/obs"
@@ -40,59 +39,43 @@ const (
 )
 
 // appendHealth serialises a health record into the self-contained
-// payload blob of a recHealth WAL record, appended to dst: a version
+// payload blob of a KindHealth WAL record, appended to dst: a version
 // byte, varint instant and horizon, then the snapshot's three
 // sections, each length-prefixed. Deterministic by construction —
 // obs.Snapshot sections are name-sorted — so identical snapshots
 // encode to identical bytes, which is what lets replay deduplicate
-// compaction overlap and lets the byte-identical-replay invariant
-// extend to health records. Appending (rather than returning a fresh
-// buffer) lets the WAL sink encode into its pooled payload buffers.
+// compaction overlap (Record.Key) and lets the byte-identical-replay
+// invariant extend to health records. Appending (rather than returning
+// a fresh buffer) lets the WAL sink encode into its pooled payload
+// buffers.
 func appendHealth(dst []byte, h obs.HealthRecord) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) {
-		dst = append(dst, scratch[:binary.PutVarint(scratch[:], v)]...)
-	}
-	putUvarint := func(v uint64) {
-		dst = append(dst, scratch[:binary.PutUvarint(scratch[:], v)]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		dst = append(dst, s...)
-	}
 	putMetrics := func(ms []obs.Metric) {
-		putUvarint(uint64(len(ms)))
+		dst = binary.AppendUvarint(dst, uint64(len(ms)))
 		for _, m := range ms {
-			putString(m.Name)
-			putVarint(m.Value)
+			dst = appendString(dst, m.Name)
+			dst = binary.AppendVarint(dst, m.Value)
 		}
 	}
 	dst = append(dst, healthVersion)
-	putVarint(h.At.UnixNano())
-	putVarint(h.Seq)
+	dst = binary.AppendVarint(dst, h.At.UnixNano())
+	dst = binary.AppendVarint(dst, h.Seq)
 	putMetrics(h.Metrics.Counters)
 	putMetrics(h.Metrics.Gauges)
-	putUvarint(uint64(len(h.Metrics.Histograms)))
+	dst = binary.AppendUvarint(dst, uint64(len(h.Metrics.Histograms)))
 	for _, hs := range h.Metrics.Histograms {
-		putString(hs.Name)
-		putVarint(hs.Count)
-		putVarint(hs.Sum)
-		putUvarint(uint64(len(hs.Buckets)))
+		dst = appendString(dst, hs.Name)
+		dst = binary.AppendVarint(dst, hs.Count)
+		dst = binary.AppendVarint(dst, hs.Sum)
+		dst = binary.AppendUvarint(dst, uint64(len(hs.Buckets)))
 		for _, b := range hs.Buckets {
-			putUvarint(uint64(b.Index))
-			putVarint(b.Count)
+			dst = binary.AppendUvarint(dst, uint64(b.Index))
+			dst = binary.AppendVarint(dst, b.Count)
 		}
 	}
 	return dst
 }
 
-// encodeHealth is appendHealth into a fresh buffer (tests and
-// non-pooled callers).
-func encodeHealth(h obs.HealthRecord) []byte {
-	return appendHealth(nil, h)
-}
-
-// decodeHealth reverses encodeHealth.
+// decodeHealth reverses appendHealth.
 func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 	br := bytes.NewReader(payload)
 	var h obs.HealthRecord
@@ -102,20 +85,6 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 	}
 	if ver != healthVersion {
 		return h, fmt.Errorf("unknown health version %d", ver)
-	}
-	getString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if n > maxMonitorName {
-			return "", fmt.Errorf("implausible health string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
 	}
 	getLen := func(what string, bound uint64) (int, error) {
 		n, err := binary.ReadUvarint(br)
@@ -134,7 +103,7 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 		}
 		ms := make([]obs.Metric, n)
 		for i := range ms {
-			if ms[i].Name, err = getString(); err != nil {
+			if ms[i].Name, err = readString(br); err != nil {
 				return nil, fmt.Errorf("health %s name: %w", what, err)
 			}
 			if ms[i].Value, err = binary.ReadVarint(br); err != nil {
@@ -163,7 +132,7 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 	}
 	for i := 0; i < nh; i++ {
 		var hs obs.HistogramSnapshot
-		if hs.Name, err = getString(); err != nil {
+		if hs.Name, err = readString(br); err != nil {
 			return h, fmt.Errorf("health histogram name: %w", err)
 		}
 		if hs.Count, err = binary.ReadVarint(br); err != nil {
@@ -196,14 +165,4 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 		return h, fmt.Errorf("%d trailing bytes after health snapshot", br.Len())
 	}
 	return h, nil
-}
-
-// HealthKey is the exact-duplicate identity of a health record — its
-// deterministic encoding — used by MergeReplay (and the compactor) to
-// collapse the duplicates an interrupted compaction leaves behind,
-// exactly as identical events and markers are collapsed. HealthRecord
-// holds slices, so it is not Go-comparable; the encoding is the
-// canonical comparable form.
-func HealthKey(h obs.HealthRecord) string {
-	return string(encodeHealth(h))
 }

@@ -43,7 +43,7 @@ func TestHealthPayloadRoundTrip(t *testing.T) {
 			Metrics: obs.Snapshot{Counters: []obs.Metric{{Name: "c", Value: -5}}}},
 	}
 	for _, want := range cases {
-		got, err := decodeHealth(encodeHealth(want))
+		got, err := decodeHealth(appendHealth(nil, want))
 		if err != nil {
 			t.Fatalf("decode(encode(%+v)): %v", want, err)
 		}
@@ -53,23 +53,23 @@ func TestHealthPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHealthEncodingDeterministic pins the property HealthKey (and the
-// compactor's dedup) relies on: identical records encode to identical
-// bytes, byte for byte.
+// TestHealthEncodingDeterministic pins the property Record.Key (and
+// the compactor's dedup) relies on: identical records encode to
+// identical bytes, byte for byte.
 func TestHealthEncodingDeterministic(t *testing.T) {
 	t.Parallel()
-	a, b := encodeHealth(healthRecordSeed()), encodeHealth(healthRecordSeed())
+	a, b := appendHealth(nil, healthRecordSeed()), appendHealth(nil, healthRecordSeed())
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two encodings of the same record differ:\n%x\n%x", a, b)
 	}
-	if HealthKey(healthRecordSeed()) != string(a) {
-		t.Fatal("HealthKey is not the canonical encoding")
+	if (Record{Health: ptr(healthRecordSeed())}).Key() != string(append([]byte{byte(KindHealth)}, a...)) {
+		t.Fatal("the record key is not the canonical encoding")
 	}
 }
 
 func TestDecodeHealthRejectsDamage(t *testing.T) {
 	t.Parallel()
-	good := encodeHealth(healthRecordSeed())
+	good := appendHealth(nil, healthRecordSeed())
 	if _, err := decodeHealth(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated health payload decoded")
 	}
@@ -133,7 +133,7 @@ func TestWALHealthRoundTrip(t *testing.T) {
 		t.Fatalf("healths did not round-trip:\n got %+v\nwant %+v", rep.Healths, want)
 	}
 	for i, h := range rep.Healths {
-		if !bytes.Equal(encodeHealth(h), encodeHealth(want[i])) {
+		if !bytes.Equal(appendHealth(nil, h), appendHealth(nil, want[i])) {
 			t.Fatalf("health %d not byte-identical after replay", i)
 		}
 	}
@@ -244,7 +244,7 @@ func TestMergeReplayDedupsHealths(t *testing.T) {
 	h1 := healthRecordSeed()
 	h2 := healthRecordSeed()
 	h2.Metrics.Counters[0].Value++ // same horizon, different state
-	rep, err := MergeReplay(nil, nil, []obs.HealthRecord{h1, h2, h1}, nil, nil)
+	rep, err := MergeReplay(nil, []Record{{Health: &h1}, {Health: &h2}, {Health: &h1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestMergeReplayDedupsHealths(t *testing.T) {
 }
 
 // TestScanFileIndexesHealths: ScanFile records each health snapshot's
-// horizon and offset, and ReadHealthAt point-reads it back — the
+// horizon and offset, and ReadRecordAt point-reads it back — the
 // index's skipped-file path.
 func TestScanFileIndexesHealths(t *testing.T) {
 	t.Parallel()
@@ -294,27 +294,27 @@ func TestScanFileIndexesHealths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs.Healths) != 2 {
-		t.Fatalf("summary holds %d healths, want 2", len(fs.Healths))
+	kinds := []Kind{KindHealth, KindHealth, KindMarker}
+	if len(fs.Annotations) != len(kinds) {
+		t.Fatalf("summary holds %d annotations, want %d", len(fs.Annotations), len(kinds))
 	}
 	want := []obs.HealthRecord{h0, h1}
-	for i, hi := range fs.Healths {
-		if hi.Seq != want[i].Seq {
-			t.Fatalf("health %d indexed at seq %d, want %d", i, hi.Seq, want[i].Seq)
+	for i, a := range fs.Annotations {
+		if a.Kind != kinds[i] {
+			t.Fatalf("annotation %d indexed as %s, want %s", i, a.Kind, kinds[i])
 		}
-		got, err := ReadHealthAt(names[0], hi.Offset)
+		if a.Kind != KindHealth {
+			continue
+		}
+		if a.Horizon != want[i].Seq {
+			t.Fatalf("health %d indexed at seq %d, want %d", i, a.Horizon, want[i].Seq)
+		}
+		got, err := ReadRecordAt(names[0], a.Offset)
 		if err != nil {
-			t.Fatalf("ReadHealthAt(%d): %v", hi.Offset, err)
+			t.Fatalf("ReadRecordAt(%d): %v", a.Offset, err)
 		}
-		if !reflect.DeepEqual(got, want[i]) {
+		if got.Health == nil || !reflect.DeepEqual(*got.Health, want[i]) {
 			t.Fatalf("point-read health %d:\n got %+v\nwant %+v", i, got, want[i])
 		}
-	}
-	// A point-read at a non-health record must refuse, not misparse.
-	if len(fs.Markers) != 1 {
-		t.Fatalf("summary holds %d markers, want 1", len(fs.Markers))
-	}
-	if _, err := ReadHealthAt(names[0], fs.Markers[0].Offset); err == nil {
-		t.Fatal("ReadHealthAt on a marker record succeeded")
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"robustmon/internal/export"
+	"robustmon/internal/history"
+	"robustmon/internal/obs"
+	obsrules "robustmon/internal/obs/rules"
 )
 
 // FuzzReadIndex throws corrupt, truncated and hostile byte streams at
@@ -52,8 +55,10 @@ func FuzzReadIndex(f *testing.F) {
 			f.Add(seed[:cut])
 		}
 	}
-	// A version-3 index: a retention-truncated store whose files carry
-	// tombstone records, so the fuzzer mutates the tombstone table too.
+	// A current-version index whose annotation table holds every kind —
+	// a retention-truncated store whose files carry a tombstone, a
+	// recovery marker, a health snapshot and an alert — so the fuzzer
+	// mutates the annotation table too.
 	tdir := f.TempDir()
 	tm := NewMaintainer(tdir)
 	tsink, err := export.NewWALSink(tdir, export.WALConfig{MaxFileBytes: 1, OnSeal: []export.SealedSink{tm}})
@@ -69,6 +74,15 @@ func FuzzReadIndex(f *testing.F) {
 	if err := tsink.WriteSegment(at("a", 5, 9)); err != nil {
 		f.Fatal(err)
 	}
+	if err := tsink.WriteMarker(history.RecoveryMarker{Monitor: "a", Horizon: 9, Dropped: 1, Rule: "ST-5"}); err != nil {
+		f.Fatal(err)
+	}
+	if err := tsink.WriteHealth(obs.HealthRecord{Seq: 9}); err != nil {
+		f.Fatal(err)
+	}
+	if err := tsink.WriteAlert(obsrules.Alert{Seq: 9, Rule: "r", Metric: "m", Firing: true}); err != nil {
+		f.Fatal(err)
+	}
 	if err := tsink.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -76,19 +90,21 @@ func FuzzReadIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tombs := 0
+	kinds := make(map[export.Kind]bool)
 	for _, fs := range tidx.Files {
-		tombs += len(fs.Tombstones)
+		for _, a := range fs.Annotations {
+			kinds[a.Kind] = true
+		}
 	}
-	if tombs == 0 {
-		f.Fatal("v3 seed has no tombstone entries — the seed is vacuous")
+	if len(kinds) != 4 {
+		f.Fatalf("annotation seed indexes kinds %v, want all four — the seed is vacuous", kinds)
 	}
 	f.Add(tidx.encode())
 	// Valid frame, hostile body: a file count claiming the maximum.
-	hostile := []byte{'R', 'M', 'I', 'X', 1, 0xff, 0xff, 0x3f}
+	hostile := []byte{'R', 'M', 'I', 'X', indexVersion, 0xff, 0xff, 0x3f}
 	f.Add(withCRC(hostile))
 	// An entry whose name escapes the directory.
-	evil := append([]byte{'R', 'M', 'I', 'X', 1, 1}, byte(11))
+	evil := append([]byte{'R', 'M', 'I', 'X', indexVersion, 1}, byte(11))
 	evil = append(evil, []byte("../evil.wal")...)
 	f.Add(withCRC(evil))
 	f.Add([]byte("not an index"))

@@ -3,7 +3,9 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -86,19 +88,19 @@ func TestIndexRecordsHealthOffsets(t *testing.T) {
 	if len(maintained.Files) != 6 {
 		t.Fatalf("index holds %d files, want 6", len(maintained.Files))
 	}
-	var got []export.HealthInfo
+	var got []export.AnnotationInfo
 	for _, f := range maintained.Files {
-		if len(f.Healths) > 0 && f.Events != 0 {
+		if len(f.Annotations) > 0 && f.Events != 0 {
 			t.Fatalf("file %s mixes healths and events in this fixture: %+v", f.Name, f)
 		}
-		got = append(got, f.Healths...)
+		got = append(got, f.Annotations...)
 	}
 	if len(got) != len(healths) {
 		t.Fatalf("index records %d health entries, want %d", len(got), len(healths))
 	}
-	for i, hi := range got {
-		if hi.Seq != healths[i].Seq {
-			t.Fatalf("health entry %d has seq %d, want %d", i, hi.Seq, healths[i].Seq)
+	for i, a := range got {
+		if a.Kind != export.KindHealth || a.Horizon != healths[i].Seq {
+			t.Fatalf("entry %d is a %s at seq %d, want a health snapshot at %d", i, a.Kind, a.Horizon, healths[i].Seq)
 		}
 	}
 
@@ -113,7 +115,7 @@ func TestIndexRecordsHealthOffsets(t *testing.T) {
 		t.Fatalf("maintained index != rebuilt index:\n%+v\nvs\n%+v", maintained, rebuilt)
 	}
 
-	// The v2 codec round-trips the health section.
+	// The codec round-trips the annotation table.
 	re, err := decode(maintained.encode())
 	if err != nil {
 		t.Fatalf("re-decode: %v", err)
@@ -126,13 +128,13 @@ func TestIndexRecordsHealthOffsets(t *testing.T) {
 	}
 }
 
-// encodeV1 serialises an index in format version 1 — exactly encode()
-// without the per-file health section, as every pre-health release
+// encodeV4 serialises an index in format version 4 — one table per
+// annotation kind, as every release before the single annotation table
 // wrote.
-func encodeV1(x *Index) []byte {
+func encodeV4(x *Index) []byte {
 	var buf bytes.Buffer
 	buf.Write(indexMagic[:])
-	buf.WriteByte(indexVersion1)
+	buf.WriteByte(4)
 	var scratch [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) { buf.Write(scratch[:binary.PutUvarint(scratch[:], v)]) }
 	putVarint := func(v int64) { buf.Write(scratch[:binary.PutVarint(scratch[:], v)]) }
@@ -144,11 +146,7 @@ func encodeV1(x *Index) []byte {
 	for _, f := range x.Files {
 		putString(f.Name)
 		buf.WriteByte(f.Version)
-		flags := byte(0)
-		if f.Torn {
-			flags |= 1
-		}
-		buf.WriteByte(flags)
+		buf.WriteByte(0)
 		putVarint(f.Size)
 		putUvarint(uint64(f.Records))
 		putVarint(f.Events)
@@ -162,35 +160,87 @@ func encodeV1(x *Index) []byte {
 			putVarint(mr.MaxSeq)
 			putVarint(mr.Events)
 		}
-		putUvarint(uint64(len(f.Markers)))
-		for _, mk := range f.Markers {
-			putString(mk.Monitor)
-			putVarint(mk.Horizon)
-			putVarint(mk.Offset)
+		for _, k := range []export.Kind{export.KindMarker, export.KindHealth, export.KindTombstone, export.KindAlert} {
+			var of []export.AnnotationInfo
+			for _, a := range f.Annotations {
+				if a.Kind == k {
+					of = append(of, a)
+				}
+			}
+			putUvarint(uint64(len(of)))
+			for _, a := range of {
+				if k == export.KindMarker {
+					putString(a.Monitor)
+				}
+				putVarint(a.Horizon)
+				putVarint(a.Offset)
+			}
 		}
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	binary.LittleEndian.PutUint32(scratch[:4], sum)
+	binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(buf.Bytes()))
 	buf.Write(scratch[:4])
 	return buf.Bytes()
 }
 
-func TestIndexDecodeAcceptsVersion1(t *testing.T) {
+// TestIndexOfOtherVersionReadsAsAbsent: an intact index written by an
+// older release is not decoded but treated as absent — Load reports
+// ErrNoIndex, OpenDir scans every file and replays exactly what ReadDir
+// does, and the next seal rewrites the index at the current version.
+func TestIndexOfOtherVersionReadsAsAbsent(t *testing.T) {
 	t.Parallel()
-	// A health-free directory indexed by an old release: its v1 bytes
-	// must decode to exactly what the v2 codec holds for the same
-	// files — no health section, not a damaged one.
-	dir := buildDir(t, []string{"a", "b"}, 4, 5)
+	dir, _ := buildHealthDir(t)
 	idx, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := decode(encodeV1(idx))
-	if err != nil {
-		t.Fatalf("decode of a v1 index: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, FileName), encodeV4(idx), 0o666); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(idx, decoded) {
-		t.Fatalf("v1 decode diverged from the v2 index:\n%+v\nvs\n%+v", idx, decoded)
+	if _, err := Load(dir); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("Load of a v4 index = %v, want ErrNoIndex", err)
+	}
+	r, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("OpenDir over a v4 index: %v", err)
+	}
+	got, err := r.ReplayRange(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.LastStats(); st.Unindexed != st.FilesTotal || st.Opened != st.FilesTotal {
+		t.Fatalf("stats = %+v, want every file scanned", st)
+	}
+	want, err := export.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay over a v4 index diverged from ReadDir:\n%+v\nvs\n%+v", got, want)
+	}
+
+	m := NewMaintainer(dir)
+	sink, err := export.NewWALSink(dir, export.WALConfig{OnSeal: []export.SealedSink{m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.WriteSegment(export.Segment{Monitor: "a", Events: tseq("a", 31, 40)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[4] != indexVersion {
+		t.Fatalf("OnSeal left an index of version %d, want %d", raw[4], indexVersion)
+	}
+	if rewritten, err := Load(dir); err != nil || len(rewritten.Files) != 1 {
+		t.Fatalf("rewritten index: %v, err %v; want the newly sealed file", rewritten, err)
 	}
 }
 
@@ -238,7 +288,7 @@ func TestSeekReaderHealthPointReads(t *testing.T) {
 		t.Fatalf("window [5,12] opened %v, want only the two segment files", opened)
 	}
 	st := r.LastStats()
-	if st.HealthReads != 1 {
+	if st.AnnotationReads != 1 {
 		t.Fatalf("stats = %+v, want exactly 1 health point-read", st)
 	}
 

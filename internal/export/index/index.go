@@ -8,20 +8,25 @@
 // the question is "what happened around sequence 1 234 567 on monitor
 // X". The index keeps, per sealed file, exactly what that question
 // needs (export.FileSummary): the global and per-monitor sequence
-// ranges, the byte offsets of recovery-marker records, and a CRC over
-// the file's record-header chain. The detectEr line of work (Cassar &
+// ranges, one table locating the file's annotation records (recovery
+// markers, health snapshots, retention tombstones, threshold alerts) by
+// kind, horizon and byte offset, and a CRC over the file's
+// record-header chain. The detectEr line of work (Cassar &
 // Francalanza) makes the point for monitoring generally: the artefact
 // must be cheap to consume, not just cheap to produce.
 //
 // The index is advisory and deliberately sparse. It is maintained
-// incrementally by the WAL sink (wire Maintainer.OnRotate into
-// export.WALConfig.OnRotate) and covers only sealed files — the active
+// incrementally by the WAL sink (wire a Maintainer into
+// export.WALConfig.OnSeal) and covers only sealed files — the active
 // segment is never indexed; a SeekReader simply scans whatever the
 // index does not cover. Every entry is validated against the file on
 // disk (size; optionally the header-chain CRC) before it is trusted,
 // so a stale or damaged index degrades to scanning, never to wrong
-// results, and Rebuild reconstructs the whole index from any v1/v2
-// directory by reading record headers only.
+// results, and Rebuild reconstructs the whole index from any WAL
+// directory by reading record headers only. Because it is rebuildable,
+// the index keeps no compatibility with its own older formats: an
+// index file of another format version reads as absent (ErrNoIndex)
+// and the next write replaces it.
 package index
 
 import (
@@ -49,24 +54,20 @@ const FileName = "wal.index"
 // disk is the format version.
 var indexMagic = [4]byte{'R', 'M', 'I', 'X'}
 
-// Index format versions. Version 2 added the per-file health-snapshot
-// offset table (FileSummary.Healths); version 3 the retention
-// tombstone table (FileSummary.Tombstones); version 4 the threshold-
-// alert table (FileSummary.Alerts). An older index simply has no such
-// section, so decode accepts every version and Write always emits the
-// latest. An old index over a directory containing the newer records
-// still works — the records live in the WAL files, and a windowed
-// reader falls back to opening any file whose entry lacks the offsets
-// (the index is advisory either way).
-const (
-	indexVersion1 = 1
-	indexVersion2 = 2
-	indexVersion3 = 3
-	indexVersion  = 4
-)
+// indexVersion is the index format version Write emits and Load
+// accepts. Version 5 holds one annotation table per file
+// (export.FileSummary.Annotations). An index of any other version is
+// not decoded: it is advisory and rebuildable from the WAL files, so
+// Load reports it as absent — OpenDir then scans every file, and the
+// next Maintainer seal or `montrace index` rewrites it at this version.
+const indexVersion = 5
 
-// ErrNoIndex reports that the directory has no index file.
+// ErrNoIndex reports that the directory has no index file — or one of
+// another format version, which is treated the same way.
 var ErrNoIndex = errors.New("index: no index file")
+
+// errOtherVersion marks an intact index file of another format version.
+var errOtherVersion = errors.New("index: format version")
 
 // Decode caps, sized far above anything real so a corrupt length field
 // cannot balloon the reader (the same posture as the WAL and trace
@@ -159,26 +160,12 @@ func (x *Index) encode() []byte {
 			putVarint(mr.MaxSeq)
 			putVarint(mr.Events)
 		}
-		putUvarint(uint64(len(f.Markers)))
-		for _, mk := range f.Markers {
-			putString(mk.Monitor)
-			putVarint(mk.Horizon)
-			putVarint(mk.Offset)
-		}
-		putUvarint(uint64(len(f.Healths)))
-		for _, hi := range f.Healths {
-			putVarint(hi.Seq)
-			putVarint(hi.Offset)
-		}
-		putUvarint(uint64(len(f.Tombstones)))
-		for _, ti := range f.Tombstones {
-			putVarint(ti.Horizon)
-			putVarint(ti.Offset)
-		}
-		putUvarint(uint64(len(f.Alerts)))
-		for _, ai := range f.Alerts {
-			putVarint(ai.Seq)
-			putVarint(ai.Offset)
+		putUvarint(uint64(len(f.Annotations)))
+		for _, a := range f.Annotations {
+			buf.WriteByte(byte(a.Kind))
+			putString(a.Monitor)
+			putVarint(a.Horizon)
+			putVarint(a.Offset)
 		}
 	}
 	sum := crc32.ChecksumIEEE(buf.Bytes())
@@ -200,9 +187,8 @@ func decode(data []byte) (*Index, error) {
 	if [4]byte(body[:4]) != indexMagic {
 		return nil, errors.New("index: bad magic")
 	}
-	version := body[4]
-	if version < indexVersion1 || version > indexVersion {
-		return nil, fmt.Errorf("index: unknown format version %d", version)
+	if version := body[4]; version != indexVersion {
+		return nil, fmt.Errorf("%w %d, not %d", errOtherVersion, version, indexVersion)
 	}
 	br := bytes.NewReader(body[5:])
 	getUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
@@ -293,82 +279,32 @@ func decode(data []byte) (*Index, error) {
 			}
 			f.Monitors = append(f.Monitors, mr)
 		}
-		nMarkers, err := getUvarint()
+		nAnns, err := getUvarint()
 		if err != nil {
-			return nil, fmt.Errorf("index: entry %d marker count: %w", i, err)
+			return nil, fmt.Errorf("index: entry %d annotation count: %w", i, err)
 		}
-		if nMarkers > maxIndexEntries {
-			return nil, fmt.Errorf("index: entry %d: implausible marker count %d", i, nMarkers)
+		if nAnns > maxIndexEntries {
+			return nil, fmt.Errorf("index: entry %d: implausible annotation count %d", i, nAnns)
 		}
-		for j := uint64(0); j < nMarkers; j++ {
-			var mk export.MarkerInfo
-			if mk.Monitor, err = getString(); err != nil {
-				return nil, fmt.Errorf("index: entry %d marker %d: %w", i, j, err)
-			}
-			if mk.Horizon, err = getVarint(); err != nil {
-				return nil, fmt.Errorf("index: entry %d marker %d horizon: %w", i, j, err)
-			}
-			if mk.Offset, err = getVarint(); err != nil {
-				return nil, fmt.Errorf("index: entry %d marker %d offset: %w", i, j, err)
-			}
-			f.Markers = append(f.Markers, mk)
-		}
-		if version >= indexVersion2 {
-			nHealths, err := getUvarint()
+		for j := uint64(0); j < nAnns; j++ {
+			var a export.AnnotationInfo
+			kind, err := br.ReadByte()
 			if err != nil {
-				return nil, fmt.Errorf("index: entry %d health count: %w", i, err)
+				return nil, fmt.Errorf("index: entry %d annotation %d kind: %w", i, j, err)
 			}
-			if nHealths > maxIndexEntries {
-				return nil, fmt.Errorf("index: entry %d: implausible health count %d", i, nHealths)
+			if a.Kind = export.Kind(kind); a.Kind == export.KindSegment || a.Kind > export.KindAlert {
+				return nil, fmt.Errorf("index: entry %d annotation %d: %s is no annotation kind", i, j, a.Kind)
 			}
-			for j := uint64(0); j < nHealths; j++ {
-				var hi export.HealthInfo
-				if hi.Seq, err = getVarint(); err != nil {
-					return nil, fmt.Errorf("index: entry %d health %d seq: %w", i, j, err)
-				}
-				if hi.Offset, err = getVarint(); err != nil {
-					return nil, fmt.Errorf("index: entry %d health %d offset: %w", i, j, err)
-				}
-				f.Healths = append(f.Healths, hi)
+			if a.Monitor, err = getString(); err != nil {
+				return nil, fmt.Errorf("index: entry %d annotation %d monitor: %w", i, j, err)
 			}
-		}
-		if version >= indexVersion3 {
-			nTombs, err := getUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("index: entry %d tombstone count: %w", i, err)
+			if a.Horizon, err = getVarint(); err != nil {
+				return nil, fmt.Errorf("index: entry %d annotation %d horizon: %w", i, j, err)
 			}
-			if nTombs > maxIndexEntries {
-				return nil, fmt.Errorf("index: entry %d: implausible tombstone count %d", i, nTombs)
+			if a.Offset, err = getVarint(); err != nil {
+				return nil, fmt.Errorf("index: entry %d annotation %d offset: %w", i, j, err)
 			}
-			for j := uint64(0); j < nTombs; j++ {
-				var ti export.TombstoneInfo
-				if ti.Horizon, err = getVarint(); err != nil {
-					return nil, fmt.Errorf("index: entry %d tombstone %d horizon: %w", i, j, err)
-				}
-				if ti.Offset, err = getVarint(); err != nil {
-					return nil, fmt.Errorf("index: entry %d tombstone %d offset: %w", i, j, err)
-				}
-				f.Tombstones = append(f.Tombstones, ti)
-			}
-		}
-		if version >= 4 {
-			nAlerts, err := getUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("index: entry %d alert count: %w", i, err)
-			}
-			if nAlerts > maxIndexEntries {
-				return nil, fmt.Errorf("index: entry %d: implausible alert count %d", i, nAlerts)
-			}
-			for j := uint64(0); j < nAlerts; j++ {
-				var ai export.AlertInfo
-				if ai.Seq, err = getVarint(); err != nil {
-					return nil, fmt.Errorf("index: entry %d alert %d seq: %w", i, j, err)
-				}
-				if ai.Offset, err = getVarint(); err != nil {
-					return nil, fmt.Errorf("index: entry %d alert %d offset: %w", i, j, err)
-				}
-				f.Alerts = append(f.Alerts, ai)
-			}
+			f.Annotations = append(f.Annotations, a)
 		}
 		x.Files = append(x.Files, f)
 	}
@@ -380,7 +316,7 @@ func decode(data []byte) (*Index, error) {
 }
 
 // Load reads the directory's index file. ErrNoIndex (wrapped) when
-// there is none.
+// there is none, or only one of another format version.
 func Load(dir string) (*Index, error) {
 	data, err := os.ReadFile(filepath.Join(dir, FileName))
 	if err != nil {
@@ -390,6 +326,9 @@ func Load(dir string) (*Index, error) {
 		return nil, fmt.Errorf("index: read: %w", err)
 	}
 	x, err := decode(data)
+	if errors.Is(err, errOtherVersion) {
+		return nil, fmt.Errorf("%w in %s (%v: rebuild it)", ErrNoIndex, dir, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("index: %s: %w", filepath.Join(dir, FileName), err)
 	}
@@ -425,9 +364,9 @@ func (x *Index) Write(dir string) error {
 }
 
 // Rebuild reconstructs an index by scanning every segment file's
-// record headers (export.ScanFile) — v1 and v2 files alike, so a
-// directory written before the index (or before markers) existed is
-// indexable after the fact. A torn tail is tolerated only on the
+// record headers (export.ScanFile) — WAL format v1 and v2 files
+// alike, so a directory written before the index (or before markers)
+// existed is indexable after the fact. A torn tail is tolerated only on the
 // newest file, exactly as ReadDir tolerates it; the torn entry is
 // recorded (Torn set) so readers know its summary covers a prefix.
 // Rebuild only builds; call Write to persist.
@@ -517,7 +456,7 @@ func (m *Maintainer) OnSeal(fs export.FileSummary) error {
 	defer m.mu.Unlock()
 	idx, err := Load(m.dir)
 	if err != nil {
-		// Missing or damaged: start over — the index is rebuildable by
+		// Missing, damaged or of another version: start over — the index is rebuildable by
 		// construction, and a sink-maintained one regrows as files seal.
 		// (A pre-existing backlog is Rebuild's job, not ours.)
 		idx = &Index{}
@@ -528,15 +467,6 @@ func (m *Maintainer) OnSeal(fs export.FileSummary) error {
 		return err
 	}
 	return nil
-}
-
-// OnRotate records one sealed file into the index.
-//
-// Deprecated: wire the Maintainer into export.WALConfig.OnSeal
-// instead; OnRotate survives for the single-consumer
-// WALConfig.OnRotate seam it was built for.
-func (m *Maintainer) OnRotate(fs export.FileSummary) {
-	_ = m.OnSeal(fs)
 }
 
 // Err returns the most recent index-write error, if any.

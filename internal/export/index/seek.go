@@ -9,18 +9,15 @@ import (
 
 	"robustmon/internal/event"
 	"robustmon/internal/export"
-	"robustmon/internal/history"
-	"robustmon/internal/obs"
-	obsrules "robustmon/internal/obs/rules"
 )
 
 // SeekReader answers windowed replay queries over an export directory:
 // ReplayRange(minSeq, maxSeq, monitors...) opens only the segment
 // files whose indexed ranges can intersect the window, scans the
-// (hopefully few) files the index does not cover, and point-reads
-// recovery markers (and health, tombstone and alert records) through
-// their indexed byte offsets. Construct with OpenDir. Not safe for
-// concurrent use.
+// (hopefully few) files the index does not cover, and point-reads the
+// annotation records of skipped files (recovery markers, health
+// snapshots, tombstones, alerts) through their indexed byte offsets.
+// Construct with OpenDir. Not safe for concurrent use.
 type SeekReader struct {
 	dir   string
 	idx   *Index
@@ -35,18 +32,17 @@ type SeekReader struct {
 // pruned. FilesTotal is the directory's segment-file count; Opened of
 // those were fully read (because the index admitted them or did not
 // cover them — the Unindexed subset); Skipped were excluded by the
-// index without being opened; MarkerReads, HealthReads, TombstoneReads
-// and AlertReads count per-kind point-reads into otherwise skipped
-// files.
+// index without being opened; AnnotationReads counts the point-reads
+// of annotation records into otherwise skipped files.
 type Stats struct {
-	FilesTotal, Opened, Skipped, Unindexed               int
-	MarkerReads, HealthReads, TombstoneReads, AlertReads int
+	FilesTotal, Opened, Skipped, Unindexed int
+	AnnotationReads                        int
 }
 
 // OpenDir opens the directory for windowed reads, loading its index.
-// A directory with no index still works — every query then scans every
-// file, exactly like ReadDir — so OpenDir only fails on a *damaged*
-// index or an unreadable directory.
+// A directory with no index (or one of another format version) still
+// works — every query then scans every file, exactly like ReadDir — so
+// OpenDir only fails on a *damaged* index or an unreadable directory.
 func OpenDir(dir string) (*SeekReader, error) {
 	if _, err := export.WALFiles(dir); err != nil {
 		return nil, err
@@ -86,12 +82,14 @@ func (r *SeekReader) LastStats() Stats { return r.stats }
 // snapshot's sequence horizon (health records are per-process, so the
 // monitor filter does not apply to them); a from-the-beginning query
 // also admits horizon-0 snapshots captured before the first event.
+// Replay.Alerts is windowed the same way; Replay.Tombstones holds every
+// tombstone whatever the window.
 //
 // Admission is per file. An indexed, size-validated file is opened
 // only if one of its (per-monitor, when filtering) sequence ranges
-// intersects the window; a file whose only relevant content is markers
-// has them point-read at their indexed offsets instead of being
-// decoded. Files the index does not cover — the active segment, files
+// intersects the window; a file whose only relevant content is
+// annotations has them point-read at their indexed offsets instead of
+// being decoded. Files the index does not cover — the active segment, files
 // newer than the last index write, files whose on-disk size disagrees
 // with their entry (compaction reuses names) — are scanned like ReadDir
 // would. The index can only ever over-admit, never under-admit, so the
@@ -118,73 +116,45 @@ func (r *SeekReader) ReplayRange(minSeq, maxSeq int64, monitors ...string) (*exp
 		return nil, fmt.Errorf("index: no wal files in %s", r.dir)
 	}
 	r.stats = Stats{FilesTotal: len(names)}
-	rep := &export.Replay{Files: len(names)}
-	var payloads []event.Seq
-	var markers []history.RecoveryMarker
-	var healths []obs.HealthRecord
-	var tombs []export.Tombstone
-	var alerts []obsrules.Alert
-	// Health snapshots — and alerts, which carry the same horizon
-	// semantics — window on their horizon. A horizon-0 record (captured
-	// before the first event) belongs to any query that runs from the
-	// beginning.
-	admitHealth := func(seq int64) bool {
-		return seq <= maxSeq && (seq >= minSeq || minSeq <= 1)
+	// One admission rule per annotation kind (see above). Tombstones
+	// are always admitted: whatever the window, the caller must learn
+	// that the store was truncated below the retention horizon, or a
+	// below-horizon query would silently read as "nothing happened".
+	admit := func(a export.AnnotationInfo) bool {
+		switch a.Kind {
+		case export.KindMarker:
+			return monSet == nil || monSet[a.Monitor]
+		case export.KindTombstone:
+			return true
+		}
+		return a.Horizon <= maxSeq && (a.Horizon >= minSeq || minSeq <= 1)
 	}
+	var payloads []event.Seq
+	var anns []export.Record
+	var corrupt int
+	var truncated string
 	for i, name := range names {
-		newest := i == len(names)-1
 		fs, indexed := r.lookup(name)
 		if !indexed {
 			r.stats.Unindexed++
 		}
 		if indexed && !fs.Covers(minSeq, maxSeq, monSet) {
-			// The segments cannot matter; the markers still might — fetch
-			// those through their indexed offsets without decoding the
-			// file.
-			for _, mk := range fs.Markers {
-				if monSet != nil && !monSet[mk.Monitor] {
+			// The segments cannot matter; the annotations still might —
+			// fetch those through their indexed offsets without decoding
+			// the file.
+			for _, a := range fs.Annotations {
+				if !admit(a) {
 					continue
 				}
-				m, err := export.ReadMarkerAt(name, mk.Offset)
+				rec, err := export.ReadRecordAt(name, a.Offset)
 				if err != nil {
 					return nil, err
 				}
-				markers = append(markers, m)
-				r.stats.MarkerReads++
-			}
-			for _, hi := range fs.Healths {
-				if !admitHealth(hi.Seq) {
-					continue
+				if got := rec.Info().Kind; got != a.Kind {
+					return nil, fmt.Errorf("index: %s offset %d holds a %s record, the index says %s", name, a.Offset, got, a.Kind)
 				}
-				h, err := export.ReadHealthAt(name, hi.Offset)
-				if err != nil {
-					return nil, err
-				}
-				healths = append(healths, h)
-				r.stats.HealthReads++
-			}
-			// Tombstones are always admitted, like markers: whatever the
-			// window, the caller must learn that the store was truncated
-			// below the retention horizon, or a below-horizon query would
-			// silently read as "nothing happened".
-			for _, ti := range fs.Tombstones {
-				tb, err := export.ReadTombstoneAt(name, ti.Offset)
-				if err != nil {
-					return nil, err
-				}
-				tombs = append(tombs, tb)
-				r.stats.TombstoneReads++
-			}
-			for _, ai := range fs.Alerts {
-				if !admitHealth(ai.Seq) {
-					continue
-				}
-				a, err := export.ReadAlertAt(name, ai.Offset)
-				if err != nil {
-					return nil, err
-				}
-				alerts = append(alerts, a)
-				r.stats.AlertReads++
+				anns = append(anns, rec)
+				r.stats.AnnotationReads++
 			}
 			r.stats.Skipped++
 			continue
@@ -195,13 +165,12 @@ func (r *SeekReader) ReplayRange(minSeq, maxSeq int64, monitors ...string) (*exp
 		}
 		r.stats.Opened++
 		if fr.Torn {
-			if !newest {
+			if i != len(names)-1 {
 				return nil, fmt.Errorf("index: %s: torn record (not the newest file — corruption, not a crash tail)", name)
 			}
-			rep.Recovered = true
-			rep.TruncatedFile = name
+			truncated = name
 		}
-		rep.CorruptRecords += fr.CorruptRecords
+		corrupt += fr.CorruptRecords
 		for _, seg := range fr.Segments {
 			if monSet != nil && !monSet[seg.Monitor] {
 				continue
@@ -210,39 +179,18 @@ func (r *SeekReader) ReplayRange(minSeq, maxSeq int64, monitors ...string) (*exp
 				payloads = append(payloads, win)
 			}
 		}
-		for _, m := range fr.Markers {
-			if monSet != nil && !monSet[m.Monitor] {
-				continue
-			}
-			markers = append(markers, m)
-		}
-		for _, h := range fr.Healths {
-			if admitHealth(h.Seq) {
-				healths = append(healths, h)
-			}
-		}
-		tombs = append(tombs, fr.Tombstones...)
-		for _, a := range fr.Alerts {
-			if admitHealth(a.Seq) {
-				alerts = append(alerts, a)
+		for _, a := range fr.Annotations {
+			if admit(a.Info()) {
+				anns = append(anns, a)
 			}
 		}
 	}
-	rep.Segments = len(payloads)
-	merged, err := export.MergeReplay(payloads, markers, healths, tombs, alerts)
+	rep, err := export.MergeReplay(payloads, anns)
 	if err != nil {
 		return nil, err
 	}
-	rep.Events = merged.Events
-	rep.Markers = merged.Markers
-	rep.Healths = merged.Healths
-	rep.Tombstones = merged.Tombstones
-	rep.Alerts = merged.Alerts
-	rep.DuplicateEvents = merged.DuplicateEvents
-	rep.DuplicateMarkers = merged.DuplicateMarkers
-	rep.DuplicateHealths = merged.DuplicateHealths
-	rep.DuplicateTombstones = merged.DuplicateTombstones
-	rep.DuplicateAlerts = merged.DuplicateAlerts
+	rep.Files, rep.Segments, rep.CorruptRecords = len(names), len(payloads), corrupt
+	rep.Recovered, rep.TruncatedFile = truncated != "", truncated
 	return rep, nil
 }
 

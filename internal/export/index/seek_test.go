@@ -189,7 +189,7 @@ func TestSeekReaderMarkerPointReads(t *testing.T) {
 		t.Fatalf("marker not point-read into the window replay: %+v", rep.Markers)
 	}
 	st := r.LastStats()
-	if opened != 1 || st.MarkerReads != 1 {
+	if opened != 1 || st.AnnotationReads != 1 {
 		t.Fatalf("opened=%d stats=%+v, want 1 full read + 1 marker point-read", opened, st)
 	}
 }

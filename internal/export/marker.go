@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"robustmon/internal/history"
@@ -33,7 +32,7 @@ type MarkerSink interface {
 const markerVersion = 1
 
 // appendMarker serialises a marker into the self-contained payload
-// blob of a recMarker WAL record, appended to dst: a version byte
+// blob of a KindMarker WAL record, appended to dst: a version byte
 // followed by varint fields (horizon, dropped, pid, unix-nano instant)
 // and the length-prefixed rule and monitor strings. Self-contained on
 // purpose — a marker payload can be interpreted without its record
@@ -41,34 +40,17 @@ const markerVersion = 1
 // its own. Appending (rather than returning a fresh buffer) lets the
 // WAL sink encode into its pooled payload buffers.
 func appendMarker(dst []byte, m history.RecoveryMarker) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) {
-		dst = append(dst, scratch[:binary.PutVarint(scratch[:], v)]...)
-	}
-	putUvarint := func(v uint64) {
-		dst = append(dst, scratch[:binary.PutUvarint(scratch[:], v)]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		dst = append(dst, s...)
-	}
 	dst = append(dst, markerVersion)
-	putVarint(m.Horizon)
-	putUvarint(uint64(m.Dropped))
-	putVarint(m.Pid)
-	putVarint(m.At.UnixNano())
-	putString(m.Rule)
-	putString(m.Monitor)
+	dst = binary.AppendVarint(dst, m.Horizon)
+	dst = binary.AppendUvarint(dst, uint64(m.Dropped))
+	dst = binary.AppendVarint(dst, m.Pid)
+	dst = binary.AppendVarint(dst, m.At.UnixNano())
+	dst = appendString(dst, m.Rule)
+	dst = appendString(dst, m.Monitor)
 	return dst
 }
 
-// encodeMarker is appendMarker into a fresh buffer (tests and
-// non-pooled callers).
-func encodeMarker(m history.RecoveryMarker) []byte {
-	return appendMarker(nil, m)
-}
-
-// decodeMarker reverses encodeMarker.
+// decodeMarker reverses appendMarker.
 func decodeMarker(payload []byte) (history.RecoveryMarker, error) {
 	br := bytes.NewReader(payload)
 	var m history.RecoveryMarker
@@ -78,20 +60,6 @@ func decodeMarker(payload []byte) (history.RecoveryMarker, error) {
 	}
 	if ver != markerVersion {
 		return m, fmt.Errorf("unknown marker version %d", ver)
-	}
-	getString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if n > maxMonitorName {
-			return "", fmt.Errorf("implausible marker string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
 	}
 	if m.Horizon, err = binary.ReadVarint(br); err != nil {
 		return m, fmt.Errorf("marker horizon: %w", err)
@@ -109,10 +77,10 @@ func decodeMarker(payload []byte) (history.RecoveryMarker, error) {
 		return m, fmt.Errorf("marker instant: %w", err)
 	}
 	m.At = time.Unix(0, nanos).UTC()
-	if m.Rule, err = getString(); err != nil {
+	if m.Rule, err = readString(br); err != nil {
 		return m, fmt.Errorf("marker rule: %w", err)
 	}
-	if m.Monitor, err = getString(); err != nil {
+	if m.Monitor, err = readString(br); err != nil {
 		return m, fmt.Errorf("marker monitor: %w", err)
 	}
 	if br.Len() != 0 {

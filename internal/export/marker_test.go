@@ -36,7 +36,7 @@ func TestMarkerPayloadRoundTrip(t *testing.T) {
 			At: time.Date(2026, 7, 26, 0, 0, 0, 999, time.UTC)},
 	}
 	for _, want := range cases {
-		got, err := decodeMarker(encodeMarker(want))
+		got, err := decodeMarker(appendMarker(nil, want))
 		if err != nil {
 			t.Fatalf("decode(encode(%+v)): %v", want, err)
 		}
@@ -48,7 +48,7 @@ func TestMarkerPayloadRoundTrip(t *testing.T) {
 
 func TestDecodeMarkerRejectsDamage(t *testing.T) {
 	t.Parallel()
-	good := encodeMarker(historyMarkerSeed())
+	good := appendMarker(nil, historyMarkerSeed())
 	if _, err := decodeMarker(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated marker payload decoded")
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -625,6 +626,32 @@ func TestCollectorCompactsOriginsWithRetention(t *testing.T) {
 		}
 		if len(rep.Markers) != 1 {
 			t.Fatalf("origin %s: marker lost under retention: %+v", origin, rep.Markers)
+		}
+	}
+}
+
+// TestTrimReleasesAckedRecords: trimming the acknowledged prefix of the
+// un-acked buffer must not leave record data in the slots past the new
+// length — those slots would keep acked records' bytes reachable until
+// a later append overwrote each one.
+func TestTrimReleasesAckedRecords(t *testing.T) {
+	t.Parallel()
+	s := &NetSink{}
+	s.cond = sync.NewCond(&s.mu)
+	for seq := uint64(1); seq <= 8; seq++ {
+		s.buf = append(s.buf, shipRec{seq: seq, data: []byte{byte(seq)}})
+	}
+	s.seq = 8
+	s.mu.Lock()
+	s.trimLocked(5)
+	s.mu.Unlock()
+	if len(s.buf) != 3 || s.buf[0].seq != 6 || s.stats.Acked != 5 {
+		t.Fatalf("after trim: %d buffered from seq %d, %d acked; want 3 from seq 6, 5 acked",
+			len(s.buf), s.buf[0].seq, s.stats.Acked)
+	}
+	for i, r := range s.buf[len(s.buf):cap(s.buf)] {
+		if r.data != nil || r.seq != 0 {
+			t.Fatalf("slot %d past the buffer still holds record seq %d (%d bytes)", len(s.buf)+i, r.seq, len(r.data))
 		}
 	}
 }

@@ -176,27 +176,24 @@ func (s *NetSink) WriteSegment(seg export.Segment) error {
 
 // WriteMarker encodes and buffers one recovery-marker record.
 func (s *NetSink) WriteMarker(m history.RecoveryMarker) error {
-	data, err := export.AppendMarkerRecord(nil, m)
-	if err != nil {
-		return err
-	}
-	return s.enqueue(data)
+	return s.writeAnnotation(export.Record{Marker: &m})
 }
 
 // WriteHealth encodes and buffers one health-snapshot record.
 func (s *NetSink) WriteHealth(h obs.HealthRecord) error {
-	data, err := export.AppendHealthRecord(nil, h)
-	if err != nil {
-		return err
-	}
-	return s.enqueue(data)
+	return s.writeAnnotation(export.Record{Health: &h})
 }
 
-// WriteAlert encodes and buffers one threshold-alert record, so a
-// producer's self-watching rule transitions reach the fleet root in
-// the same byte-identical record framing the local WAL uses.
+// WriteAlert encodes and buffers one threshold-alert record.
 func (s *NetSink) WriteAlert(a obsrules.Alert) error {
-	data, err := export.AppendAlertRecord(nil, a)
+	return s.writeAnnotation(export.Record{Alert: &a})
+}
+
+// writeAnnotation encodes and buffers one annotation record, so it
+// reaches the fleet root in the same byte-identical record framing the
+// local WAL uses.
+func (s *NetSink) writeAnnotation(r export.Record) error {
+	data, err := export.AppendRecord(nil, r)
 	if err != nil {
 		return err
 	}
@@ -401,7 +398,13 @@ func (s *NetSink) trimLocked(durable uint64) {
 	if i > 0 {
 		s.stats.Acked += int64(i)
 		s.met.acked.Add(int64(i))
-		s.buf = append(s.buf[:0], s.buf[i:]...)
+		n := copy(s.buf, s.buf[i:])
+		// Sliding the un-acked tail to the front leaves acknowledged
+		// records (and stale copies of the tail) in the slots behind it;
+		// clear them, or their bytes stay reachable until a later append
+		// overwrites each slot.
+		clear(s.buf[n:])
+		s.buf = s.buf[:n]
 		s.met.buffered.Set(int64(len(s.buf)))
 	}
 	s.acked = durable

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -37,7 +36,10 @@ var errCRCMismatch = errors.New("record CRC mismatch")
 // count a damaged record instead of abandoning a pass.
 var ErrCorruptRecord = errCRCMismatch
 
-// Replay is the result of reading an export directory back.
+// Replay is the result of reading an export directory back. It is the
+// read-side edge of the record path: everything below it handles the
+// one decoded form (Record); here the annotations are split into typed
+// slices, so offline tooling reads plain fields.
 type Replay struct {
 	// Events is the recorded trace merged into the global <L order —
 	// what history.DB.Full() of a WithFullTrace run would have
@@ -71,7 +73,7 @@ type Replay struct {
 	// Nil for a store retention never truncated.
 	Tombstones []Tombstone
 	// Files and Segments count the WAL files and valid segment records
-	// read (Segments excludes marker records).
+	// read (Segments excludes annotation records).
 	Files, Segments int
 	// CorruptRecords counts records whose full-length payload failed
 	// its CRC — localised damage (a bit flip, a bad sector), not a
@@ -115,6 +117,29 @@ func (r *Replay) RetentionHorizon() int64 {
 	return h
 }
 
+// add files one annotation under its typed slice, or counts it as a
+// duplicate.
+func (r *Replay) add(a Record, dup bool) {
+	switch {
+	case a.Marker != nil && dup:
+		r.DuplicateMarkers++
+	case a.Marker != nil:
+		r.Markers = append(r.Markers, *a.Marker)
+	case a.Health != nil && dup:
+		r.DuplicateHealths++
+	case a.Health != nil:
+		r.Healths = append(r.Healths, *a.Health)
+	case a.Tombstone != nil && dup:
+		r.DuplicateTombstones++
+	case a.Tombstone != nil:
+		r.Tombstones = append(r.Tombstones, *a.Tombstone)
+	case a.Alert != nil && dup:
+		r.DuplicateAlerts++
+	case a.Alert != nil:
+		r.Alerts = append(r.Alerts, *a.Alert)
+	}
+}
+
 // ReadDir replays an export directory written by WALSink: every valid
 // record of every segment file, k-way-merged (event.Merge) back into
 // the global sequence order. Records land in the WAL in drain order,
@@ -137,61 +162,48 @@ func ReadDir(dir string) (*Replay, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("export: no %s files in %s", walExt, dir)
 	}
-	rep := &Replay{Files: len(names)}
 	var payloads []event.Seq
-	var markers []history.RecoveryMarker
-	var healths []obs.HealthRecord
-	var tombs []Tombstone
-	var alerts []obsrules.Alert
+	var anns []Record
+	var corrupt int
+	var truncated string
 	for i, name := range names {
-		fr, err := readWALFile(name)
+		fr, err := ReadWALFile(name)
 		if err != nil {
 			return nil, err
 		}
-		if fr.torn != nil {
+		if fr.Torn {
 			if i != len(names)-1 {
-				return nil, fmt.Errorf("export: %s: %w (not the newest file — corruption, not a crash tail)", name, fr.torn)
+				return nil, fmt.Errorf("export: %s: %w (not the newest file — corruption, not a crash tail)", name, fr.tornErr)
 			}
-			rep.Recovered = true
-			rep.TruncatedFile = name
+			truncated = name
 		}
-		payloads = append(payloads, fr.segs...)
-		markers = append(markers, fr.markers...)
-		healths = append(healths, fr.healths...)
-		tombs = append(tombs, fr.tombs...)
-		alerts = append(alerts, fr.alerts...)
-		rep.CorruptRecords += fr.corrupt
+		for _, seg := range fr.Segments {
+			payloads = append(payloads, seg.Events)
+		}
+		anns = append(anns, fr.Annotations...)
+		corrupt += fr.CorruptRecords
 	}
-	rep.Segments = len(payloads)
-	merged, err := MergeReplay(payloads, markers, healths, tombs, alerts)
+	rep, err := MergeReplay(payloads, anns)
 	if err != nil {
 		return nil, err
 	}
-	rep.Events = merged.Events
-	rep.Markers = merged.Markers
-	rep.Healths = merged.Healths
-	rep.Tombstones = merged.Tombstones
-	rep.Alerts = merged.Alerts
-	rep.DuplicateEvents = merged.DuplicateEvents
-	rep.DuplicateMarkers = merged.DuplicateMarkers
-	rep.DuplicateHealths = merged.DuplicateHealths
-	rep.DuplicateTombstones = merged.DuplicateTombstones
-	rep.DuplicateAlerts = merged.DuplicateAlerts
+	rep.Files, rep.Segments, rep.CorruptRecords = len(names), len(payloads), corrupt
+	rep.Recovered, rep.TruncatedFile = truncated != "", truncated
 	return rep, nil
 }
 
-// MergeReplay assembles per-record event payloads, markers, health
-// snapshots, retention tombstones and threshold alerts into the
-// replayed form: events k-way-merged into the global <L order with
-// identical duplicates collapsed (and counted), the record-kind slices
-// deduplicated preserving first-occurrence order. It is the shared
-// back half of ReadDir and the windowed index.SeekReader; only Events,
-// Markers, Healths, Tombstones, Alerts and the duplicate counters of
-// the returned Replay are populated. A sequence-number collision
-// between two different events is an error — that is two runs (or a
-// corrupted record) sharing one directory, not a recoverable
-// duplicate.
-func MergeReplay(payloads []event.Seq, markers []history.RecoveryMarker, healths []obs.HealthRecord, tombstones []Tombstone, alerts []obsrules.Alert) (*Replay, error) {
+// MergeReplay assembles per-record event payloads and annotation
+// records into the replayed form: events k-way-merged into the global
+// <L order with identical duplicates collapsed (and counted), the
+// annotations deduplicated on Record.Key preserving first-occurrence
+// order and split into Replay's typed slices. It is the shared back
+// half of ReadDir and the windowed index.SeekReader; only Events, the
+// typed annotation slices and the duplicate counters of the returned
+// Replay are populated. A sequence-number collision between two
+// different events is an error — that is two runs (or a corrupted
+// record) sharing one directory, not a recoverable duplicate. Segment
+// records among the annotations are ignored.
+func MergeReplay(payloads []event.Seq, annotations []Record) (*Replay, error) {
 	rep := &Replay{}
 	merged := event.Merge(payloads...)
 	out := merged[:0]
@@ -209,72 +221,11 @@ func MergeReplay(payloads []event.Seq, markers []history.RecoveryMarker, healths
 	if len(out) > 0 {
 		rep.Events = out
 	}
-	if len(markers) > 0 {
-		// Into a fresh slice — never in place: the input belongs to the
-		// caller (this is an exported API) and must not be scrambled by
-		// the compaction under it.
-		seen := make(map[history.RecoveryMarker]bool, len(markers))
-		kept := make([]history.RecoveryMarker, 0, len(markers))
-		for _, m := range markers {
-			if seen[m] {
-				rep.DuplicateMarkers++
-				continue
-			}
-			seen[m] = true
-			kept = append(kept, m)
-		}
-		rep.Markers = kept
-	}
-	if len(healths) > 0 {
-		// Health records hold slices, so the dedup identity is the
-		// deterministic encoding rather than Go equality — same
-		// semantics: exact duplicates are compaction overlap, collapsed
-		// and counted.
-		seen := make(map[string]bool, len(healths))
-		kept := make([]obs.HealthRecord, 0, len(healths))
-		for _, h := range healths {
-			k := HealthKey(h)
-			if seen[k] {
-				rep.DuplicateHealths++
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, h)
-		}
-		rep.Healths = kept
-	}
-	if len(tombstones) > 0 {
-		// Tombstones hold a slice, so the dedup identity is the
-		// deterministic encoding (TombstoneKey), like health records.
-		seen := make(map[string]bool, len(tombstones))
-		kept := make([]Tombstone, 0, len(tombstones))
-		for _, tb := range tombstones {
-			k := TombstoneKey(tb)
-			if seen[k] {
-				rep.DuplicateTombstones++
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, tb)
-		}
-		rep.Tombstones = kept
-	}
-	if len(alerts) > 0 {
-		// Alerts dedup on their deterministic encoding (AlertKey) like
-		// health records and tombstones — one identity rule for every
-		// record kind.
-		seen := make(map[string]bool, len(alerts))
-		kept := make([]obsrules.Alert, 0, len(alerts))
-		for _, a := range alerts {
-			k := AlertKey(a)
-			if seen[k] {
-				rep.DuplicateAlerts++
-				continue
-			}
-			seen[k] = true
-			kept = append(kept, a)
-		}
-		rep.Alerts = kept
+	seen := make(map[string]bool, len(annotations))
+	for _, a := range annotations {
+		k := a.Key()
+		rep.add(a, seen[k])
+		seen[k] = true
 	}
 	return rep, nil
 }
@@ -286,164 +237,24 @@ func MergeReplay(payloads []event.Seq, markers []history.RecoveryMarker, healths
 type FileReplay struct {
 	// Segments holds the file's valid segment records in record order.
 	Segments []Segment
-	// Markers holds the file's recovery markers in record order.
-	Markers []history.RecoveryMarker
-	// Healths holds the file's health-snapshot records in record order.
-	Healths []obs.HealthRecord
-	// Tombstones holds the file's retention tombstones in record order.
-	Tombstones []Tombstone
-	// Alerts holds the file's threshold-alert records in record order.
-	Alerts []obsrules.Alert
+	// Annotations holds the file's valid annotation records (markers,
+	// health snapshots, tombstones, alerts) in record order.
+	Annotations []Record
 	// CorruptRecords counts skipped CRC-corrupt records (see Replay).
 	CorruptRecords int
 	// Torn reports that the file ends in a torn record; Segments and
-	// Markers hold the valid prefix. Acceptable only for the newest
+	// Annotations hold the valid prefix. Acceptable only for the newest
 	// file of a directory — the crash-tail signature — and corruption
 	// anywhere else; that verdict is the caller's.
 	Torn bool
+	// tornErr says how the tail tore (set with Torn).
+	tornErr error
 }
 
-// ReadWALFile reads one segment file of either format version.
-func ReadWALFile(name string) (*FileReplay, error) {
-	fr, err := readWALFile(name)
-	if err != nil {
-		return nil, err
-	}
-	out := &FileReplay{
-		Markers:        fr.markers,
-		Healths:        fr.healths,
-		Tombstones:     fr.tombs,
-		Alerts:         fr.alerts,
-		CorruptRecords: fr.corrupt,
-		Torn:           fr.torn != nil,
-	}
-	for _, seg := range fr.segs {
-		// readRecord enforces non-empty payloads with a single monitor,
-		// so the segment's monitor is its first event's.
-		out.Segments = append(out.Segments, Segment{Monitor: seg[0].Monitor, Events: seg})
-	}
-	return out, nil
-}
-
-// WALFiles lists the directory's segment files sorted by name — which
-// is creation order, since names are zero-padded numbers.
-func WALFiles(dir string) ([]string, error) { return walFiles(dir) }
-
-// readRecordAt reads the single record at the given byte offset of a
-// WAL file — the shared machinery of the index's point reads
-// (ReadMarkerAt, ReadHealthAt, ReadTombstoneAt, ReadAlertAt).
-func readRecordAt(name string, offset int64) (decodedRecord, error) {
-	var zero decodedRecord
-	f, err := os.Open(name)
-	if err != nil {
-		return zero, fmt.Errorf("export: open wal file: %w", err)
-	}
-	defer f.Close()
-	var magic [5]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return zero, fmt.Errorf("export: %s: read magic: %w", name, err)
-	}
-	version := magic[4]
-	if [4]byte(magic[:4]) != walMagicPrefix || version < walVersion1 || version > walVersionLatest {
-		return zero, fmt.Errorf("%w in %s", ErrBadWALMagic, name)
-	}
-	if offset < int64(len(magic)) || offset >= math.MaxInt64 {
-		return zero, fmt.Errorf("export: %s: implausible record offset %d", name, offset)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return zero, fmt.Errorf("export: %s: seek record: %w", name, err)
-	}
-	rec, terr, rerr := readRecord(bufio.NewReader(f), version)
-	if rerr != nil {
-		return zero, fmt.Errorf("export: %s offset %d: %w", name, offset, rerr)
-	}
-	if terr != nil {
-		return zero, fmt.Errorf("export: %s offset %d: torn record: %w", name, offset, terr)
-	}
-	return rec, nil
-}
-
-// ReadMarkerAt reads the single marker record at the given byte offset
-// of a WAL file — the point-read behind the index's marker offsets: a
-// windowed replay can collect a file's recovery markers without
-// decoding any of its segment payloads.
-func ReadMarkerAt(name string, offset int64) (history.RecoveryMarker, error) {
-	var zero history.RecoveryMarker
-	rec, err := readRecordAt(name, offset)
-	if err != nil {
-		return zero, err
-	}
-	if rec.marker == nil {
-		return zero, fmt.Errorf("export: %s offset %d does not hold a marker record", name, offset)
-	}
-	return *rec.marker, nil
-}
-
-// ReadHealthAt reads the single health-snapshot record at the given
-// byte offset of a WAL file — the point-read behind the index's
-// health offsets, so a windowed replay collects a skipped file's
-// health timeline without decoding its segment payloads.
-func ReadHealthAt(name string, offset int64) (obs.HealthRecord, error) {
-	var zero obs.HealthRecord
-	rec, err := readRecordAt(name, offset)
-	if err != nil {
-		return zero, err
-	}
-	if rec.health == nil {
-		return zero, fmt.Errorf("export: %s offset %d does not hold a health record", name, offset)
-	}
-	return *rec.health, nil
-}
-
-// ReadTombstoneAt reads the single retention-tombstone record at the
-// given byte offset of a WAL file — the point-read behind the index's
-// tombstone offsets, so a windowed replay learns the retention horizon
-// of a skipped file without decoding its segment payloads.
-func ReadTombstoneAt(name string, offset int64) (Tombstone, error) {
-	var zero Tombstone
-	rec, err := readRecordAt(name, offset)
-	if err != nil {
-		return zero, err
-	}
-	if rec.tomb == nil {
-		return zero, fmt.Errorf("export: %s offset %d does not hold a tombstone record", name, offset)
-	}
-	return *rec.tomb, nil
-}
-
-// ReadAlertAt reads the single threshold-alert record at the given
-// byte offset of a WAL file — the point-read behind the index's alert
-// offsets, so a windowed replay collects a skipped file's rule-engine
-// timeline without decoding its segment payloads.
-func ReadAlertAt(name string, offset int64) (obsrules.Alert, error) {
-	var zero obsrules.Alert
-	rec, err := readRecordAt(name, offset)
-	if err != nil {
-		return zero, err
-	}
-	if rec.alert == nil {
-		return zero, fmt.Errorf("export: %s offset %d does not hold an alert record", name, offset)
-	}
-	return *rec.alert, nil
-}
-
-// fileReplay is readWALFile's result: the decoded records of one file
-// plus its damage accounting.
-type fileReplay struct {
-	segs    []event.Seq
-	markers []history.RecoveryMarker
-	healths []obs.HealthRecord
-	tombs   []Tombstone
-	alerts  []obsrules.Alert
-	corrupt int
-	torn    error // non-nil when the file ends mid-record
-}
-
-// readWALFile reads one segment file (either format version). A CRC-
+// ReadWALFile reads one segment file of either format version. A CRC-
 // corrupt record is skipped and counted; a torn tail ends the read
-// with the valid prefix and fr.torn set — the caller decides whether a
-// torn tail is acceptable for this file.
-func readWALFile(name string) (*fileReplay, error) {
+// with the valid prefix and Torn set.
+func ReadWALFile(name string) (*FileReplay, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("export: open wal file: %w", err)
@@ -451,15 +262,15 @@ func readWALFile(name string) (*fileReplay, error) {
 	defer f.Close()
 	br := bufio.NewReader(f)
 	var magic [5]byte
-	fr := &fileReplay{}
+	fr := &FileReplay{}
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		// Even the magic can be torn: a crash right after file creation.
-		fr.torn = fmt.Errorf("torn wal header: %w", err)
+		fr.Torn, fr.tornErr = true, fmt.Errorf("torn wal header: %w", err)
 		return fr, nil
 	}
-	version := magic[4]
-	if [4]byte(magic[:4]) != walMagicPrefix || version < walVersion1 || version > walVersionLatest {
-		return nil, fmt.Errorf("%w in %s", ErrBadWALMagic, name)
+	version, err := walVersion(name, magic)
+	if err != nil {
+		return nil, err
 	}
 	for {
 		rec, terr, rerr := readRecord(br, version)
@@ -467,38 +278,43 @@ func readWALFile(name string) (*fileReplay, error) {
 			if errors.Is(rerr, errCRCMismatch) {
 				// Localised damage: the payload was fully consumed, so the
 				// stream is at the next record boundary — skip and go on.
-				fr.corrupt++
+				fr.CorruptRecords++
 				continue
 			}
-			return nil, fmt.Errorf("export: %s record %d: %w", name, len(fr.segs)+len(fr.markers)+len(fr.healths)+len(fr.tombs)+len(fr.alerts)+fr.corrupt, rerr)
+			return nil, fmt.Errorf("export: %s record %d: %w", name, len(fr.Segments)+len(fr.Annotations)+fr.CorruptRecords, rerr)
 		}
 		if terr != nil {
-			if terr == io.EOF {
-				return fr, nil // EOF exactly at a record boundary: clean end
+			if terr != io.EOF { // EOF exactly at a record boundary: clean end
+				fr.Torn, fr.tornErr = true, terr
 			}
-			fr.torn = terr
 			return fr, nil
 		}
-		switch {
-		case rec.marker != nil:
-			fr.markers = append(fr.markers, *rec.marker)
-		case rec.health != nil:
-			fr.healths = append(fr.healths, *rec.health)
-		case rec.tomb != nil:
-			fr.tombs = append(fr.tombs, *rec.tomb)
-		case rec.alert != nil:
-			fr.alerts = append(fr.alerts, *rec.alert)
-		default:
-			fr.segs = append(fr.segs, rec.events)
+		if rec.Segment != nil {
+			fr.Segments = append(fr.Segments, *rec.Segment)
+		} else {
+			fr.Annotations = append(fr.Annotations, rec)
 		}
 	}
+}
+
+// WALFiles lists the directory's segment files sorted by name — which
+// is creation order, since names are zero-padded numbers.
+func WALFiles(dir string) ([]string, error) { return walFiles(dir) }
+
+// walVersion validates a file's magic and returns its format version.
+func walVersion(name string, magic [5]byte) (byte, error) {
+	version := magic[4]
+	if [4]byte(magic[:4]) != walMagicPrefix || version < walVersion1 || version > walVersionLatest {
+		return 0, fmt.Errorf("%w in %s", ErrBadWALMagic, name)
+	}
+	return version, nil
 }
 
 // recHeader is one decoded record header plus the exact bytes it was
 // read from (raw) — the unit of the per-file header chain that the
 // index checksums.
 type recHeader struct {
-	typ         byte
+	typ         Kind
 	monitor     string
 	first, last int64
 	count       uint32
@@ -515,7 +331,7 @@ type recHeader struct {
 // by a torn tail produce exactly the same shapes — so readHeader never
 // reports corruption; that verdict needs the payload CRC.
 func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
-	h := &recHeader{typ: recSegment, raw: make([]byte, 0, 64)}
+	h := &recHeader{typ: KindSegment, raw: make([]byte, 0, 64)}
 	var scratch [8]byte
 	read := func(n int) error {
 		if _, err := io.ReadFull(br, scratch[:n]); err != nil {
@@ -528,8 +344,8 @@ func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
 		if err := read(1); err != nil {
 			return nil, err // io.EOF here = clean boundary
 		}
-		h.typ = scratch[0]
-		if h.typ != recSegment && h.typ != recMarker && h.typ != recHealth && h.typ != recTombstone && h.typ != recAlert {
+		h.typ = Kind(scratch[0])
+		if h.typ > KindAlert {
 			// No writer emits such a type, but a torn tail leaves
 			// arbitrary bytes behind — torn at the tail, corruption
 			// elsewhere (the caller decides which).
@@ -582,7 +398,7 @@ func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
 	if h.payloadLen > maxPayload {
 		return nil, fmt.Errorf("export: implausible payload length %d", h.payloadLen)
 	}
-	if h.typ == recSegment && h.count == 0 {
+	if h.typ == KindSegment && h.count == 0 {
 		// The writer skips empty segments, so no real segment record has
 		// count 0 — but a filesystem that zero-fills a torn tail block
 		// produces exactly this shape (in v2 the zero fill also reads as
@@ -595,25 +411,14 @@ func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
 	return h, nil
 }
 
-// decodedRecord is readRecord's success result: exactly one of the
-// kind fields is set.
-type decodedRecord struct {
-	events event.Seq
-	marker *history.RecoveryMarker
-	health *obs.HealthRecord
-	tomb   *Tombstone
-	alert  *obsrules.Alert
-}
-
 // readRecord reads one WAL record of the given format version. A short
 // read at any point is a torn record and comes back in terr (io.EOF
 // exactly at a record boundary, io.ErrUnexpectedEOF or an
 // implausible-header error otherwise); rerr is reserved for damage
 // that cannot result from a crashed append — a CRC mismatch over a
 // full-length payload (errCRCMismatch, which the caller may skip), or
-// a CRC-valid record whose header and payload disagree. Exactly one
-// kind field of the returned record is set on success.
-func readRecord(br *bufio.Reader, version byte) (rec decodedRecord, terr, rerr error) {
+// a CRC-valid record whose header and payload disagree.
+func readRecord(br *bufio.Reader, version byte) (rec Record, terr, rerr error) {
 	h, err := readHeader(br, version)
 	if err != nil {
 		return rec, err, nil
@@ -639,76 +444,53 @@ func readRecord(br *bufio.Reader, version byte) (rec decodedRecord, terr, rerr e
 		return rec, nil, fmt.Errorf("%w (got %08x, header says %08x)", errCRCMismatch, got, h.sum)
 	}
 
-	// The CRC passed, so header/payload disagreement below is a writer
-	// bug, not a torn write.
-	if h.typ == recMarker {
-		m, err := decodeMarker(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode marker payload: %w", err)
-		}
-		if m.Monitor != h.monitor || m.Horizon != h.first || m.Horizon != h.last || m.Dropped != int(h.count) {
-			return rec, nil, fmt.Errorf("marker header (monitor %q, horizon %d..%d, %d dropped) disagrees with payload (monitor %q, horizon %d, %d dropped)",
-				h.monitor, h.first, h.last, h.count, m.Monitor, m.Horizon, m.Dropped)
-		}
-		rec.marker = &m
-		return rec, nil, nil
+	// The CRC passed, so a payload that fails to decode or disagrees
+	// with its header is a writer bug, not a torn write.
+	if rec, err = decodePayload(h.typ, h.monitor, payload); err != nil {
+		return Record{}, nil, fmt.Errorf("decode %s payload: %w", h.typ, err)
 	}
-
-	if h.typ == recHealth {
-		hr, err := decodeHealth(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode health payload: %w", err)
-		}
-		if h.monitor != "" || hr.Seq != h.first || hr.Seq != h.last || h.count != 0 {
-			return rec, nil, fmt.Errorf("health header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d)",
-				h.monitor, h.first, h.last, h.count, hr.Seq)
-		}
-		rec.health = &hr
-		return rec, nil, nil
+	if w, _ := rec.header(); w.typ != h.typ || w.monitor != h.monitor || w.first != h.first || w.last != h.last || w.count != h.count {
+		return Record{}, nil, fmt.Errorf("%s header (monitor %q, seq %d..%d, count %d) disagrees with its payload (monitor %q, seq %d..%d, count %d)",
+			h.typ, h.monitor, h.first, h.last, h.count, w.monitor, w.first, w.last, w.count)
 	}
-
-	if h.typ == recAlert {
-		a, err := decodeAlert(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode alert payload: %w", err)
-		}
-		if h.monitor != "" || a.Seq != h.first || a.Seq != h.last || h.count != 0 {
-			return rec, nil, fmt.Errorf("alert header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d)",
-				h.monitor, h.first, h.last, h.count, a.Seq)
-		}
-		rec.alert = &a
-		return rec, nil, nil
-	}
-
-	if h.typ == recTombstone {
-		tb, err := decodeTombstone(payload)
-		if err != nil {
-			return rec, nil, fmt.Errorf("decode tombstone payload: %w", err)
-		}
-		if h.monitor != "" || tb.Horizon != h.first || tb.Horizon != h.last || h.count != saturatingUint32(tb.Events) {
-			return rec, nil, fmt.Errorf("tombstone header (monitor %q, horizon %d..%d, count %d) disagrees with payload (horizon %d, %d events)",
-				h.monitor, h.first, h.last, h.count, tb.Horizon, tb.Events)
-		}
-		rec.tomb = &tb
-		return rec, nil, nil
-	}
-
-	events, err := event.ReadBinary(bytes.NewReader(payload))
-	if err != nil {
-		return rec, nil, fmt.Errorf("decode payload: %w", err)
-	}
-	seg := Segment{Monitor: h.monitor, Events: events}
-	if len(events) != int(h.count) || seg.First() != h.first || seg.Last() != h.last {
-		return rec, nil, fmt.Errorf("header (monitor %q, %d events, seq %d..%d) disagrees with payload (%d events, seq %d..%d)",
-			h.monitor, h.count, h.first, h.last, len(events), seg.First(), seg.Last())
-	}
-	for _, e := range events {
-		if e.Monitor != seg.Monitor {
-			return rec, nil, fmt.Errorf("event %d belongs to monitor %q, record header says %q", e.Seq, e.Monitor, seg.Monitor)
-		}
-	}
-	rec.events = events
 	return rec, nil, nil
+}
+
+// decodePayload decodes the payload of a record of kind k; monitor is
+// the record header's, which every event of a segment must carry.
+func decodePayload(k Kind, monitor string, payload []byte) (Record, error) {
+	var rec Record
+	var err error
+	switch k {
+	case KindMarker:
+		var m history.RecoveryMarker
+		m, err = decodeMarker(payload)
+		rec.Marker = &m
+	case KindHealth:
+		var h obs.HealthRecord
+		h, err = decodeHealth(payload)
+		rec.Health = &h
+	case KindTombstone:
+		var t Tombstone
+		t, err = decodeTombstone(payload)
+		rec.Tombstone = &t
+	case KindAlert:
+		var a obsrules.Alert
+		a, err = decodeAlert(payload)
+		rec.Alert = &a
+	default:
+		var events event.Seq
+		if events, err = event.ReadBinary(bytes.NewReader(payload)); err != nil {
+			break
+		}
+		for _, e := range events {
+			if e.Monitor != monitor {
+				return Record{}, fmt.Errorf("event %d belongs to monitor %q, record header says %q", e.Seq, e.Monitor, monitor)
+			}
+		}
+		rec.Segment = &Segment{Monitor: monitor, Events: events}
+	}
+	return rec, err
 }
 
 // noEOFBoundary maps io.EOF mid-record to io.ErrUnexpectedEOF so only
@@ -729,8 +511,8 @@ func baseName(name string) string { return filepath.Base(name) }
 // (ScanFileRecords) locates every record, then a RecordReader decodes
 // them one at a time in whatever order the merge needs, so a
 // multi-gigabyte file never has to be resident at once. Unlike the
-// one-shot ReadMarkerAt family it amortises the open across the whole
-// merge. Not safe for concurrent use.
+// one-shot ReadRecordAt it amortises the open across the whole merge.
+// Not safe for concurrent use.
 type RecordReader struct {
 	name    string
 	f       *os.File
@@ -749,10 +531,10 @@ func OpenRecordReader(name string) (*RecordReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("export: %s: read magic: %w", name, err)
 	}
-	version := magic[4]
-	if [4]byte(magic[:4]) != walMagicPrefix || version < walVersion1 || version > walVersionLatest {
+	version, err := walVersion(name, magic)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%w in %s", ErrBadWALMagic, name)
+		return nil, err
 	}
 	return &RecordReader{name: name, f: f, version: version, br: bufio.NewReader(f)}, nil
 }
@@ -777,18 +559,21 @@ func (r *RecordReader) ReadAt(offset int64) (Record, error) {
 	if terr != nil {
 		return Record{}, fmt.Errorf("export: %s offset %d: torn record: %w", r.name, offset, terr)
 	}
-	switch {
-	case rec.marker != nil:
-		return Record{Marker: rec.marker}, nil
-	case rec.health != nil:
-		return Record{Health: rec.health}, nil
-	case rec.tomb != nil:
-		return Record{Tombstone: rec.tomb}, nil
-	case rec.alert != nil:
-		return Record{Alert: rec.alert}, nil
-	}
-	return Record{Segment: &Segment{Monitor: rec.events[0].Monitor, Events: rec.events}}, nil
+	return rec, nil
 }
 
 // Close releases the underlying file.
 func (r *RecordReader) Close() error { return r.f.Close() }
+
+// ReadRecordAt reads the single record at the given byte offset of a
+// WAL file — the point read behind the index's annotation offsets: a
+// windowed replay collects a skipped file's annotations without
+// decoding any of its segment payloads.
+func ReadRecordAt(name string, offset int64) (Record, error) {
+	rr, err := OpenRecordReader(name)
+	if err != nil {
+		return Record{}, err
+	}
+	defer rr.Close()
+	return rr.ReadAt(offset)
+}

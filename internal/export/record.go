@@ -1,13 +1,14 @@
 package export
 
-// The standalone record codec. A WAL file is a magic header followed
-// by framed records; this file exposes the record framing itself —
-// encode one record to bytes, decode one record from bytes — so the
-// same encoding that lands on local disk can travel a wire (see
-// internal/export/net) and be re-applied to a sink on the far side
-// byte-for-byte identically. Sharing appendRecordHeader with
-// WALSink.writeRecord is what makes that identity a structural
-// property rather than a convention: there is exactly one encoder.
+// The standalone record codec and the one decoded form of a record.
+// A WAL file is a magic header followed by framed records; this file
+// exposes the record framing itself — encode one record to bytes,
+// decode one record from bytes — so the same encoding that lands on
+// local disk can travel a wire (see internal/export/net) and be
+// re-applied to a sink on the far side byte-for-byte identically.
+// Sharing appendRecordHeader and Record.header with WALSink is what
+// makes that identity a structural property rather than a convention:
+// there is exactly one encoder.
 
 import (
 	"bufio"
@@ -15,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"robustmon/internal/event"
 	"robustmon/internal/history"
@@ -26,8 +28,8 @@ import (
 // seq range, count, payload length, payload CRC) for the given payload.
 // The single shared encoder behind both the WAL writer and the wire
 // codec.
-func appendRecordHeader(dst []byte, typ byte, monitor string, first, last int64, count uint32, payload []byte) []byte {
-	dst = append(dst, typ)
+func appendRecordHeader(dst []byte, typ Kind, monitor string, first, last int64, count uint32, payload []byte) []byte {
+	dst = append(dst, byte(typ))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(monitor)))
 	dst = append(dst, monitor...)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(first))
@@ -38,14 +40,117 @@ func appendRecordHeader(dst []byte, typ byte, monitor string, first, last int64,
 	return dst
 }
 
-// Record is one trace record in standalone (wire) form — exactly one
-// of the five kinds is set. The zero Record is invalid.
+// appendString appends a length-prefixed string — the string field
+// encoding every annotation payload codec shares.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// readString reverses appendString. A length beyond maxMonitorName is
+// refused before allocating, so a corrupt prefix cannot balloon the
+// reader.
+func readString(br *bytes.Reader) (string, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", err
+	}
+	if n > maxMonitorName {
+		return "", fmt.Errorf("implausible string length %d", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// Record is one trace record in decoded form — exactly one of the five
+// kinds is set. It is the single form every layer between the WAL
+// bytes and Replay handles: the reader decodes into it, the index
+// locates it (AnnotationInfo), compaction carries it, and the
+// exporter, the sinks and the wire route it. Only Replay splits it
+// into typed slices. The zero Record is invalid.
 type Record struct {
 	Segment   *Segment
 	Marker    *history.RecoveryMarker
 	Health    *obs.HealthRecord
 	Tombstone *Tombstone
 	Alert     *obsrules.Alert
+}
+
+// header derives r's record-header fields from r itself; ok is false
+// for the zero Record. The writers (WALSink, AppendRecord) frame a
+// record with it and the reader checks a decoded payload against the
+// header it arrived under with it, so the header layout of each kind
+// is stated once:
+//
+//   - segment: its monitor, seq range and event count;
+//   - marker: its monitor, the reset horizon twice and the discarded-
+//     event count;
+//   - health snapshot and alert: no monitor (they judge the whole
+//     pipeline, not one monitor), the capture horizon twice, count 0;
+//   - tombstone: no monitor (it describes the whole store), the
+//     retention horizon twice and the dropped-event total, saturated
+//     into the header's uint32 (the payload carries the exact value).
+//
+// Every annotation carries its horizon in the header, so the index
+// places it without decoding the payload.
+func (r Record) header() (h recHeader, ok bool) {
+	switch {
+	case r.Segment != nil:
+		s := r.Segment
+		h = recHeader{typ: KindSegment, monitor: s.Monitor, first: s.First(), last: s.Last(), count: uint32(len(s.Events))}
+	case r.Marker != nil:
+		m := r.Marker
+		h = recHeader{typ: KindMarker, monitor: m.Monitor, first: m.Horizon, last: m.Horizon, count: uint32(m.Dropped)}
+	case r.Health != nil:
+		h = recHeader{typ: KindHealth, first: r.Health.Seq, last: r.Health.Seq}
+	case r.Tombstone != nil:
+		t := r.Tombstone
+		h = recHeader{typ: KindTombstone, first: t.Horizon, last: t.Horizon, count: saturatingUint32(t.Events)}
+	case r.Alert != nil:
+		h = recHeader{typ: KindAlert, first: r.Alert.Seq, last: r.Alert.Seq}
+	default:
+		return h, false
+	}
+	return h, true
+}
+
+// Info returns r's locator fields — its kind, monitor and sequence
+// horizon (the header's first seq) — as the index records them; Offset
+// is left zero.
+func (r Record) Info() AnnotationInfo {
+	h, _ := r.header()
+	return AnnotationInfo{Kind: h.typ, Monitor: h.monitor, Horizon: h.first}
+}
+
+// appendPayload appends r's self-contained payload encoding to dst.
+func (r Record) appendPayload(dst []byte) []byte {
+	switch {
+	case r.Segment != nil:
+		return event.AppendBinary(dst, r.Segment.Events)
+	case r.Marker != nil:
+		return appendMarker(dst, *r.Marker)
+	case r.Health != nil:
+		return appendHealth(dst, *r.Health)
+	case r.Tombstone != nil:
+		return appendTombstone(dst, *r.Tombstone)
+	case r.Alert != nil:
+		return appendAlert(dst, *r.Alert)
+	}
+	return dst
+}
+
+// Key is r's exact-duplicate identity: its kind byte followed by its
+// canonical payload encoding. Every payload codec is deterministic, so
+// two records share a key exactly when their bytes are the same —
+// which is how replay and compaction collapse the duplicates an
+// interrupted compaction leaves behind, with one rule for every kind
+// (health snapshots and tombstones hold slices, so Go equality could
+// not serve).
+func (r Record) Key() string {
+	h, _ := r.header()
+	return string(r.appendPayload([]byte{byte(h.typ)}))
 }
 
 // AppendSegmentRecord appends one fully framed segment record
@@ -60,77 +165,32 @@ func AppendSegmentRecord(dst []byte, seg Segment) ([]byte, error) {
 	}
 	p := getPayloadBuf(16 + 48*len(seg.Events))
 	*p = event.AppendBinary((*p)[:0], seg.Events)
-	dst = appendRecordHeader(dst, recSegment, seg.Monitor,
+	dst = appendRecordHeader(dst, KindSegment, seg.Monitor,
 		seg.First(), seg.Last(), uint32(len(seg.Events)), *p)
 	dst = append(dst, *p...)
 	putPayloadBuf(p)
 	return dst, nil
 }
 
-// AppendMarkerRecord appends one fully framed recovery-marker record;
-// byte-identical to WALSink.WriteMarker's on-disk form.
-func AppendMarkerRecord(dst []byte, m history.RecoveryMarker) ([]byte, error) {
-	if len(m.Monitor) > maxMonitorName {
-		return dst, fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(m.Monitor), maxMonitorName)
-	}
-	p := getPayloadBuf(64 + len(m.Rule) + len(m.Monitor))
-	*p = appendMarker((*p)[:0], m)
-	dst = appendRecordHeader(dst, recMarker, m.Monitor,
-		m.Horizon, m.Horizon, uint32(m.Dropped), *p)
-	dst = append(dst, *p...)
-	putPayloadBuf(p)
-	return dst, nil
-}
-
-// AppendHealthRecord appends one fully framed health-snapshot record;
-// byte-identical to WALSink.WriteHealth's on-disk form.
-func AppendHealthRecord(dst []byte, h obs.HealthRecord) ([]byte, error) {
-	p := getPayloadBuf(256)
-	*p = appendHealth((*p)[:0], h)
-	dst = appendRecordHeader(dst, recHealth, "", h.Seq, h.Seq, 0, *p)
-	dst = append(dst, *p...)
-	putPayloadBuf(p)
-	return dst, nil
-}
-
-// AppendAlertRecord appends one fully framed threshold-alert record;
-// byte-identical to WALSink.WriteAlert's on-disk form.
-func AppendAlertRecord(dst []byte, a obsrules.Alert) ([]byte, error) {
-	p := getPayloadBuf(64 + len(a.Rule) + len(a.Metric) + len(a.Origin))
-	*p = appendAlert((*p)[:0], a)
-	dst = appendRecordHeader(dst, recAlert, "", a.Seq, a.Seq, 0, *p)
-	dst = append(dst, *p...)
-	putPayloadBuf(p)
-	return dst, nil
-}
-
-// AppendTombstoneRecord appends one fully framed retention-tombstone
-// record; byte-identical to WALSink.WriteTombstone's on-disk form.
-func AppendTombstoneRecord(dst []byte, t Tombstone) ([]byte, error) {
-	p := getPayloadBuf(128 + 32*len(t.Monitors))
-	*p = appendTombstone((*p)[:0], t)
-	dst = appendRecordHeader(dst, recTombstone, "", t.Horizon, t.Horizon,
-		saturatingUint32(t.Events), *p)
-	dst = append(dst, *p...)
-	putPayloadBuf(p)
-	return dst, nil
-}
-
-// AppendRecord appends whichever kind r carries.
+// AppendRecord appends r fully framed; the bytes are exactly what the
+// matching WALSink write would put on disk.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
-	switch {
-	case r.Segment != nil:
+	if r.Segment != nil {
 		return AppendSegmentRecord(dst, *r.Segment)
-	case r.Marker != nil:
-		return AppendMarkerRecord(dst, *r.Marker)
-	case r.Health != nil:
-		return AppendHealthRecord(dst, *r.Health)
-	case r.Tombstone != nil:
-		return AppendTombstoneRecord(dst, *r.Tombstone)
-	case r.Alert != nil:
-		return AppendAlertRecord(dst, *r.Alert)
 	}
-	return dst, fmt.Errorf("export: encode record: empty record")
+	h, ok := r.header()
+	if !ok {
+		return dst, fmt.Errorf("export: encode record: empty record")
+	}
+	if len(h.monitor) > maxMonitorName {
+		return dst, fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(h.monitor), maxMonitorName)
+	}
+	p := getPayloadBuf(0)
+	*p = r.appendPayload((*p)[:0])
+	dst = appendRecordHeader(dst, h.typ, h.monitor, h.first, h.last, h.count, *p)
+	dst = append(dst, *p...)
+	putPayloadBuf(p)
+	return dst, nil
 }
 
 // DecodeRecord decodes exactly one framed record from b, applying the
@@ -150,54 +210,49 @@ func DecodeRecord(b []byte) (Record, error) {
 	if rest := br.Buffered() + r.Len(); rest > 0 {
 		return Record{}, fmt.Errorf("export: decode record: %d trailing bytes", rest)
 	}
-	switch {
-	case rec.marker != nil:
-		return Record{Marker: rec.marker}, nil
-	case rec.health != nil:
-		return Record{Health: rec.health}, nil
-	case rec.tomb != nil:
-		return Record{Tombstone: rec.tomb}, nil
-	case rec.alert != nil:
-		return Record{Alert: rec.alert}, nil
-	case len(rec.events) > 0:
-		return Record{Segment: &Segment{Monitor: rec.events[0].Monitor, Events: rec.events}}, nil
-	}
-	return Record{}, fmt.Errorf("export: decode record: empty segment")
+	return rec, nil
 }
 
-// Apply writes the record to sink, routing markers and health
-// snapshots through the sink's optional extensions. Unlike the
-// exporter's best-effort type sniffing, a record that the sink cannot
-// store is an error: Apply exists for replication, where a silent drop
-// would break the byte-identity of the replica.
-func (r Record) Apply(sink Sink) error {
+// deliver writes r through the sink method for its kind. stored is
+// false when the sink lacks the optional extension for that kind (it
+// cannot store such records) or r is the zero Record.
+func (r Record) deliver(sink Sink) (stored bool, err error) {
 	switch {
 	case r.Segment != nil:
-		return sink.WriteSegment(*r.Segment)
+		return true, sink.WriteSegment(*r.Segment)
 	case r.Marker != nil:
-		ms, ok := sink.(MarkerSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store recovery markers", sink)
+		if s, ok := sink.(MarkerSink); ok {
+			return true, s.WriteMarker(*r.Marker)
 		}
-		return ms.WriteMarker(*r.Marker)
 	case r.Health != nil:
-		hs, ok := sink.(HealthSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store health snapshots", sink)
+		if s, ok := sink.(HealthSink); ok {
+			return true, s.WriteHealth(*r.Health)
 		}
-		return hs.WriteHealth(*r.Health)
 	case r.Tombstone != nil:
-		ts, ok := sink.(TombstoneSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store retention tombstones", sink)
+		if s, ok := sink.(TombstoneSink); ok {
+			return true, s.WriteTombstone(*r.Tombstone)
 		}
-		return ts.WriteTombstone(*r.Tombstone)
 	case r.Alert != nil:
-		as, ok := sink.(AlertSink)
-		if !ok {
-			return fmt.Errorf("export: sink %T cannot store threshold alerts", sink)
+		if s, ok := sink.(AlertSink); ok {
+			return true, s.WriteAlert(*r.Alert)
 		}
-		return as.WriteAlert(*r.Alert)
 	}
-	return fmt.Errorf("export: apply record: empty record")
+	return false, nil
+}
+
+// Apply writes the record to sink, routing annotations through the
+// sink's optional extensions. Unlike the exporter, which skips a kind
+// its sink cannot store, Apply refuses it: Apply exists for
+// replication, where a silent drop would break the byte-identity of
+// the replica.
+func (r Record) Apply(sink Sink) error {
+	h, ok := r.header()
+	if !ok {
+		return fmt.Errorf("export: apply record: empty record")
+	}
+	stored, err := r.deliver(sink)
+	if !stored {
+		return fmt.Errorf("export: sink %T cannot store %s records", sink, h.typ)
+	}
+	return err
 }

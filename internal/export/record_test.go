@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"robustmon/internal/obs"
 )
@@ -55,10 +55,10 @@ func TestRecordCodecByteIdenticalToWAL(t *testing.T) {
 	if wire, err = AppendSegmentRecord(wire, seg); err != nil {
 		t.Fatal(err)
 	}
-	if wire, err = AppendMarkerRecord(wire, marker); err != nil {
+	if wire, err = AppendRecord(wire, Record{Marker: &marker}); err != nil {
 		t.Fatal(err)
 	}
-	if wire, err = AppendHealthRecord(wire, health); err != nil {
+	if wire, err = AppendRecord(wire, Record{Health: &health}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(disk, wire) {
@@ -66,17 +66,29 @@ func TestRecordCodecByteIdenticalToWAL(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip: Append*Record → DecodeRecord is the identity
-// for each record kind, and Apply routes each kind to the right sink
-// method.
+// TestRecordRoundTrip: for every record kind, AppendRecord →
+// DecodeRecord is the identity, Apply routes the record to its kind's
+// sink method, and the record a WALSink wrote is located by ScanFile
+// and point-read back by ReadRecordAt.
 func TestRecordRoundTrip(t *testing.T) {
 	t.Parallel()
+	alert := testAlert(42, true)
+	alert.At = alert.At.UTC() // decoded instants are UTC
 	records := []Record{
 		{Segment: &Segment{Monitor: "m1", Events: tseq("m1", 3, 9)}},
 		{Marker: ptr(historyMarkerSeed())},
 		{Health: ptr(healthRecordSeed())},
+		{Tombstone: &Tombstone{Horizon: 10, Events: 9, Records: 3, Files: 1,
+			Monitors: []TruncatedRange{{Monitor: "a", MinSeq: 1, MaxSeq: 9, Events: 9}},
+			At:       time.Date(2001, 7, 1, 0, 0, 0, 0, time.UTC)}},
+		{Alert: &alert},
 	}
 	mem := &MemorySink{}
+	dir := t.TempDir()
+	wal, err := NewWALSink(dir, WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range records {
 		b, err := AppendRecord(nil, want)
 		if err != nil {
@@ -92,15 +104,41 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err := got.Apply(mem); err != nil {
 			t.Fatalf("Apply: %v", err)
 		}
+		if err := got.Apply(wal); err != nil {
+			t.Fatalf("Apply to a WALSink: %v", err)
+		}
 	}
-	if got := len(mem.Segments()); got != 1 {
-		t.Fatalf("Apply stored %d segments, want 1", got)
+	if len(mem.Segments()) != 1 || len(mem.Markers()) != 1 || len(mem.Healths()) != 1 ||
+		len(mem.Tombstones()) != 1 || len(mem.Alerts()) != 1 {
+		t.Fatalf("Apply stored %d/%d/%d/%d/%d records, want 1 of each kind", len(mem.Segments()),
+			len(mem.Markers()), len(mem.Healths()), len(mem.Tombstones()), len(mem.Alerts()))
 	}
-	if got := len(mem.Markers()); got != 1 {
-		t.Fatalf("Apply stored %d markers, want 1", got)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(mem.Healths()); got != 1 {
-		t.Fatalf("Apply stored %d health snapshots, want 1", got)
+	names, err := walFiles(dir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("walFiles = %v, %v; want one file", names, err)
+	}
+	fs, locs, err := ScanFileRecords(names[0])
+	if err != nil || len(locs) != 1 || len(fs.Annotations) != len(records)-1 {
+		t.Fatalf("scan: %d segments, %d annotations, err %v; want 1 and %d", len(locs), len(fs.Annotations), err, len(records)-1)
+	}
+	offsets := []int64{locs[0].Offset}
+	for i, a := range fs.Annotations {
+		if want := records[i+1].Info(); a.Kind != want.Kind || a.Monitor != want.Monitor || a.Horizon != want.Horizon {
+			t.Fatalf("annotation %d indexed as %+v, want %+v", i, a, want)
+		}
+		offsets = append(offsets, a.Offset)
+	}
+	for i, off := range offsets {
+		got, err := ReadRecordAt(names[0], off)
+		if err != nil {
+			t.Fatalf("ReadRecordAt(%d): %v", off, err)
+		}
+		if !reflect.DeepEqual(got, records[i]) {
+			t.Fatalf("point read at %d:\n got %+v\nwant %+v", off, got, records[i])
+		}
 	}
 
 	// Trailing bytes, truncation and emptiness are all errors.
@@ -185,35 +223,6 @@ func TestWALOnSealFanOut(t *testing.T) {
 	}
 }
 
-// TestWALOnSealAlongsideOnRotate: the deprecated single consumer and
-// the fan-out coexist — both see the same summaries.
-func TestWALOnSealAlongsideOnRotate(t *testing.T) {
-	t.Parallel()
-	var rotated, sealed []string
-	sink, err := NewWALSink(t.TempDir(), WALConfig{
-		MaxFileBytes: 1,
-		OnRotate:     func(fs FileSummary) { rotated = append(rotated, fs.Name) },
-		OnSeal: []SealedSink{SealedSinkFunc(func(fs FileSummary) error {
-			sealed = append(sealed, fs.Name)
-			return nil
-		})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 2; i++ {
-		if err := sink.WriteSegment(Segment{Monitor: "a", Events: tseq("a", i, i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rotated, sealed) || len(sealed) != 2 {
-		t.Fatalf("OnRotate saw %v, OnSeal saw %v; want the same 2 seals", rotated, sealed)
-	}
-}
-
 // TestTeeSink: every record reaches every capable sink, markers and
 // health snapshots skip sinks without the extension, and one sink's
 // error doesn't stop delivery to the others.
@@ -265,56 +274,3 @@ type teeFailSink struct{}
 func (s *teeFailSink) WriteSegment(Segment) error { return fmt.Errorf("tee: disk on fire") }
 func (s *teeFailSink) Flush() error               { return fmt.Errorf("tee: still on fire") }
 func (s *teeFailSink) Close() error               { return nil }
-
-// TestMaintainerOnSeal: the index maintainer's OnSeal seam is
-// exercised indirectly across the index package's tests; here we pin
-// only that a WALSink wired through OnSeal and one wired through the
-// deprecated OnRotate produce identical index files.
-func TestMaintainerSeamEquivalence(t *testing.T) {
-	t.Parallel()
-	write := func(dir string, cfg WALConfig) {
-		sink, err := NewWALSink(dir, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(1); i <= 3; i++ {
-			if err := sink.WriteSegment(Segment{Monitor: "a", Events: tseq("a", i, i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The maintainer lives in the index package (which imports this
-	// one), so stand in for it with equivalent SealedSinkFunc/OnRotate
-	// consumers writing a sidecar file of sealed names.
-	record := func(dir string) func(FileSummary) {
-		return func(fs FileSummary) {
-			f, err := os.OpenFile(filepath.Join(dir, "sealed.txt"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer f.Close()
-			fmt.Fprintln(f, fs.Name, fs.Records, fs.Size)
-		}
-	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	write(dirA, WALConfig{MaxFileBytes: 1, OnRotate: record(dirA)})
-	fB := record(dirB)
-	write(dirB, WALConfig{MaxFileBytes: 1, OnSeal: []SealedSink{
-		SealedSinkFunc(func(fs FileSummary) error { fB(fs); return nil }),
-	}})
-	a, err := os.ReadFile(filepath.Join(dirA, "sealed.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dirB, "sealed.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("OnRotate and OnSeal recorded different seals:\n%s\nvs\n%s", a, b)
-	}
-}

@@ -15,7 +15,7 @@ import (
 // WALConfig.OnSeal consumers when the file is sealed), and by
 // ScanFile reading
 // an existing file's record headers back — which is what makes an
-// index rebuildable from any v1/v2 directory, no matter who wrote it.
+// index rebuildable from any WAL directory, no matter who wrote it.
 
 // MonitorRange is one monitor's slice of a WAL file: which sequence
 // numbers of that monitor the file's segment records cover, and how
@@ -31,51 +31,22 @@ type MonitorRange struct {
 	Events int64
 }
 
-// MarkerInfo locates one recovery-marker record inside a WAL file. The
-// byte offset lets a windowed reader collect a file's markers with a
-// point read (ReadMarkerAt) instead of decoding the whole file.
-type MarkerInfo struct {
-	// Monitor names the reset monitor.
+// AnnotationInfo locates one annotation record (recovery marker, health
+// snapshot, retention tombstone or threshold alert) inside a WAL file.
+// Every field but the offset comes from the record header, so the
+// index places an annotation without decoding its payload; the byte
+// offset lets a windowed reader point-read it (ReadRecordAt) from a
+// file it otherwise skips.
+type AnnotationInfo struct {
+	// Kind is the record's kind.
+	Kind Kind
+	// Monitor names the reset monitor of a marker (empty for the other
+	// kinds, which describe the whole pipeline or store).
 	Monitor string
-	// Horizon is the marker's reset horizon (the record header carries
-	// it, so no payload decode is needed to index it).
+	// Horizon is the record's sequence horizon: a marker's reset
+	// horizon, a snapshot's or alert's capture horizon, a tombstone's
+	// retention horizon.
 	Horizon int64
-	// Offset is the record's byte offset from the start of the file.
-	Offset int64
-}
-
-// HealthInfo locates one health-snapshot record inside a WAL file.
-// Like MarkerInfo, the byte offset lets a windowed reader collect a
-// skipped file's health timeline with a point read (ReadHealthAt)
-// instead of decoding the whole file.
-type HealthInfo struct {
-	// Seq is the snapshot's global-sequence horizon (the record header
-	// carries it, so no payload decode is needed to index it).
-	Seq int64
-	// Offset is the record's byte offset from the start of the file.
-	Offset int64
-}
-
-// TombstoneInfo locates one retention-tombstone record inside a WAL
-// file. The horizon rides in the record header, so the index can
-// surface "this store was truncated below seq H" without any payload
-// decode; the byte offset lets a windowed reader point-read the full
-// accounting (ReadTombstoneAt) from an otherwise skipped file.
-type TombstoneInfo struct {
-	// Horizon is the tombstone's retention horizon.
-	Horizon int64
-	// Offset is the record's byte offset from the start of the file.
-	Offset int64
-}
-
-// AlertInfo locates one threshold-alert record inside a WAL file. The
-// sequence horizon rides in the record header, so the index places an
-// alert without any payload decode; the byte offset lets a windowed
-// reader point-read the full alert (ReadAlertAt) from an otherwise
-// skipped file.
-type AlertInfo struct {
-	// Seq is the alert's global-sequence horizon.
-	Seq int64
 	// Offset is the record's byte offset from the start of the file.
 	Offset int64
 }
@@ -93,23 +64,18 @@ type FileSummary struct {
 	// size disagrees describes some earlier file of the same name
 	// (compaction reuses names) and must not be trusted.
 	Size int64
-	// Records counts the file's valid records (segments + markers).
+	// Records counts the file's valid records (segments + annotations).
 	Records int
 	// Events counts events across all segment records.
 	Events int64
 	// MinSeq and MaxSeq bound the sequence numbers of the file's
-	// segment records (both zero when the file holds only markers).
+	// segment records (both zero when the file holds only annotations).
 	MinSeq, MaxSeq int64
 	// Monitors lists the per-monitor ranges, sorted by monitor name.
 	Monitors []MonitorRange
-	// Markers lists the file's recovery markers in record order.
-	Markers []MarkerInfo
-	// Healths lists the file's health-snapshot records in record order.
-	Healths []HealthInfo
-	// Tombstones lists the file's retention tombstones in record order.
-	Tombstones []TombstoneInfo
-	// Alerts lists the file's threshold-alert records in record order.
-	Alerts []AlertInfo
+	// Annotations locates the file's annotation records in record
+	// order.
+	Annotations []AnnotationInfo
 	// HeaderCRC is the CRC-32 (IEEE) over the file's record headers,
 	// concatenated in record order — the header chain. It pins the
 	// file's record structure: verifying it needs only a header scan
@@ -158,27 +124,9 @@ func newSummaryBuilder(name string, version byte) *summaryBuilder {
 func (b *summaryBuilder) add(h *recHeader, offset int64) {
 	b.sum.Records++
 	b.sum.HeaderCRC = crc32.Update(b.sum.HeaderCRC, crc32.IEEETable, h.raw)
-	if h.typ == recMarker {
-		b.sum.Markers = append(b.sum.Markers, MarkerInfo{
-			Monitor: h.monitor, Horizon: h.first, Offset: offset,
-		})
-		return
-	}
-	if h.typ == recHealth {
-		b.sum.Healths = append(b.sum.Healths, HealthInfo{
-			Seq: h.first, Offset: offset,
-		})
-		return
-	}
-	if h.typ == recTombstone {
-		b.sum.Tombstones = append(b.sum.Tombstones, TombstoneInfo{
-			Horizon: h.first, Offset: offset,
-		})
-		return
-	}
-	if h.typ == recAlert {
-		b.sum.Alerts = append(b.sum.Alerts, AlertInfo{
-			Seq: h.first, Offset: offset,
+	if h.typ != KindSegment {
+		b.sum.Annotations = append(b.sum.Annotations, AnnotationInfo{
+			Kind: h.typ, Monitor: h.monitor, Horizon: h.first, Offset: offset,
 		})
 		return
 	}
@@ -223,7 +171,7 @@ func (b *summaryBuilder) done(size int64, torn bool) FileSummary {
 // ScanFile summarises one WAL file by reading record headers only —
 // payloads are skipped, not decoded and not CRC-checked, so a scan
 // costs a fraction of a replay. It is how an index is rebuilt from an
-// existing directory (v1 and v2 files alike). A torn tail ends the
+// existing directory (WAL format v1 and v2 files alike). A torn tail ends the
 // scan with the valid prefix summarised and Torn set; the caller
 // decides whether a torn file is acceptable. Note a CRC-corrupt record
 // still contributes its header to the summary — the index admits the
@@ -253,9 +201,9 @@ type SegmentLocation struct {
 
 // ScanFileRecords is ScanFile plus the byte locations of every segment
 // record — the header-only discovery pass of the streaming compactor:
-// one scan yields both the file's summary (markers, healths,
-// tombstones, ranges) and the per-segment cursor table a bounded-RAM
-// k-way merge reads through.
+// one scan yields both the file's summary (annotations, ranges) and
+// the per-segment cursor table a bounded-RAM k-way merge reads
+// through.
 func ScanFileRecords(name string) (FileSummary, []SegmentLocation, error) {
 	f, err := os.Open(name)
 	if err != nil {
@@ -269,9 +217,9 @@ func ScanFileRecords(name string) (FileSummary, []SegmentLocation, error) {
 		b := newSummaryBuilder(baseName(name), 0)
 		return b.done(0, true), nil, nil
 	}
-	version := magic[4]
-	if [4]byte(magic[:4]) != walMagicPrefix || version < walVersion1 || version > walVersionLatest {
-		return FileSummary{}, nil, fmt.Errorf("%w in %s", ErrBadWALMagic, name)
+	version, err := walVersion(name, magic)
+	if err != nil {
+		return FileSummary{}, nil, err
 	}
 	b := newSummaryBuilder(baseName(name), version)
 	var locs []SegmentLocation
@@ -287,7 +235,7 @@ func ScanFileRecords(name string) (FileSummary, []SegmentLocation, error) {
 		if _, err := io.CopyN(io.Discard, br, int64(h.payloadLen)); err != nil {
 			return b.done(offset, true), locs, nil
 		}
-		if h.typ == recSegment {
+		if h.typ == KindSegment {
 			locs = append(locs, SegmentLocation{
 				Monitor: h.monitor, First: h.first, Last: h.last,
 				Count: h.count, Offset: offset,

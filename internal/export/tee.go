@@ -11,9 +11,9 @@ import (
 // TeeSink fans every record out to several sinks — e.g. a local
 // WALSink for durability plus a network shipper for fleet collection.
 // Each call is delivered to every sink regardless of individual
-// failures; the errors are joined. Markers and health snapshots are
-// delivered only to the sinks that implement the matching optional
-// extension (TeeSink itself always advertises both, so an exporter
+// failures; the errors are joined. Markers, health snapshots and alerts
+// are delivered only to the sinks that implement the matching optional
+// extension (TeeSink itself advertises all three, so an exporter
 // routes them here and the tee dispatches to whoever can store them).
 // Like the sinks it wraps, a TeeSink is driven by one goroutine.
 type TeeSink struct {
@@ -46,40 +46,27 @@ func (t *TeeSink) WriteSegment(seg Segment) error {
 // WriteMarker delivers the marker to every sink implementing
 // MarkerSink.
 func (t *TeeSink) WriteMarker(m history.RecoveryMarker) error {
-	var errs []error
-	for _, s := range t.sinks {
-		if ms, ok := s.(MarkerSink); ok {
-			if err := ms.WriteMarker(m); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errors.Join(errs...)
+	return t.writeAnnotation(Record{Marker: &m})
 }
 
 // WriteHealth delivers the snapshot to every sink implementing
 // HealthSink.
 func (t *TeeSink) WriteHealth(h obs.HealthRecord) error {
-	var errs []error
-	for _, s := range t.sinks {
-		if hs, ok := s.(HealthSink); ok {
-			if err := hs.WriteHealth(h); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errors.Join(errs...)
+	return t.writeAnnotation(Record{Health: &h})
 }
 
 // WriteAlert delivers the threshold alert to every sink implementing
 // AlertSink.
 func (t *TeeSink) WriteAlert(a obsrules.Alert) error {
+	return t.writeAnnotation(Record{Alert: &a})
+}
+
+// writeAnnotation delivers r to every sink that can store its kind.
+func (t *TeeSink) writeAnnotation(r Record) error {
 	var errs []error
 	for _, s := range t.sinks {
-		if as, ok := s.(AlertSink); ok {
-			if err := as.WriteAlert(a); err != nil {
-				errs = append(errs, err)
-			}
+		if _, err := r.deliver(s); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

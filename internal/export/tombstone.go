@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"time"
 )
@@ -16,7 +15,7 @@ import (
 // the store is complete above, and exactly what was dropped below it.
 // It flows like any other record — persisted by sinks implementing
 // TombstoneSink (WALSink as a typed WAL record, MemorySink in memory),
-// carried by the index (format v3) so windowed readers find it without
+// carried by the index so windowed readers find it without
 // opening files, and surfaced by ReadDir in Replay.Tombstones so a
 // query below the horizon reports "truncated by retention" instead of
 // silently returning less.
@@ -86,44 +85,28 @@ func saturatingUint32(v int64) uint32 {
 }
 
 // appendTombstone serialises a tombstone into the self-contained
-// payload blob of a recTombstone WAL record, appended to dst — the
+// payload blob of a KindTombstone WAL record, appended to dst — the
 // same shape as appendMarker: a version byte, varint fields, then the
 // length-prefixed per-monitor table. Appending lets the WAL sink
 // encode into its pooled payload buffers.
 func appendTombstone(dst []byte, t Tombstone) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) {
-		dst = append(dst, scratch[:binary.PutVarint(scratch[:], v)]...)
-	}
-	putUvarint := func(v uint64) {
-		dst = append(dst, scratch[:binary.PutUvarint(scratch[:], v)]...)
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		dst = append(dst, s...)
-	}
 	dst = append(dst, tombstoneVersion)
-	putVarint(t.Horizon)
-	putVarint(t.Events)
-	putVarint(t.Records)
-	putVarint(t.Files)
-	putVarint(t.At.UnixNano())
-	putUvarint(uint64(len(t.Monitors)))
+	dst = binary.AppendVarint(dst, t.Horizon)
+	dst = binary.AppendVarint(dst, t.Events)
+	dst = binary.AppendVarint(dst, t.Records)
+	dst = binary.AppendVarint(dst, t.Files)
+	dst = binary.AppendVarint(dst, t.At.UnixNano())
+	dst = binary.AppendUvarint(dst, uint64(len(t.Monitors)))
 	for _, tr := range t.Monitors {
-		putString(tr.Monitor)
-		putVarint(tr.MinSeq)
-		putVarint(tr.MaxSeq)
-		putVarint(tr.Events)
+		dst = appendString(dst, tr.Monitor)
+		dst = binary.AppendVarint(dst, tr.MinSeq)
+		dst = binary.AppendVarint(dst, tr.MaxSeq)
+		dst = binary.AppendVarint(dst, tr.Events)
 	}
 	return dst
 }
 
-// encodeTombstone is appendTombstone into a fresh buffer.
-func encodeTombstone(t Tombstone) []byte {
-	return appendTombstone(nil, t)
-}
-
-// decodeTombstone reverses encodeTombstone.
+// decodeTombstone reverses appendTombstone.
 func decodeTombstone(payload []byte) (Tombstone, error) {
 	br := bytes.NewReader(payload)
 	var t Tombstone
@@ -133,20 +116,6 @@ func decodeTombstone(payload []byte) (Tombstone, error) {
 	}
 	if ver != tombstoneVersion {
 		return t, fmt.Errorf("unknown tombstone version %d", ver)
-	}
-	getString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if n > maxMonitorName {
-			return "", fmt.Errorf("implausible tombstone string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
 	}
 	if t.Horizon, err = binary.ReadVarint(br); err != nil {
 		return t, fmt.Errorf("tombstone horizon: %w", err)
@@ -174,7 +143,7 @@ func decodeTombstone(payload []byte) (Tombstone, error) {
 	}
 	for i := uint64(0); i < nMons; i++ {
 		var tr TruncatedRange
-		if tr.Monitor, err = getString(); err != nil {
+		if tr.Monitor, err = readString(br); err != nil {
 			return t, fmt.Errorf("tombstone monitor %d: %w", i, err)
 		}
 		if tr.MinSeq, err = binary.ReadVarint(br); err != nil {
@@ -192,12 +161,4 @@ func decodeTombstone(payload []byte) (Tombstone, error) {
 		return t, fmt.Errorf("%d trailing bytes after tombstone", br.Len())
 	}
 	return t, nil
-}
-
-// TombstoneKey is the exact-duplicate identity of a tombstone — its
-// deterministic encoding. Tombstones hold a slice, so Go equality
-// cannot be the dedup identity; the codec can (same semantics as
-// HealthKey).
-func TombstoneKey(t Tombstone) string {
-	return string(encodeTombstone(t))
 }

@@ -23,42 +23,26 @@ import (
 // files (written before recovery markers existed) have no type byte
 // and hold only segment records. All record types share one header:
 //
-//	uint8   record type (v2 only: 0 = segment, 1 = recovery marker,
-//	                     2 = health snapshot, 3 = retention tombstone,
-//	                     4 = threshold alert)
+//	uint8   record type (v2 only: a Kind)
 //	uint16  len(monitor)      ┐
 //	bytes   monitor           │ little-endian record header
-//	int64   first seq         │ (marker: reset horizon twice;
-//	int64   last seq          │  health: capture horizon twice)
-//	uint32  event count       │ (marker: discarded-event count;
-//	uint32  len(payload)      │  health: 0)
+//	int64   first seq         │ (per-kind meaning: Record.header)
+//	int64   last seq          │
+//	uint32  event count       │
+//	uint32  len(payload)      │
 //	uint32  CRC-32 (IEEE) of payload ┘
 //	bytes   payload
 //
 // A segment record's payload is event.WriteBinary of the drained
-// events — itself a well-formed single-segment trace. A recovery
-// marker's payload is the self-contained marker blob of
-// encodeMarker: the shard-local reset's horizon, discarded-event
-// count, triggering rule/pid and instant. A threshold-alert record's
-// payload is the self-contained blob of encodeAlert: one rule
-// transition (fire or clear) of the self-watching rule engine, pinned
-// like a health record to its evaluation instant and global-sequence
-// horizon (the monitor field is empty — an alert judges the pipeline,
-// not one monitor). A health-snapshot record's
-// payload is the self-contained blob of encodeHealth: a periodic
-// obs.Snapshot of the detector's metrics registry pinned to its
-// capture instant and global-sequence horizon (the monitor field is
-// empty — health is per-process, not per-monitor). A retention
-// tombstone's payload is the self-contained blob of encodeTombstone:
-// the horizon below which retention may have dropped records, plus the
-// cumulative accounting of exactly what was dropped (the monitor field
-// is empty — the tombstone describes the whole store). The header
-// duplicates the seq range and count so a reader can index a WAL
-// without decoding payloads, and the CRC turns a torn write into a
-// detectable truncation instead of silent corruption. Files are
-// fsynced when rotated and on Flush/Close; a crash can therefore only
-// lose or tear the tail of the newest file, which the reader recovers
-// from by dropping the torn record.
+// events — itself a well-formed single-segment trace. An annotation's
+// payload is its kind's self-contained blob (appendMarker,
+// appendHealth, appendTombstone, appendAlert). The header duplicates
+// the seq range and count so a reader can index a WAL without decoding
+// payloads, and the CRC turns a torn write into a detectable
+// truncation instead of silent corruption. Files are fsynced when
+// rotated and on Flush/Close; a crash can therefore only lose or tear
+// the tail of the newest file, which the reader recovers from by
+// dropping the torn record.
 
 // walMagicPrefix identifies a WAL segment file; the byte that follows
 // it on disk is the format version.
@@ -72,18 +56,34 @@ const (
 	walVersionLatest = walVersion2
 )
 
-// Record types (format version ≥ 2). recHealth, recTombstone and
-// recAlert ride the same v2 framing recMarker introduced: the header
+// Kind is a record's kind: the record-type byte of format version 2
+// (version-1 files hold only segments). Health snapshots, tombstones
+// and alerts ride the same v2 framing markers introduced: the header
 // layout is unchanged, so the format version does not bump — v1 and
 // marker-era v2 files read exactly as before, and only tooling older
-// than the new record type refuses a file containing one.
+// than a kind refuses a file containing one.
+type Kind byte
+
+// The record kinds. Every kind but KindSegment is an annotation: a
+// small typed record, stamped with a sequence horizon, that travels
+// alongside the segments.
 const (
-	recSegment   byte = 0
-	recMarker    byte = 1
-	recHealth    byte = 2
-	recTombstone byte = 3
-	recAlert     byte = 4
+	KindSegment   Kind = 0
+	KindMarker    Kind = 1
+	KindHealth    Kind = 2
+	KindTombstone Kind = 3
+	KindAlert     Kind = 4
 )
+
+var kindNames = [...]string{"segment", "recovery marker", "health snapshot", "retention tombstone", "threshold alert"}
+
+// String names the kind.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind %d", byte(k))
+}
 
 // walExt is the segment-file extension.
 const walExt = ".wal"
@@ -154,13 +154,6 @@ type WALConfig struct {
 	// returns. Seal errors are advisory — the file is already durable
 	// locally — so they are reported, not propagated.
 	OnSealError func(error)
-	// OnRotate is the single-consumer ancestor of OnSeal, retained for
-	// compatibility; when set it is called (before the OnSeal fan-out)
-	// with the same summary.
-	//
-	// Deprecated: use OnSeal, which supports multiple consumers and
-	// error reporting.
-	OnRotate func(FileSummary)
 	// Obs, when set, instruments the sink: export_wal_bytes_total
 	// (header + payload bytes written), export_wal_records_total,
 	// export_wal_rotations_total and the export_wal_fsync_ns latency
@@ -312,70 +305,51 @@ func (w *WALSink) WriteSegment(seg Segment) error {
 	// what re-enters the pool).
 	p := getPayloadBuf(16 + 48*len(seg.Events))
 	*p = event.AppendBinary((*p)[:0], seg.Events)
-	err := w.writeRecord(recSegment, seg.Monitor,
+	err := w.writeRecord(KindSegment, seg.Monitor,
 		seg.First(), seg.Last(), uint32(len(seg.Events)), *p)
 	putPayloadBuf(p)
 	return err
 }
 
 // WriteMarker appends one recovery-marker record — the durable trace of
-// a shard-local online reset (see history.RecoveryMarker). It
-// implements the optional MarkerSink extension.
+// a shard-local online reset (the MarkerSink extension).
 func (w *WALSink) WriteMarker(m history.RecoveryMarker) error {
-	p := getPayloadBuf(64 + len(m.Rule) + len(m.Monitor))
-	*p = appendMarker((*p)[:0], m)
-	err := w.writeRecord(recMarker, m.Monitor,
-		m.Horizon, m.Horizon, uint32(m.Dropped), *p)
-	putPayloadBuf(p)
-	return err
+	return w.writeAnnotation(Record{Marker: &m})
 }
 
 // WriteHealth appends one health-snapshot record — a periodic capture
-// of the detector's metrics registry, pinned to its global-sequence
-// horizon so offline tooling can place it in the trace's timeline. It
-// implements the optional HealthSink extension. The monitor field is
-// empty: health describes the whole process, not one monitor.
+// of the detector's metrics registry (the HealthSink extension).
 func (w *WALSink) WriteHealth(h obs.HealthRecord) error {
-	p := getPayloadBuf(256)
-	*p = appendHealth((*p)[:0], h)
-	err := w.writeRecord(recHealth, "", h.Seq, h.Seq, 0, *p)
-	putPayloadBuf(p)
-	return err
+	return w.writeAnnotation(Record{Health: &h})
 }
 
-// WriteAlert appends one threshold-alert record — the durable trace of
-// a rule transition in the self-watching engine (see
-// internal/obs/rules). It implements the optional AlertSink extension.
-// The monitor field is empty (an alert judges the pipeline, not one
-// monitor); the header carries the alert's sequence horizon twice, so
-// the index can place it without decoding the payload.
+// WriteAlert appends one threshold-alert record — a rule transition of
+// the self-watching engine (the AlertSink extension).
 func (w *WALSink) WriteAlert(a obsrules.Alert) error {
-	p := getPayloadBuf(64 + len(a.Rule) + len(a.Metric) + len(a.Origin))
-	*p = appendAlert((*p)[:0], a)
-	err := w.writeRecord(recAlert, "", a.Seq, a.Seq, 0, *p)
-	putPayloadBuf(p)
-	return err
+	return w.writeAnnotation(Record{Alert: &a})
 }
 
 // WriteTombstone appends one retention-tombstone record — the durable
-// trace of a retention pass that dropped whole segment files below a
-// horizon (see internal/export/compact). It implements the optional
-// TombstoneSink extension. The monitor field is empty (the tombstone
-// describes the whole store); the header carries the horizon as its
-// seq range and the dropped-event total (saturated) as its count, so
-// the index can place it without decoding the payload.
+// trace of a retention pass (the TombstoneSink extension).
 func (w *WALSink) WriteTombstone(t Tombstone) error {
-	p := getPayloadBuf(128 + 32*len(t.Monitors))
-	*p = appendTombstone((*p)[:0], t)
-	err := w.writeRecord(recTombstone, "", t.Horizon, t.Horizon,
-		saturatingUint32(t.Events), *p)
+	return w.writeAnnotation(Record{Tombstone: &t})
+}
+
+// writeAnnotation appends one non-segment record under the header
+// Record.header derives for it, its payload encoded into a pooled
+// buffer.
+func (w *WALSink) writeAnnotation(r Record) error {
+	h, _ := r.header()
+	p := getPayloadBuf(0)
+	*p = r.appendPayload((*p)[:0])
+	err := w.writeRecord(h.typ, h.monitor, h.first, h.last, h.count, *p)
 	putPayloadBuf(p)
 	return err
 }
 
-// writeRecord appends one record of either type and rotates if the
-// file outgrew the threshold.
-func (w *WALSink) writeRecord(typ byte, monitor string, first, last int64, count uint32, payload []byte) error {
+// writeRecord appends one record of any kind and rotates if the file
+// outgrew the threshold.
+func (w *WALSink) writeRecord(typ Kind, monitor string, first, last int64, count uint32, payload []byte) error {
 	if len(monitor) > maxMonitorName {
 		return fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(monitor), maxMonitorName)
 	}
@@ -442,10 +416,9 @@ func (w *WALSink) stale() bool {
 // rotate seals the current file — flush, fsync, close — and arranges
 // for the next write to open a fresh one. Everything before the
 // rotation point is durable from here on; the sealed file's summary is
-// then fanned out to OnRotate (deprecated single consumer) and every
-// OnSeal consumer. One consumer's failure never starves another: the
-// error goes to OnSealError and the seal-error counter, and the loop
-// continues.
+// then fanned out to every OnSeal consumer. One consumer's failure
+// never starves another: the error goes to OnSealError and the
+// seal-error counter, and the loop continues.
 func (w *WALSink) rotate() error {
 	if w.f == nil {
 		return nil
@@ -460,9 +433,6 @@ func (w *WALSink) rotate() error {
 	w.met.rotations.Inc()
 	if w.cur != nil && w.cur.sum.Records > 0 {
 		fs := w.cur.done(w.size, false)
-		if w.cfg.OnRotate != nil {
-			w.cfg.OnRotate(fs)
-		}
 		for _, s := range w.cfg.OnSeal {
 			if s == nil {
 				continue

@@ -275,7 +275,10 @@ func TestWALOnRotateSummariesMatchScan(t *testing.T) {
 	var sealed []FileSummary
 	sink, err := NewWALSink(dir, WALConfig{
 		MaxFileBytes: 1, // rotate after every record
-		OnRotate:     func(fs FileSummary) { sealed = append(sealed, fs) },
+		OnSeal: []SealedSink{SealedSinkFunc(func(fs FileSummary) error {
+			sealed = append(sealed, fs)
+			return nil
+		})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +297,7 @@ func TestWALOnRotateSummariesMatchScan(t *testing.T) {
 		t.Fatalf("walFiles = %v, %v; want 2 files", names, err)
 	}
 	if len(sealed) != 2 {
-		t.Fatalf("OnRotate fired %d times, want 2", len(sealed))
+		t.Fatalf("OnSeal fired %d times, want 2", len(sealed))
 	}
 	for i, name := range names {
 		scanned, err := ScanFile(name)
@@ -310,7 +313,8 @@ func TestWALOnRotateSummariesMatchScan(t *testing.T) {
 		t.Fatalf("segment-file summary wrong: %+v", seg)
 	}
 	mk := sealed[1]
-	if mk.Events != 0 || len(mk.Markers) != 1 || mk.Markers[0].Horizon != historyMarkerSeed().Horizon {
+	if mk.Events != 0 || len(mk.Annotations) != 1 || mk.Annotations[0].Kind != KindMarker ||
+		mk.Annotations[0].Horizon != historyMarkerSeed().Horizon {
 		t.Fatalf("marker-file summary wrong: %+v", mk)
 	}
 }

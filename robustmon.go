@@ -511,24 +511,6 @@ type (
 	// and flush in a single interface (DetectorConfig.Exporter).
 	// Exporter, WALSink and NetSink all satisfy it.
 	TraceExporter = detect.TraceExporter
-
-	// SegmentExporter is the segment-and-flush subset of the old
-	// three-interface exporter seam.
-	//
-	// Deprecated: DetectorConfig.Exporter now requires the full
-	// TraceExporter; implement it (with no-op
-	// ConsumeMarker/ConsumeHealth where irrelevant) instead.
-	SegmentExporter = detect.SegmentExporter
-	// MarkerExporter is the old optional marker extension.
-	//
-	// Deprecated: ConsumeMarker is part of TraceExporter; the
-	// detector no longer type-sniffs for this interface.
-	MarkerExporter = detect.MarkerExporter
-	// HealthExporter is the old optional health extension.
-	//
-	// Deprecated: ConsumeHealth is part of TraceExporter; the
-	// detector no longer type-sniffs for this interface.
-	HealthExporter = detect.HealthExporter
 )
 
 // NewDetector builds the periodic detector over the database and
