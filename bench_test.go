@@ -19,6 +19,9 @@
 //     recording under parallel load) and BenchmarkCheckNowManyMonitors
 //     (the parallel checkpoint pipeline across N monitors, in both
 //     hold-world and per-monitor modes).
+//   - BenchmarkRecordCheckExport — the closed record → checkpoint →
+//     export loop on one hot monitor, timed with recording included,
+//     so its B/op shows whether drained slabs come back to the shard.
 package robustmon_test
 
 import (
@@ -28,11 +31,13 @@ import (
 	"testing"
 	"time"
 
+	"robustmon/internal/apps/boundedbuffer"
 	"robustmon/internal/checklists"
 	"robustmon/internal/clock"
 	"robustmon/internal/detect"
 	"robustmon/internal/event"
 	"robustmon/internal/experiment"
+	"robustmon/internal/export"
 	"robustmon/internal/faults"
 	"robustmon/internal/history"
 	"robustmon/internal/monitor"
@@ -261,7 +266,7 @@ func BenchmarkHistoryAppendBatch(b *testing.B) {
 				block = block[:0]
 			}
 			if i++; i%4096 == 0 {
-				db.Recycle(db.DrainMonitor(mon)) // keep the shard bounded
+				history.Recycle(db.DrainMonitor(mon)) // keep the shard bounded
 			}
 		}
 		db.AppendBatch(mon, block)
@@ -288,7 +293,7 @@ func BenchmarkBatchWriter(b *testing.B) {
 		for pb.Next() {
 			w.Append(e)
 			if i++; i%4096 == 0 {
-				db.Recycle(db.DrainMonitor(mon)) // keep the shard bounded
+				history.Recycle(db.DrainMonitor(mon)) // keep the shard bounded
 			}
 		}
 		w.Close()
@@ -404,6 +409,61 @@ func BenchmarkCheckpoint(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRecordCheckExport times one monitor call on the closed
+// record → checkpoint → export loop: Send/Receive on a recorded bounded
+// buffer, a hold-world checkpoint every checkEveryOps calls, and an
+// Exporter over a WALSink whose writer recycles each written segment's
+// slab into the history pool for the shard's next replacement. Unlike
+// BenchmarkCheckpoint, which fills its segments with the timer
+// stopped, the timed loop includes recording, so B/op shows a shard
+// regrowing its slab after every checkpoint. Run with -benchmem.
+func BenchmarkRecordCheckExport(b *testing.B) {
+	const checkEveryOps = 16384 // 32,768 events: a 32,768-event slab class
+	db := history.New()
+	sink, err := export.NewWALSink(b.TempDir(), export.WALConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	exp := export.New(sink, export.Config{Policy: export.Block})
+	buf, err := boundedbuffer.New(16,
+		boundedbuffer.WithMonitorOptions(monitor.WithRecorder(db)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	det := detect.NewDefault(db, detect.Config{Exporter: exp}, buf.Monitor())
+	rt := proc.NewRuntime()
+	b.ReportAllocs()
+	b.ResetTimer()
+	rt.Spawn("load", func(p *proc.P) {
+		for i := 0; i < b.N; i++ {
+			var err error
+			if i%2 == 0 {
+				err = buf.Send(p, i)
+			} else {
+				_, err = buf.Receive(p)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if (i+1)%checkEveryOps == 0 {
+				if vs := det.CheckNow(); len(vs) != 0 {
+					b.Errorf("violations: %v", vs)
+					return
+				}
+			}
+		}
+	})
+	rt.Join()
+	if err := exp.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if err := exp.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

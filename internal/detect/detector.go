@@ -93,14 +93,16 @@ type Config struct {
 	// the assertion sets of the §5 extension plug in here.
 	Extra []Checker
 	// Exporter, when set, receives every record the detector produces:
-	// New adds its Consume as a drain tee (additive, so detectors
-	// sharing a database never unwire each other), shard-local resets
-	// send their recovery markers through ConsumeMarker, the health
-	// cadence (HealthEvery) sends snapshots through ConsumeHealth, and
-	// Run flushes it after the final checkpoint so the exported trace
-	// covers the whole run. This is the streaming replacement for
-	// history.WithFullTrace — offline tooling replays the exporter's
-	// sink instead of an in-memory full trace.
+	// each checkpoint hands every segment (or batch) it drained to
+	// Consume right after replaying it, passing ownership of the slab
+	// on; shard-local resets send their recovery markers through
+	// ConsumeMarker, the health cadence (HealthEvery) sends snapshots
+	// through ConsumeHealth, and Run flushes it after the final
+	// checkpoint so the exported trace covers the whole run. This is the
+	// streaming replacement for history.WithFullTrace — offline tooling
+	// replays the exporter's sink instead of an in-memory full trace.
+	// Without an exporter the detector recycles each replayed segment
+	// itself (history.Recycle).
 	Exporter TraceExporter
 	// BatchSize, when positive, drains and replays checkpoint segments
 	// in batches of this many events instead of one drain per monitor:
@@ -181,12 +183,13 @@ type Checker interface {
 // TraceExporter is the detector's view of the async trace-export
 // pipeline (internal/export.Exporter implements it; the indirection
 // keeps detect free of an export dependency). Its methods mirror the
-// three WAL record kinds, so the dispatch is by record kind at the
-// seam instead of by type assertion behind it: Consume receives
-// drained segments (it matches history.DrainTee), ConsumeMarker the
-// recovery markers of shard-local resets, ConsumeHealth the periodic
-// health snapshots, and Flush forces everything consumed so far to
-// the sink.
+// WAL record kinds, so the dispatch is by record kind at the seam
+// instead of by type assertion behind it: Consume receives each
+// drained segment after the checkpoint has replayed it, ConsumeMarker
+// the recovery markers of shard-local resets, ConsumeHealth the
+// periodic health snapshots, ConsumeAlert the threshold-rule
+// transitions, and Flush forces everything consumed so far to the
+// sink.
 //
 // This seam used to be a segment-only interface with optional
 // marker/health extensions discovered by type sniffing, which meant a
@@ -195,8 +198,12 @@ type Checker interface {
 // the full record surface explicit; exporters that genuinely ignore a
 // record kind implement it with a no-op.
 type TraceExporter interface {
-	// Consume accepts one drained per-monitor segment (the
-	// history.DrainTee signature).
+	// Consume accepts one drained and replayed per-monitor segment and
+	// takes ownership of it: the detector never touches the segment
+	// again, so the exporter may keep it until written and then hand
+	// its slab back with history.Recycle (export.Exporter does). An
+	// implementation that forwards the segment must not touch it after
+	// the forwarding call either.
 	Consume(monitor string, seg event.Seq)
 	// ConsumeMarker accepts the recovery marker of one shard-local
 	// online reset.
@@ -320,14 +327,6 @@ func New(db *history.DB, cfg Config, mons ...*monitor.Monitor) *Detector {
 		cfg:  cfg,
 		db:   db,
 		mons: make([]*monState, 0, len(mons)),
-	}
-	if cfg.Exporter != nil {
-		// Checkpoints now feed the export pipeline for free: every
-		// drained segment is teed to the exporter. Added, not set, so
-		// detectors sharing one database never unwire each other's
-		// exporters — each added exporter observes the whole drain
-		// stream.
-		db.AddDrainTee(cfg.Exporter.Consume)
 	}
 	d.byName = make(map[string]int, len(mons))
 	for _, m := range mons {
@@ -671,9 +670,11 @@ func (d *Detector) runPool(n int, fn func(k int)) {
 // delivered by drain in one or more batches — and advances its
 // cross-checkpoint state. The checking lists are seeded once from the
 // previous snapshot and replay every batch incrementally (the
-// amortised-seeding half of batched checkpoints). Within a checkpoint
-// it is called by exactly one worker per monitor; the checkpoint
-// barrier in checkSubset orders these calls across checkpoints.
+// amortised-seeding half of batched checkpoints). Each batch is handed
+// off (see handOff) as soon as it is replayed, so a batched checkpoint
+// holds one batch at a time. Within a checkpoint it is called by
+// exactly one worker per monitor; the checkpoint barrier in
+// checkSubset orders these calls across checkpoints.
 func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), cur state.Snapshot, now time.Time) ([]rules.Violation, int) {
 	spec := ms.mon.Spec()
 
@@ -695,6 +696,7 @@ func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), c
 			lists.Replay(seg)
 		}
 		events += len(seg)
+		d.handOff(ms.mon.Name(), seg)
 		if !more {
 			break
 		}
@@ -711,6 +713,18 @@ func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), c
 	ms.tot = counts{sends: lists.Sends, recvs: lists.Recvs}
 	ms.prev = cur
 	return out, events
+}
+
+// handOff passes one replayed segment to its next owner: the exporter,
+// which recycles the slab once its sink has written it, or — with no
+// exporter — straight back to the segment pool. Either way the caller
+// must not touch seg afterwards.
+func (d *Detector) handOff(monitor string, seg event.Seq) {
+	if d.cfg.Exporter != nil {
+		d.cfg.Exporter.Consume(monitor, seg)
+		return
+	}
+	history.Recycle(seg)
 }
 
 // Run drives the periodic checking routine until ctx is cancelled,

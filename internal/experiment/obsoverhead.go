@@ -208,7 +208,7 @@ func obsWorkloadOnce(cfg ObsOverheadConfig, drainEvery int, instrumented bool) (
 					if i%drainEvery == 0 {
 						seg := db.DrainMonitor(mon)
 						drained.Add(int64(len(seg)))
-						db.Recycle(seg)
+						history.Recycle(seg)
 					}
 				}
 			}(names[m], int64(m*cfg.ProducersPerMonitor+p+1))
@@ -220,7 +220,7 @@ func obsWorkloadOnce(cfg ObsOverheadConfig, drainEvery int, instrumented bool) (
 	for _, name := range names {
 		seg := db.DrainMonitor(name)
 		drained.Add(int64(len(seg)))
-		db.Recycle(seg)
+		history.Recycle(seg)
 	}
 	runtime.ReadMemStats(&after)
 

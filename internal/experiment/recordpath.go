@@ -189,13 +189,13 @@ func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPath
 				}
 				// The producer is its own checkpoint loop: every
 				// drainEvery records it sweeps its shard and recycles the
-				// drained copy (the harness is the only consumer — no
-				// tees — so the copy goes straight back to the segment
-				// pool, the steady-state shape of a recycling consumer).
+				// drained segment (the harness is its only owner, so it
+				// goes straight back to the segment pool, the
+				// steady-state shape of a recycling consumer).
 				drain := func() {
 					seg := db.DrainMonitor(mon)
 					drained.Add(int64(len(seg)))
-					db.Recycle(seg)
+					history.Recycle(seg)
 				}
 				if mode == "batch" {
 					w := db.NewBatchWriter(mon, batch)
@@ -223,7 +223,7 @@ func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPath
 	for _, name := range names {
 		seg := db.DrainMonitor(name)
 		drained.Add(int64(len(seg)))
-		db.Recycle(seg)
+		history.Recycle(seg)
 	}
 	runtime.ReadMemStats(&after)
 

@@ -5,13 +5,14 @@ import (
 	"io"
 	"testing"
 
+	"robustmon/internal/event"
 	"robustmon/internal/history"
 )
 
-// The tentpole's proof obligation: at high event counts the streaming
-// exporter keeps the database bounded (each drained segment is written
-// out and released), while WithFullTrace accumulates the entire run in
-// memory and pays a full-trace merge on export. Compare with
+// At high event counts the streaming exporter keeps the database
+// bounded (each drained segment is written out and its slab recycled),
+// while WithFullTrace accumulates the entire run in memory and pays a
+// full-trace merge on export. Compare with
 //
 //	go test -bench 'FullTraceExport|StreamingExport' -benchmem ./internal/export
 //
@@ -21,16 +22,22 @@ import (
 const benchDrainEvery = 1024
 
 // driveDB appends n events round-robin over four monitors, draining
-// every benchDrainEvery appends — the checkpoint rhythm.
-func driveDB(db *history.DB, n int) {
+// every monitor every benchDrainEvery appends — the checkpoint rhythm —
+// and handing each drained segment to consume, which owns it.
+func driveDB(db *history.DB, n int, consume func(monitor string, seg event.Seq)) {
 	names := [4]string{"m0", "m1", "m2", "m3"}
+	drain := func() {
+		for _, m := range names {
+			consume(m, db.DrainMonitor(m))
+		}
+	}
 	for i := 0; i < n; i++ {
 		db.Append(tev(names[i%len(names)], 0))
 		if i%benchDrainEvery == benchDrainEvery-1 {
-			db.Drain()
+			drain()
 		}
 	}
-	db.Drain()
+	drain()
 }
 
 func BenchmarkFullTraceExport(b *testing.B) {
@@ -39,7 +46,7 @@ func BenchmarkFullTraceExport(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				db := history.New(history.WithFullTrace())
-				driveDB(db, events)
+				driveDB(db, events, func(_ string, seg event.Seq) { history.Recycle(seg) })
 				if err := db.ExportBinary(io.Discard); err != nil {
 					b.Fatal(err)
 				}
@@ -58,8 +65,7 @@ func BenchmarkStreamingExport(b *testing.B) {
 					b.Fatal(err)
 				}
 				exp := New(sink, Config{Policy: Block})
-				db := history.New(history.WithDrainTee(exp.Consume))
-				driveDB(db, events)
+				driveDB(history.New(), events, exp.Consume)
 				if err := exp.Close(); err != nil {
 					b.Fatal(err)
 				}

@@ -15,19 +15,24 @@
 //
 // # Pipeline
 //
-//	monitors → history.DB ──Drain/DrainMonitor──▶ checking routine
-//	                      └──drain-tee──▶ Exporter ──chan──▶ writer ──▶ Sink
+//	monitors → history.DB ──drain──▶ checking routine (replay)
+//	              ▲                        │ Consume
+//	              │                        ▼
+//	              │                     Exporter ──chan──▶ writer ──▶ Sink
+//	              │                                          │
+//	              └────────── history.Recycle ◀──────────────┘
 //
-// The Exporter accepts drained per-monitor segments through a bounded
-// channel with an explicit backpressure policy — Block stalls the
-// drainer (lossless), Drop discards the segment and counts it — and a
-// single writer goroutine forwards them to the Sink. Drain tees are
-// additive (history.DB.AddDrainTee): every tee observes the whole
-// drain stream, so several detectors sharing one database never unwire
-// each other's exporters. The wiring is one line at either end:
-// db.AddDrainTee(exp.Consume) on the database, or
-// detect.Config.Exporter on the detector, which installs the tee and
-// flushes on shutdown.
+// Each drained segment has one owner at a time. The checking routine
+// replays it and hands it to the Exporter (detect.Config.Exporter,
+// which also flushes on shutdown); Exporter.Consume takes ownership,
+// queues the segment on a bounded channel with an explicit
+// backpressure policy — Block stalls the checkpoint (lossless), Drop
+// discards the segment and counts it — and a single writer goroutine
+// forwards it to the Sink. Once the sink's WriteSegment returns (or
+// the segment is dropped) the exporter returns its slab to history's
+// segment pool, so the next checkpoint's shard reuses it instead of
+// regrowing one. A sink therefore reads a segment only during
+// WriteSegment and copies whatever it keeps (MemorySink does).
 //
 // WALSink persists to numbered files of typed, CRC-protected records —
 // segments (per-record monitor id, seq range, count) and annotations:
@@ -91,8 +96,9 @@ type Segment struct {
 	// Monitor names the monitor whose shard the segment was drained
 	// from.
 	Monitor string
-	// Events is the drained slice. It is shared read-only with the
-	// checking routine that drained it; sinks must not mutate it.
+	// Events is the drained slice. It belongs to the exporter, which
+	// recycles it once the sink's WriteSegment returns: a sink reads it
+	// during the call, never mutates it, and copies what it keeps.
 	Events event.Seq
 }
 
@@ -118,7 +124,8 @@ func (s Segment) Last() int64 {
 // exporter's single writer goroutine, so they need not be safe for
 // concurrent use.
 type Sink interface {
-	// WriteSegment persists one drained segment.
+	// WriteSegment persists one drained segment. seg.Events is valid
+	// only until the call returns (see Segment.Events).
 	WriteSegment(seg Segment) error
 	// Flush forces buffered data to stable storage.
 	Flush() error
@@ -137,8 +144,11 @@ type MemorySink struct {
 	alerts   []obsrules.Alert
 }
 
-// WriteSegment appends the segment.
+// WriteSegment appends a copy of the segment: MemorySink is the one
+// sink that keeps segments, and the exporter recycles the original's
+// slab once this call returns.
 func (m *MemorySink) WriteSegment(seg Segment) error {
+	seg.Events = append(event.Seq(nil), seg.Events...)
 	m.segments = append(m.segments, seg)
 	return nil
 }

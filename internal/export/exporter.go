@@ -251,7 +251,12 @@ func (e *Exporter) writer() {
 			}
 			continue
 		}
-		if err := e.sink.WriteSegment(it.seg); err != nil {
+		err := e.sink.WriteSegment(it.seg)
+		// The sink is done with the segment once WriteSegment returns
+		// (sinks that keep a segment copy it), and Consume made the
+		// exporter its owner: its slab goes back to history's pool.
+		history.Recycle(it.seg.Events)
+		if err != nil {
 			e.writeFailed(err)
 			continue
 		}
@@ -327,12 +332,16 @@ func (e *Exporter) maybeCompact() {
 	}()
 }
 
-// Consume accepts one drained per-monitor segment. It has the
-// history.DrainTee signature, so an exporter is wired to a database
-// with db.SetDrainTee(exp.Consume). Empty segments are ignored; a
-// segment arriving after Close is counted as dropped. The events slice
-// is retained until written and must not be mutated by the caller
-// (drained segments never are).
+// Consume accepts one drained per-monitor segment and takes ownership
+// of it: the exporter keeps the slice until its writer has handed it
+// to the sink, then returns the slab to history's segment pool
+// (history.Recycle) — as it does at once for a segment it drops. The
+// caller must not read or mutate events after Consume returns; a
+// caller that still needs them passes a copy. A detector hands each
+// segment over after replaying it (detect.Config.Exporter); a tool
+// draining a database itself hands over what it drained. Empty
+// segments are ignored; a segment arriving after Close is counted as
+// dropped.
 func (e *Exporter) Consume(monitor string, events event.Seq) {
 	if len(events) == 0 {
 		return
@@ -397,22 +406,24 @@ func (e *Exporter) consumeAnnotation(r *Record) {
 	e.met.accepted[k].Inc()
 }
 
-// dropFull counts a segment discarded because the buffer was full
-// under the Drop policy.
+// dropFull counts and recycles a segment discarded because the
+// buffer was full under the Drop policy.
 func (e *Exporter) dropFull(events event.Seq) {
 	e.droppedSegsFull.Add(1)
 	e.droppedEvsFull.Add(int64(len(events)))
 	e.met.droppedSegsFull.Inc()
 	e.met.droppedEvsFull.Add(int64(len(events)))
+	history.Recycle(events)
 }
 
-// dropClosed counts a segment discarded because it arrived after
-// Close.
+// dropClosed counts and recycles a segment discarded because it
+// arrived after Close.
 func (e *Exporter) dropClosed(events event.Seq) {
 	e.droppedSegsClosed.Add(1)
 	e.droppedEvsClosed.Add(int64(len(events)))
 	e.met.droppedSegsClosed.Inc()
 	e.met.droppedEvsClosed.Add(int64(len(events)))
+	history.Recycle(events)
 }
 
 // Flush blocks until every segment accepted before the call has been

@@ -15,9 +15,10 @@ import "sync"
 // payloadClasses are the pooled capacity classes, smallest first. A
 // typical drained segment (a few hundred events at tens of bytes
 // each) lands in the first two classes; the top class covers the
-// biggest segments a batched checkpoint produces before rotation
-// would split them anyway.
-var payloadClasses = [...]int{4 << 10, 64 << 10, 1 << 20}
+// biggest segment history's slab pool recycles (65,536 events), so the
+// tens-of-thousands-event segments of a hot monitor's unbatched
+// checkpoints encode into a pooled buffer too.
+var payloadClasses = [...]int{4 << 10, 64 << 10, 1 << 20, 4 << 20}
 
 // payloadPools holds one pool per class. Entries are *[]byte so
 // Put/Get move one pointer, not a copied slice header boxed into a

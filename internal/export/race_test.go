@@ -5,15 +5,18 @@ import (
 	"sync"
 	"testing"
 
+	"robustmon/internal/event"
 	"robustmon/internal/history"
 )
 
-// TestConcurrentDrainsNeverDupOrDropSeqs tails a live database with an
-// exporter while appenders, global Drains and per-monitor
-// DrainMonitors all race: every sequence number the database assigned
-// must reach the sink exactly once. This is the correctness contract
-// of the drain tee — each event is drained once (segments are swapped
-// out under the shard lock) and teed once.
+// TestConcurrentDrainsNeverDupOrDropSeqs tails a live database with a
+// read-only drain tee while appenders, global Drains and per-monitor
+// DrainMonitors all race, and the drainers recycle every segment they
+// drained: every sequence number the database assigned must be
+// observed exactly once. This is the correctness contract of the drain
+// tee — each event is drained once (segments are swapped out under the
+// shard lock) and teed once, during the drain, before its drainer can
+// hand the slab back to the pool.
 func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 	t.Parallel()
 	for _, global := range []bool{false, true} {
@@ -25,9 +28,15 @@ func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 				opts = append(opts, history.WithGlobalLock())
 			}
 			db := history.New(opts...)
-			sink := &MemorySink{}
-			exp := New(sink, Config{Policy: Block, Buffer: 8})
-			db.SetDrainTee(exp.Consume)
+			var mu sync.Mutex
+			seen := make(map[int64]int)
+			db.AddDrainTee(func(_ string, seg event.Seq) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range seg {
+					seen[e.Seq]++
+				}
+			})
 
 			const (
 				monitors = 4
@@ -53,7 +62,7 @@ func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 			go func() {
 				defer drainers.Done()
 				for {
-					db.Drain()
+					history.Recycle(db.Drain())
 					select {
 					case <-stop:
 						return
@@ -65,7 +74,7 @@ func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 				defer drainers.Done()
 				for {
 					for m := 0; m < monitors; m++ {
-						db.DrainMonitor(fmt.Sprintf("m%d", m))
+						history.Recycle(db.DrainMonitor(fmt.Sprintf("m%d", m)))
 					}
 					select {
 					case <-stop:
@@ -78,31 +87,22 @@ func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 			close(stop)
 			drainers.Wait()
 			db.Drain() // final sweep for anything still buffered
-			if err := exp.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
 
 			want := db.LastSeq()
 			if want != monitors*appends {
 				t.Fatalf("LastSeq = %d, want %d", want, monitors*appends)
 			}
-			seen := make(map[int64]int, want)
-			for _, seg := range sink.Segments() {
-				for _, e := range seg.Events {
-					seen[e.Seq]++
-				}
-			}
 			for seq := int64(1); seq <= want; seq++ {
 				switch seen[seq] {
 				case 1:
 				case 0:
-					t.Fatalf("seq %d was recorded but never exported (dropped)", seq)
+					t.Fatalf("seq %d was recorded but never observed (dropped)", seq)
 				default:
-					t.Fatalf("seq %d exported %d times (duplicated)", seq, seen[seq])
+					t.Fatalf("seq %d observed %d times (duplicated)", seq, seen[seq])
 				}
 			}
 			if len(seen) != int(want) {
-				t.Fatalf("exported %d distinct seqs, want %d", len(seen), want)
+				t.Fatalf("observed %d distinct seqs, want %d", len(seen), want)
 			}
 		})
 	}

@@ -81,12 +81,12 @@ type shard struct {
 type counter struct{ n atomic.Int64 }
 
 // DrainTee observes drained segments. The database calls each
-// installed tee once per (monitor, segment) pair for every Drain and
-// DrainMonitor, after the shard locks are released; the events slice
-// is shared read-only with the drain caller (and any other tees) and
-// must not be mutated. internal/export.Exporter satisfies this
-// signature, which is how checkpoints feed the async trace-export
-// pipeline for free.
+// installed tee once per (monitor, segment) pair for every Drain,
+// DrainMonitor and DrainMonitorUpTo, on the draining goroutine after
+// the shard locks are released. A tee only reads: the segment belongs
+// to the drain caller (and, in a detector, next to its exporter, which
+// recycles the slab once written), so a tee must neither mutate it nor
+// keep any reference to it after returning — copy out what it needs.
 type DrainTee func(monitor string, seg event.Seq)
 
 // DB is a concurrent, append-only event store with checkpoint draining,
@@ -98,7 +98,7 @@ type DB struct {
 	global   bool // WithGlobalLock: single shard, legacy contention profile
 
 	// tees observe every drained segment (see DrainTee). Guarded by
-	// teeMu so SetDrainTee/AddDrainTee can race drains safely.
+	// teeMu so AddDrainTee can race drains safely.
 	teeMu sync.RWMutex
 	tees  []DrainTee
 
@@ -145,12 +145,6 @@ func WithFullTrace() Option {
 // measure what the sharding buys; production callers should not use it.
 func WithGlobalLock() Option {
 	return func(db *DB) { db.global = true }
-}
-
-// WithDrainTee adds a drain tee at construction time (see
-// AddDrainTee).
-func WithDrainTee(tee DrainTee) Option {
-	return func(db *DB) { db.tees = append(db.tees, tee) }
 }
 
 // New returns an empty database (sharded per monitor by default).
@@ -250,29 +244,18 @@ func (db *DB) lockAllShards() ([]string, []*shard, func()) {
 	}
 }
 
-// AddDrainTee adds a tee observing every segment drained from now on
-// — by any Drain or DrainMonitor caller, so several detectors sharing
-// the database each see the whole stream, not just their own drains.
-// Tees run on the draining goroutine after the shard locks are
-// released — a slow tee delays the drainer but never blocks
-// concurrent Appends; hand it an export.Exporter (whose Consume
-// signature matches) to move even that cost off the drain path.
+// AddDrainTee adds a read-only tee observing every segment drained
+// from now on — by any Drain or DrainMonitor caller, so several
+// detectors sharing the database each see the whole stream, not just
+// their own drains. Tees run on the draining goroutine after the shard
+// locks are released — a slow tee delays the drainer but never blocks
+// concurrent Appends. A tee reads the segment during its call and
+// never retains it (see DrainTee); an exporter is therefore not a tee:
+// it takes ownership of the segments it writes, so wire it through
+// the detector's Config.Exporter instead.
 func (db *DB) AddDrainTee(tee DrainTee) {
 	db.teeMu.Lock()
 	db.tees = append(db.tees, tee)
-	db.teeMu.Unlock()
-}
-
-// SetDrainTee replaces every installed tee with the given one (or,
-// with nil, removes them all). Prefer AddDrainTee: replacing silently
-// unwires any exporter another component installed.
-func (db *DB) SetDrainTee(tee DrainTee) {
-	db.teeMu.Lock()
-	if tee == nil {
-		db.tees = nil
-	} else {
-		db.tees = []DrainTee{tee}
-	}
 	db.teeMu.Unlock()
 }
 

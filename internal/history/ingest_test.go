@@ -249,8 +249,7 @@ func TestRecycleAndSlabReuse(t *testing.T) {
 	for i := range seg {
 		seg[i] = event.Event{Monitor: "x", Proc: "p", Seq: int64(i)}
 	}
-	db := New()
-	db.Recycle(seg)
+	Recycle(seg)
 	got, _ := slabFor(segClasses[0])
 	if cap(got) < segClasses[0] {
 		t.Fatalf("slabFor(%d) cap = %d", segClasses[0], cap(got))
@@ -267,11 +266,10 @@ func TestRecycleAndSlabReuse(t *testing.T) {
 
 func TestRecycleRejectsOutOfClassCaps(t *testing.T) {
 	t.Parallel()
-	db := New()
 	// Too small and too large: both must be left to the GC, silently.
-	db.Recycle(make(event.Seq, 0, segClasses[0]/2))
-	db.Recycle(make(event.Seq, 0, maxRetainedCap*2))
-	db.Recycle(nil)
+	Recycle(make(event.Seq, 0, segClasses[0]/2))
+	Recycle(make(event.Seq, 0, maxRetainedCap*2))
+	Recycle(nil)
 }
 
 func TestRecycleNormalisesOddCaps(t *testing.T) {
@@ -314,7 +312,7 @@ func TestDrainRetainsSlabCapacityAcrossCycles(t *testing.T) {
 		if len(seg) != burst {
 			t.Fatalf("cycle %d drained %d, want %d", cycle, len(seg), burst)
 		}
-		db.Recycle(seg)
+		Recycle(seg)
 		s := db.shardFor("a")
 		s.mu.Lock()
 		c := cap(s.segment)
@@ -422,7 +420,7 @@ func TestBatchedIngestRacesDrainsAndResets(t *testing.T) {
 						}
 						seg, _ := db.DrainMonitorUpTo(mon, db.LastSeq(), blockLen*2)
 						col.add(t, seg)
-						db.Recycle(seg)
+						Recycle(seg)
 					}
 				}()
 			}

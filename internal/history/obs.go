@@ -21,9 +21,9 @@ type histMetrics struct {
 	appends, batches, batchEvents *obs.Counter
 	// poolHit/poolMiss count drain-rhythm slab requests served from
 	// the segment pool vs freshly allocated (requests outside the
-	// pooled classes count as neither); recycles counts slabs actually
-	// returned to the pool.
-	poolHit, poolMiss, recycles *obs.Counter
+	// pooled classes count as neither). Hits are how recycled slabs
+	// show: a slab only re-enters the pool through Recycle.
+	poolHit, poolMiss *obs.Counter
 	// drainEvents is the distribution of drained-segment sizes, the
 	// shape the checkpoint cadence and batch knobs are tuned against.
 	drainEvents *obs.Histogram
@@ -39,7 +39,6 @@ func newHistMetrics(reg *obs.Registry) histMetrics {
 		batchEvents: reg.Counter("history_append_batch_events_total"),
 		poolHit:     reg.Counter("history_pool_hit_total"),
 		poolMiss:    reg.Counter("history_pool_miss_total"),
-		recycles:    reg.Counter("history_slab_recycle_total"),
 		drainEvents: reg.Histogram("history_drain_events"),
 	}
 }
@@ -47,8 +46,8 @@ func newHistMetrics(reg *obs.Registry) histMetrics {
 // WithObs instruments the database on the given registry (see
 // internal/obs): history_append_total, history_append_batch_total,
 // history_append_batch_events_total, history_pool_hit_total,
-// history_pool_miss_total, history_slab_recycle_total and the
-// history_drain_events histogram. Nil disables at zero cost.
+// history_pool_miss_total and the history_drain_events histogram. Nil
+// disables at zero cost.
 func WithObs(reg *obs.Registry) Option {
 	return func(db *DB) { db.met = newHistMetrics(reg) }
 }

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"strings"
 	"testing"
 
 	"robustmon/internal/event"
@@ -11,8 +12,9 @@ import (
 // record path — singleton appends, a batch publication, partial and
 // full drains, slab recycling — and checks the registry against the
 // exactly-known traffic. The drain sizes are chosen at the smallest
-// pool class (1024) so the hit/miss/recycle sequence is deterministic:
-// the first drain must miss (cold pool), recycled slabs must hit.
+// pool class (1024) so the hit/miss sequence is deterministic outside
+// -race: the first drain must miss (cold pool), recycled slabs must
+// hit.
 func TestWithObsCountsRecordPath(t *testing.T) {
 	reg := obs.NewRegistry()
 	db := New(WithObs(reg))
@@ -32,14 +34,14 @@ func TestWithObsCountsRecordPath(t *testing.T) {
 	if len(seg1) != 1024 || !more {
 		t.Fatalf("first cut: %d events, more=%v", len(seg1), more)
 	}
-	db.Recycle(seg1)
+	Recycle(seg1)
 
 	// Second cut: served by the slab just recycled — a pool hit.
 	seg2, _ := db.DrainMonitorUpTo("m", horizon, 1024)
 	if len(seg2) != 1024 {
 		t.Fatalf("second cut: %d events", len(seg2))
 	}
-	db.Recycle(seg2)
+	Recycle(seg2)
 
 	// The remainder (962 events) drains whole: the swap path asks the
 	// pool for a replacement slab and finds seg2's again.
@@ -58,10 +60,23 @@ func TestWithObsCountsRecordPath(t *testing.T) {
 		{"history_append_batch_events_total", 10},
 		{"history_pool_miss_total", 1},
 		{"history_pool_hit_total", 2},
-		{"history_slab_recycle_total", 2},
 	} {
+		if raceEnabled && strings.HasPrefix(c.metric, "history_pool_") {
+			continue // checked as a sum below
+		}
 		if got, ok := snap.Counter(c.metric); !ok || got != c.want {
 			t.Errorf("%s = %d (ok=%v), want %d", c.metric, got, ok, c.want)
+		}
+	}
+	if raceEnabled {
+		// Under -race sync.Pool drops Puts at random, so which drains hit
+		// is not deterministic. Each partial cut still counts once, as a
+		// hit or a miss; the final swap counts only when it hits, since a
+		// dry pool installs no slab for a burst below the smallest class.
+		hit, _ := snap.Counter("history_pool_hit_total")
+		miss, _ := snap.Counter("history_pool_miss_total")
+		if miss > 2 || hit+miss < 2 || hit+miss > 3 {
+			t.Errorf("pool hits %d, misses %d: want the two cuts counted once each and the final swap at most once, as a hit", hit, miss)
 		}
 	}
 	h, ok := snap.Histogram("history_drain_events")

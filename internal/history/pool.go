@@ -20,10 +20,14 @@ import (
 //     for the burst it just drained, so no drain rhythm ever regrows a
 //     slab from zero.
 //
-//   - Consumers which exclusively own a drained segment refill the
-//     slab pool via DB.Recycle. With a recycling consumer (the E6
-//     record-path harness; any tool that drains, uses, and discards)
-//     the slab cycles shard → consumer → pool → shard and the record
+//   - A drained segment has one owner at a time, and its last owner
+//     returns it with Recycle. In the detector the cycle is shard →
+//     detector (replay) → exporter (write) → Recycle → pool → shard:
+//     the detector hands each replayed segment to its exporter, whose
+//     writer recycles it once the sink has written it (or the
+//     detector recycles it itself when no exporter is wired). The E6
+//     record-path harness and any tool that drains, uses and discards
+//     close the same loop by hand. With the loop closed the record
 //     path allocates nothing per event in steady state.
 //
 // Consumers that never call Recycle lose nothing: the handed-off slabs
@@ -43,16 +47,18 @@ import (
 // collected.
 
 // maxRetainedCap bounds the slab capacity the pool accepts and the
-// replacement size a drain installs. Checkpoint-rhythm segments are a
-// few hundred to a few thousand events; the top class covers bursts
-// without letting a single spike park megabytes in the pool forever.
-const maxRetainedCap = 16384
+// replacement size a drain installs. A hold-world checkpoint of one
+// hot monitor at a 10 ms interval drains tens of thousands of events,
+// so the top class covers those bursts — at 104 bytes per event it is
+// ~6.8 MB — without letting a pathological spike park an unbounded
+// slab in the pool.
+const maxRetainedCap = 65536
 
 // segClasses are the pooled capacity classes (in events), smallest
 // first — power-of-two steps so an append-grown slab rounds down to a
 // nearby class instead of wasting half its capacity, and so the class
 // a burst hints at is never far above the burst.
-var segClasses = [...]int{1024, 2048, 4096, 8192, maxRetainedCap}
+var segClasses = [...]int{1024, 2048, 4096, 8192, 16384, 32768, maxRetainedCap}
 
 var segPools [len(segClasses)]sync.Pool
 
@@ -104,27 +110,33 @@ func newSegment(n int) (seg event.Seq, pooled bool) {
 }
 
 // Recycle returns a drained segment's backing array to the segment
-// pool. Only call it when the segment is exclusively owned and dead:
-// the caller drained it itself, no drain tee is installed (an exporter
-// retains drained segments until written), and nothing else holds a
-// reference. Recycling a shared segment corrupts whatever the other
+// pool. Only the segment's last owner may call it: the segment is
+// dead and nothing else holds a reference — drain tees only read a
+// segment during their call, so they never count. A segment handed to
+// an exporter belongs to the exporter, which recycles it itself once
+// written. Recycling a shared segment corrupts whatever the other
 // holder reads next — when in doubt, don't: an unrecycled segment is
 // merely garbage. The written prefix is cleared (it is pointer-dense;
 // a pooled slab must not pin event strings) and the capacity is
 // normalised down to its class before pooling; oversized and
 // undersized slices fall to the GC.
-func (db *DB) Recycle(seg event.Seq) {
+func Recycle(seg event.Seq) {
 	c := cap(seg)
 	if c < segClasses[0] || c > maxRetainedCap {
 		return
 	}
 	s := []event.Event(seg)
-	clear(s)
+	// A range loop, not clear: the compiler turns it into the same
+	// memclr, except under -race, where the loop's writes stay visible
+	// to the race detector — so a caller that touches a segment after
+	// handing it on races with the recycler and is reported.
+	for i := range s {
+		s[i] = event.Event{}
+	}
 	for i := len(segClasses) - 1; i >= 0; i-- {
 		if c >= segClasses[i] {
 			s = s[:0:segClasses[i]]
 			segPools[i].Put(&s)
-			db.met.recycles.Inc()
 			return
 		}
 	}

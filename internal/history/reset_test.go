@@ -53,9 +53,10 @@ func TestResetMonitorGlobalLockDropsOnlyNamedMonitor(t *testing.T) {
 func TestResetMonitorGlobalLockDoesNotFeedTees(t *testing.T) {
 	t.Parallel()
 	var teed []string
-	db := New(WithGlobalLock(), WithDrainTee(func(monitor string, seg event.Seq) {
+	db := New(WithGlobalLock())
+	db.AddDrainTee(func(monitor string, seg event.Seq) {
 		teed = append(teed, monitor)
-	}))
+	})
 	db.Append(mev("a", 1))
 	db.Append(mev("b", 2))
 	db.ResetMonitor("a")

@@ -209,7 +209,8 @@ func TestConcurrentMultiMonitorAppends(t *testing.T) {
 	}
 }
 
-// teeRecorder collects drain-tee observations.
+// teeRecorder collects drain-tee observations. It copies each segment:
+// a tee may read a segment only during its call.
 type teeRecorder struct {
 	mu    sync.Mutex
 	pairs []struct {
@@ -224,13 +225,14 @@ func (r *teeRecorder) tee(monitor string, seg event.Seq) {
 	r.pairs = append(r.pairs, struct {
 		monitor string
 		seg     event.Seq
-	}{monitor, seg})
+	}{monitor, append(event.Seq(nil), seg...)})
 }
 
 func TestDrainTeeObservesPerMonitorSegments(t *testing.T) {
 	t.Parallel()
 	rec := &teeRecorder{}
-	db := New(WithDrainTee(rec.tee))
+	db := New()
+	db.AddDrainTee(rec.tee)
 	for _, m := range []string{"a", "b", "a", "c"} {
 		db.Append(mev(m, 1))
 	}
@@ -264,7 +266,7 @@ func TestDrainMonitorFeedsTee(t *testing.T) {
 	t.Parallel()
 	rec := &teeRecorder{}
 	db := New()
-	db.SetDrainTee(rec.tee)
+	db.AddDrainTee(rec.tee)
 	db.Append(mev("a", 1))
 	db.Append(mev("b", 2))
 	if got := db.DrainMonitor("a"); len(got) != 1 {
@@ -273,18 +275,18 @@ func TestDrainMonitorFeedsTee(t *testing.T) {
 	if len(rec.pairs) != 1 || rec.pairs[0].monitor != "a" || len(rec.pairs[0].seg) != 1 {
 		t.Fatalf("tee observed %+v, want one single-event segment for a", rec.pairs)
 	}
-	// Removing the tee stops observations.
-	db.SetDrainTee(nil)
+	// Draining another monitor feeds the tee that monitor's segment only.
 	db.DrainMonitor("b")
-	if len(rec.pairs) != 1 {
-		t.Fatalf("tee called after removal (now %d segments)", len(rec.pairs))
+	if len(rec.pairs) != 2 || rec.pairs[1].monitor != "b" || len(rec.pairs[1].seg) != 1 {
+		t.Fatalf("tee observed %+v, want a's then b's single-event segment", rec.pairs)
 	}
 }
 
 func TestDrainTeeSplitsGlobalLockSegments(t *testing.T) {
 	t.Parallel()
 	rec := &teeRecorder{}
-	db := New(WithGlobalLock(), WithDrainTee(rec.tee))
+	db := New(WithGlobalLock())
+	db.AddDrainTee(rec.tee)
 	for _, m := range []string{"a", "b", "a"} {
 		db.Append(mev(m, 1))
 	}
@@ -322,12 +324,12 @@ func TestAddDrainTeeIsAdditive(t *testing.T) {
 	if len(a.pairs) != 2 || len(b.pairs) != 2 {
 		t.Fatalf("tees observed %d and %d segments, want 2 and 2", len(a.pairs), len(b.pairs))
 	}
-	// SetDrainTee replaces every installed tee.
+	// A tee added later observes only the drains from then on.
 	c := &teeRecorder{}
-	db.SetDrainTee(c.tee)
+	db.AddDrainTee(c.tee)
 	db.Append(mev("m", 3))
 	db.Drain()
-	if len(a.pairs) != 2 || len(b.pairs) != 2 || len(c.pairs) != 1 {
-		t.Fatalf("after SetDrainTee: observed %d/%d/%d segments, want 2/2/1", len(a.pairs), len(b.pairs), len(c.pairs))
+	if len(a.pairs) != 3 || len(b.pairs) != 3 || len(c.pairs) != 1 {
+		t.Fatalf("after a third AddDrainTee: observed %d/%d/%d segments, want 3/3/1", len(a.pairs), len(b.pairs), len(c.pairs))
 	}
 }

@@ -13,6 +13,9 @@ type Path struct {
 	src string
 	ast Expr
 	dfa *dfa
+	// syms is the set of procedure names the expression mentions,
+	// built once in Parse: Mentions runs on every checked call.
+	syms map[string]bool
 }
 
 // Parse parses and compiles a path expression. The "path"/"end"
@@ -37,8 +40,9 @@ func Parse(src string) (*Path, error) {
 	if tok := p.peek(); tok.kind != tokEOF {
 		return nil, &SyntaxError{Pos: tok.pos, Msg: fmt.Sprintf("unexpected %s after expression", tok.kind)}
 	}
-	n := buildNFA(ast)
-	return &Path{src: src, ast: ast, dfa: buildDFA(n)}, nil
+	syms := make(map[string]bool)
+	ast.symbols(syms)
+	return &Path{src: src, ast: ast, dfa: buildDFA(buildNFA(ast)), syms: syms}, nil
 }
 
 // MustParse is Parse for statically known expressions; it panics on
@@ -63,10 +67,8 @@ func (p *Path) AST() Expr { return p.ast }
 // Symbols returns the procedure names mentioned in the expression,
 // sorted.
 func (p *Path) Symbols() []string {
-	set := make(map[string]bool)
-	p.ast.symbols(set)
-	out := make([]string, 0, len(set))
-	for s := range set {
+	out := make([]string, 0, len(p.syms))
+	for s := range p.syms {
 		out = append(out, s)
 	}
 	sort.Strings(out)
@@ -76,11 +78,7 @@ func (p *Path) Symbols() []string {
 // Mentions reports whether the expression constrains the given
 // procedure name. Calls to unmentioned procedures are not order-checked
 // (the paper's partial order only covers the declared procedures).
-func (p *Path) Mentions(sym string) bool {
-	set := make(map[string]bool)
-	p.ast.symbols(set)
-	return set[sym]
-}
+func (p *Path) Mentions(sym string) bool { return p.syms[sym] }
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {

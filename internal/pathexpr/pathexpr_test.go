@@ -116,6 +116,22 @@ func TestSymbolsAndMentions(t *testing.T) {
 	}
 }
 
+// TestMentionsDoesNotAllocate pins the realtime checker's per-event
+// cost: Mentions runs twice per checked call, so it must look the name
+// up in the set Parse built, not rebuild the set. Not parallel:
+// AllocsPerRun counts every allocation in the process.
+func TestMentionsDoesNotAllocate(t *testing.T) {
+	p := MustParse("path Open ; { Read , Write } ; Close end")
+	allocs := testing.AllocsPerRun(100, func() {
+		if !p.Mentions("Read") || p.Mentions("Seek") {
+			t.Fatal("Mentions gave wrong answers")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Mentions allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestAcceptsAcquireRelease(t *testing.T) {
 	t.Parallel()
 	p := MustParse("path Acquire ; Release end")

@@ -268,8 +268,6 @@ type (
 	ExportReplay = export.Replay
 	// MemoryExportSink collects exported segments in memory.
 	MemoryExportSink = export.MemorySink
-	// DrainTee observes drained segments (History.SetDrainTee).
-	DrainTee = history.DrainTee
 )
 
 // Backpressure policies.
@@ -283,9 +281,12 @@ const (
 )
 
 // NewExporter starts an exporter writing to sink. Wire it to a
-// detector via DetectorConfig.Exporter (checkpoints then stream their
-// drained segments for free) or to a database directly via
-// History.SetDrainTee(exp.Consume); Close it after the run.
+// detector via DetectorConfig.Exporter: each checkpoint then hands
+// every segment it replayed to the exporter, which owns the segment
+// from then on and recycles its slab into the history pool once
+// written. A tool draining a History itself hands each drained
+// segment to Exporter.Consume and must not touch it afterwards.
+// Close it after the run.
 func NewExporter(sink ExportSink, cfg ExporterConfig) *Exporter { return export.New(sink, cfg) }
 
 // NewWALSink opens (creating if needed) an export directory for
@@ -299,9 +300,6 @@ func NewTeeExportSink(sinks ...ExportSink) *TeeExportSink { return export.NewTee
 // ReadExportDir replays an export directory back into the global <L
 // order, recovering from a crash-truncated tail.
 func ReadExportDir(dir string) (*ExportReplay, error) { return export.ReadDir(dir) }
-
-// WithDrainTee installs a drain tee at database construction time.
-func WithDrainTee(tee DrainTee) HistoryOption { return history.WithDrainTee(tee) }
 
 // Trace store (the query/storage layer over export directories —
 // internal/export/index and internal/export/compact): a sparse
