@@ -15,8 +15,9 @@
 //     and without the extension, history appends, path-expression
 //     steps, checkpoints by segment size.
 //   - Sharding comparatives — BenchmarkHistoryGlobal vs
-//     BenchmarkHistorySharded (single-mutex vs per-monitor-shard
-//     recording under parallel load) and BenchmarkCheckNowManyMonitors
+//     BenchmarkHistorySharded (the same parallel recording serialised
+//     behind one benchmark-side mutex vs on the per-monitor shards
+//     alone) and BenchmarkCheckNowManyMonitors
 //     (the parallel checkpoint pipeline across N monitors, in both
 //     hold-world and per-monitor modes).
 //   - BenchmarkRecordCheckExport — the closed record → checkpoint →
@@ -27,6 +28,7 @@ package robustmon_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,10 +211,12 @@ func BenchmarkHistoryAppend(b *testing.B) {
 
 // benchHistoryAppendParallel measures concurrent appends from many
 // monitors into one database — the contention profile the sharding
-// refactor targets. Each parallel worker writes its own monitor name,
-// as distinct monitors wired to a shared database do.
-func benchHistoryAppendParallel(b *testing.B, opts ...history.Option) {
-	db := history.New(opts...)
+// targets. Each parallel worker writes its own monitor name, as
+// distinct monitors wired to a shared database do. A non-nil global
+// serialises every append and drain behind that one mutex: the
+// single-lock profile the per-monitor shards replace.
+func benchHistoryAppendParallel(b *testing.B, global *sync.Mutex) {
+	db := history.New()
 	var worker int64
 	b.RunParallel(func(pb *testing.PB) {
 		id := atomic.AddInt64(&worker, 1)
@@ -222,24 +226,30 @@ func benchHistoryAppendParallel(b *testing.B, opts ...history.Option) {
 		}
 		i := 0
 		for pb.Next() {
+			if global != nil {
+				global.Lock()
+			}
 			db.Append(e)
 			if i++; i%4096 == 0 {
 				db.DrainMonitor(e.Monitor) // keep the shard bounded
+			}
+			if global != nil {
+				global.Unlock()
 			}
 		}
 	})
 }
 
-// BenchmarkHistoryGlobal is the pre-sharding single-mutex profile:
-// every monitor funnels through one lock.
+// BenchmarkHistoryGlobal is the single-mutex profile: every monitor
+// funnels through one lock.
 func BenchmarkHistoryGlobal(b *testing.B) {
-	benchHistoryAppendParallel(b, history.WithGlobalLock())
+	benchHistoryAppendParallel(b, &sync.Mutex{})
 }
 
 // BenchmarkHistorySharded is the same workload on per-monitor shards;
 // the speedup over BenchmarkHistoryGlobal is what the sharding buys.
 func BenchmarkHistorySharded(b *testing.B) {
-	benchHistoryAppendParallel(b)
+	benchHistoryAppendParallel(b, nil)
 }
 
 // BenchmarkHistoryAppendBatch is the block-publication fast path: the

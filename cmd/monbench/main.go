@@ -19,9 +19,7 @@
 //
 // The -monitors sweep drives N independent monitors into one sharded
 // history database and one detector, comparing the paper-faithful
-// stop-the-world checkpoint against the per-monitor pipeline;
-// -globallock reruns it on the legacy single-mutex database to show
-// the contention the sharding removed.
+// stop-the-world checkpoint against the per-monitor pipeline.
 package main
 
 import (
@@ -79,9 +77,8 @@ func run(args []string, out, errOut io.Writer) int {
 		repeats   = fs.Int("repeats", 0, "repetitions per cell (0 = default); E4 reports the per-metric median")
 		workloads = fs.String("workloads", "", "comma-separated workloads: coordinator,allocator,manager")
 		suspend   = fs.Duration("suspend", 0, "simulated per-checkpoint process-suspension cost (models the 2001 JVM prototype; 0 = native)")
-		monitors  = fs.String("monitors", "", "comma-separated monitor counts for the E4 scaling sweep (e.g. 1,4,16); empty = run E2 instead. E4 honours -ops, -procs, a single -intervals value, -workers, -globallock, -adaptive and -batch; the other E2 flags do not apply")
+		monitors  = fs.String("monitors", "", "comma-separated monitor counts for the E4 scaling sweep (e.g. 1,4,16); empty = run E2 instead. E4 honours -ops, -procs, a single -intervals value, -workers, -adaptive and -batch; the other E2 flags do not apply")
 		workers   = fs.Int("workers", 0, "checkpoint worker-pool bound for -monitors (0 = auto)")
-		global    = fs.Bool("globallock", false, "run -monitors against the legacy single-mutex history database")
 		adaptive  = fs.Bool("adaptive", false, "add adaptive-scheduler rows to the -monitors sweep (per-monitor intervals next to every fixed-T cell)")
 		batch     = fs.Int("batch", 0, "batched-replay batch size for the -monitors sweep (0 = unbatched)")
 		store     = fs.Bool("tracestore", false, "add the E5 trace-store rows (full ReadDir vs index-backed windowed SeekReader over a synthetic export directory); combines with -monitors into one artefact, or runs standalone")
@@ -117,7 +114,6 @@ func run(args []string, out, errOut io.Writer) int {
 			repeats:       *repeats,
 			intervals:     *intervals,
 			workers:       *workers,
-			global:        *global,
 			adaptive:      *adaptive,
 			batch:         *batch,
 			batchwriters:  *batchw,
@@ -337,7 +333,6 @@ type scalingFlags struct {
 	repeats       int
 	intervals     string
 	workers       int
-	global        bool
 	adaptive      bool
 	batch         int
 	batchwriters  bool
@@ -741,22 +736,17 @@ func runScaling(f scalingFlags, out, errOut io.Writer) int {
 		cfg.ProcsPerMonitor = f.procs
 	}
 	cfg.Workers = f.workers
-	cfg.GlobalLock = f.global
 	cfg.Adaptive = f.adaptive
 	cfg.BatchSize = f.batch
 	cfg.BatchWriters = f.batchwriters
 	cfg.Repeats = f.repeats
 
-	db := "sharded"
-	if f.global {
-		db = "global-lock"
-	}
 	recorder := "direct"
 	if f.batchwriters {
 		recorder = "batchwriter"
 	}
-	fmt.Fprintf(out, "E4 (scaling): ops/monitor=%d procs/monitor=%d interval=%v workers=%d db=%s adaptive=%v batch=%d recorder=%s\n\n",
-		cfg.OpsPerMonitor, cfg.ProcsPerMonitor, cfg.Interval, cfg.Workers, db, cfg.Adaptive, cfg.BatchSize, recorder)
+	fmt.Fprintf(out, "E4 (scaling): ops/monitor=%d procs/monitor=%d interval=%v workers=%d adaptive=%v batch=%d recorder=%s\n\n",
+		cfg.OpsPerMonitor, cfg.ProcsPerMonitor, cfg.Interval, cfg.Workers, cfg.Adaptive, cfg.BatchSize, recorder)
 	rows, err := experiment.RunScaling(cfg)
 	if err != nil {
 		fmt.Fprintf(errOut, "monbench: %v\n", err)
@@ -765,7 +755,7 @@ func runScaling(f scalingFlags, out, errOut io.Writer) int {
 	fmt.Fprint(out, experiment.ScalingTable(rows).String())
 	fmt.Fprintln(out, "\nshape check: events/sec should hold (or grow) as monitors are added —")
 	fmt.Fprintln(out, "per-monitor shards remove DB contention and the checkpoint worker pool")
-	fmt.Fprintln(out, "spreads replay; compare against -globallock for the pre-sharding profile.")
+	fmt.Fprintln(out, "spreads replay.")
 	fmt.Fprintln(out, "check p99 is the batched-replay target: it should stay bounded as segments grow.")
 	art := benchArtefact{
 		Kind:        "E4-scaling",
@@ -773,7 +763,7 @@ func runScaling(f scalingFlags, out, errOut io.Writer) int {
 		Config: map[string]any{
 			"ops_per_monitor": cfg.OpsPerMonitor, "procs_per_monitor": cfg.ProcsPerMonitor,
 			"interval_ns": cfg.Interval.Nanoseconds(), "workers": cfg.Workers,
-			"db": db, "adaptive": cfg.Adaptive, "batch": cfg.BatchSize,
+			"adaptive": cfg.Adaptive, "batch": cfg.BatchSize,
 			"recorder": recorder, "repeats": cfg.Repeats,
 		},
 	}

@@ -88,22 +88,6 @@ func TestScalingSweepProducesTable(t *testing.T) {
 	}
 }
 
-func TestScalingGlobalLockFlag(t *testing.T) {
-	t.Parallel()
-	code, out, errOut := runTool(t,
-		"-monitors", "1",
-		"-ops", "100",
-		"-procs", "1",
-		"-globallock",
-	)
-	if code != 0 {
-		t.Fatalf("exit = %d, err=%q\n%s", code, errOut, out)
-	}
-	if !strings.Contains(out, "db=global-lock") {
-		t.Errorf("output missing global-lock marker:\n%s", out)
-	}
-}
-
 func TestBadMonitorCountRejected(t *testing.T) {
 	t.Parallel()
 	code, _, errOut := runTool(t, "-monitors", "several")

@@ -102,7 +102,7 @@ func main() {
 	})
 
 	// Per-monitor: each monitor is frozen only for its own snapshot and
-	// shard drain; the other fifteen keep running.
+	// checkpoint horizon; the other fifteen keep running.
 	run("per-monitor:", func(db *robustmon.History, mons []*robustmon.Monitor) *robustmon.Detector {
 		return robustmon.NewDetectorNoFreeze(db, cfg, mons...)
 	})

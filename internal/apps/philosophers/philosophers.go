@@ -5,6 +5,12 @@
 // neighbours. The declaration's path expression "path PickUp ; PutDown
 // end" lets the real-time checker catch a philosopher who puts down
 // forks twice or picks up while already eating.
+//
+// Wake-ups pass a baton: a signal-exit resumes one waiter, so every
+// exit from the monitor — PickUp's as well as PutDown's — hands the
+// monitor to one hungry philosopher whose forks are both free, if
+// there is one. When a PutDown frees forks for both neighbours, the
+// neighbour it wakes wakes the other on its own way out of PickUp.
 package philosophers
 
 import (
@@ -128,12 +134,13 @@ func (t *Table) PickUp(p *proc.P, seat int) error {
 	t.mu.Lock()
 	t.hungry[seat] = false
 	t.eating[seat] = true
+	wake := t.reserveLocked(seat)
 	t.mu.Unlock()
-	return t.mon.Exit(p, ProcPickUp)
+	return t.exit(p, ProcPickUp, wake)
 }
 
-// PutDown returns philosopher seat's forks and feeds at most one hungry
-// neighbour that can now eat.
+// PutDown returns philosopher seat's forks and passes the monitor to
+// a hungry neighbour that can now eat.
 func (t *Table) PutDown(p *proc.P, seat int) error {
 	if err := t.checkSeat(seat); err != nil {
 		return err
@@ -143,24 +150,34 @@ func (t *Table) PutDown(p *proc.P, seat int) error {
 	}
 	t.mu.Lock()
 	t.eating[seat] = false
-	wake := -1
-	for _, nb := range []int{t.left(seat), t.right(seat)} {
+	wake := t.reserveLocked(seat)
+	t.mu.Unlock()
+	return t.exit(p, ProcPutDown, wake)
+}
+
+// reserveLocked picks the first hungry seat after seat, going round
+// the table, whose forks are both free, and reserves them so no later
+// PickUp can slip in before it resumes. It returns that seat, or -1
+// when no hungry seat can eat. Caller holds t.mu.
+func (t *Table) reserveLocked(seat int) int {
+	for k := 1; k <= t.n; k++ {
+		nb := (seat + k) % t.n
 		if t.hungry[nb] && !t.eating[t.left(nb)] && !t.eating[t.right(nb)] {
-			wake = nb
-			break
+			t.hungry[nb] = false
+			t.eating[nb] = true
+			return nb
 		}
 	}
+	return -1
+}
+
+// exit leaves the monitor, resuming the philosopher at seat wake (the
+// baton) when wake >= 0.
+func (t *Table) exit(p *proc.P, procName string, wake int) error {
 	if wake >= 0 {
-		// Reserve the forks for the woken neighbour before it resumes so
-		// no later PickUp can slip in between.
-		t.eating[wake] = true
-		t.hungry[wake] = false
+		return t.mon.SignalExit(p, procName, condFor(wake))
 	}
-	t.mu.Unlock()
-	if wake >= 0 {
-		return t.mon.SignalExit(p, ProcPutDown, condFor(wake))
-	}
-	return t.mon.Exit(p, ProcPutDown)
+	return t.mon.Exit(p, procName)
 }
 
 func (t *Table) left(seat int) int  { return (seat + t.n - 1) % t.n }

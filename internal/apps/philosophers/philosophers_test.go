@@ -94,6 +94,70 @@ func TestNeighboursNeverEatTogether(t *testing.T) {
 	}
 }
 
+// TestPutDownWakesBothNeighbours pins the baton pass: with seat 0
+// eating and seats 1 and 3 both waiting for its forks, one PutDown(0)
+// must get both of them eating. A signal-exit resumes one waiter, so
+// the neighbour it wakes has to wake the other on its way out.
+func TestPutDownWakesBothNeighbours(t *testing.T) {
+	t.Parallel()
+	tb, err := New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := proc.NewRuntime()
+	eating := make(chan struct{})
+	release := make(chan struct{})
+	r.Spawn("seat0", func(p *proc.P) {
+		if err := tb.PickUp(p, 0); err != nil {
+			t.Errorf("PickUp(0): %v", err)
+			close(eating)
+			return
+		}
+		close(eating)
+		<-release
+		if err := tb.PutDown(p, 0); err != nil {
+			t.Errorf("PutDown(0): %v", err)
+		}
+	})
+	<-eating
+	for _, seat := range []int{1, 3} {
+		seat := seat
+		r.Spawn("hungry", func(p *proc.P) {
+			// Both stay eating: the test checks that they eat together.
+			_ = tb.PickUp(p, seat)
+		})
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		r.AbortAll()
+		r.Join()
+		t.Fatalf(format, args...)
+	}
+	mon := tb.Monitor()
+	if !eventually(func() bool { return mon.CondLen(condFor(1)) == 1 && mon.CondLen(condFor(3)) == 1 }) {
+		close(release)
+		fail("seats 1 and 3 never both waited for seat 0's forks")
+	}
+	close(release)
+	if !eventually(func() bool { return tb.Eating(1) && tb.Eating(3) }) {
+		fail("after PutDown(0): seat 1 eating=%v, seat 3 eating=%v; want both (lost wake-up)",
+			tb.Eating(1), tb.Eating(3))
+	}
+	r.Join()
+}
+
+// eventually polls cond until it holds or a deadline passes.
+func eventually(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 func TestDoublePutDownCaughtRealtime(t *testing.T) {
 	t.Parallel()
 	db := history.New()

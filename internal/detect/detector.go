@@ -8,35 +8,34 @@
 // errors").
 //
 // Checkpoints run as a parallel pipeline over the sharded history
-// database: each monitor's freeze → snapshot → drain-own-shard →
-// replay → thaw is independent work, distributed across a bounded
-// worker pool. Two modes exist. HoldWorld (the paper-faithful default)
-// is a two-phase barrier: phase one freezes every monitored monitor
-// and takes all snapshots and shard drains while the world is stopped,
-// phase two replays the per-monitor segments in parallel before
-// thawing, so the checkpoint observes one consistent global state
-// exactly as §4 prescribes. With HoldWorld off, each monitor is
-// frozen, snapshotted, drained and thawed individually and never stops
-// an unrelated monitor — the cheap mode for many-monitor workloads.
-// Timers (Tmax, Tio, Tlimit) close the gap for faults whose only
-// symptom is that nothing happens. See DESIGN.md for the architecture.
+// database: each monitor's snapshot → drain of its own shard up to the
+// checkpoint horizon → replay is independent work, distributed across
+// a bounded worker pool. Two modes exist. HoldWorld (the
+// paper-faithful default) is a two-phase barrier: phase one freezes
+// every monitored monitor and takes all snapshots against one
+// checkpoint horizon, phase two drains and replays the per-monitor
+// segments in parallel before thawing, so the checkpoint observes one
+// consistent global state exactly as §4 prescribes. With HoldWorld
+// off, each monitor is frozen only long enough to take its snapshot
+// and fix its horizon, then drained and replayed while it keeps
+// executing; an unrelated monitor never stops — the cheap mode for
+// many-monitor workloads. Timers (Tmax, Tio, Tlimit) close the gap
+// for faults whose only symptom is that nothing happens. See
+// DESIGN.md for the architecture.
 //
 // Two scaling controls sit on top of the pipeline. Batched replay
 // (Config.BatchSize) drains and replays each monitor's segment in
 // fixed-size batches with the checking-list seeding paid once per
 // checkpoint, so a shard that buffered a million events no longer
-// stalls its checkpoint on one giant drain — and in per-monitor mode
-// the monitor is frozen only long enough to fix the checkpoint
-// horizon, with the whole replay running while it keeps executing.
-// Adaptive scheduling (Config.MinInterval/MaxInterval, package sched)
-// replaces the single fixed checking interval with a per-monitor
-// effective interval driven by observed per-shard event rates: hot
-// monitors are checked often enough that their segments stay near
-// Config.TargetBatch events, idle monitors back off toward
-// MaxInterval. Both controls are detection-equivalent to the fixed-T
-// serial path: the same events replay through the same seeded lists,
-// so the violation set is identical (pinned by TestBatchedAdaptive-
-// Equivalence).
+// stalls its checkpoint on one giant drain. Adaptive scheduling
+// (Config.MinInterval/MaxInterval, package sched) replaces the single
+// fixed checking interval with a per-monitor effective interval
+// driven by observed per-shard event rates: hot monitors are checked
+// often enough that their segments stay near Config.TargetBatch
+// events, idle monitors back off toward MaxInterval. Both controls
+// are detection-equivalent to the fixed-T serial path: the same
+// events replay through the same seeded lists, so the violation set
+// is identical (pinned by TestBatchedAdaptiveEquivalence).
 package detect
 
 import (
@@ -76,8 +75,9 @@ type Config struct {
 	Clock clock.Clock
 	// HoldWorld keeps every monitor frozen for the whole check, exactly
 	// as the paper's prototype suspends all processes during checking.
-	// When false, each monitor is frozen only while its own snapshot and
-	// shard drain are taken, and unrelated monitors never stop (the
+	// When false, each monitor is frozen only while its own snapshot is
+	// taken and its checkpoint horizon fixed; it is drained and replayed
+	// while it keeps running, and unrelated monitors never stop (the
 	// cheaper variant measured by the ablation benchmarks). Default true
 	// via New.
 	HoldWorld bool
@@ -104,16 +104,15 @@ type Config struct {
 	// Without an exporter the detector recycles each replayed segment
 	// itself (history.Recycle).
 	Exporter TraceExporter
-	// BatchSize, when positive, drains and replays checkpoint segments
-	// in batches of this many events instead of one drain per monitor:
-	// the checking lists are seeded once per checkpoint and each batch
+	// BatchSize bounds how many events one checkpoint drains and
+	// replays at a time. When positive, each monitor's segment up to the
+	// checkpoint horizon is drained in batches of this many events: the
+	// checking lists are seeded once per checkpoint and each batch
 	// replays incrementally, so worst-case checkpoint latency is bounded
-	// by the batch size rather than by how much a shard buffered. In
-	// per-monitor mode the monitor is frozen only while the checkpoint
-	// horizon is fixed; the drains and the replay run while it keeps
-	// executing. Zero keeps the single-drain path. The violation set is
-	// unchanged either way; only WAL record framing (one record per
-	// drained batch) differs.
+	// by the batch size rather than by how much a shard buffered. Zero
+	// drains each monitor's segment as one batch with no size bound.
+	// The violation set is the same either way; only WAL record framing
+	// (one record per drained batch) differs.
 	BatchSize int
 	// MaxInterval, when positive, switches Run to the adaptive
 	// scheduler (package sched): each monitor gets its own effective
@@ -289,8 +288,8 @@ type Stats struct {
 	// FrozenFor is the cumulative wall time monitors were held frozen:
 	// in hold-world mode the whole checkpoint duration (the world is
 	// stopped throughout), in per-monitor mode the sum of the
-	// individual freeze windows — which batching shrinks to the
-	// horizon fix, and which this metric exists to show.
+	// individual freeze windows, each covering only the snapshot and
+	// the horizon fix.
 	FrozenFor time.Duration
 	// CheckP50 and CheckP99 are percentile checkpoint latencies — the
 	// perf-gate signal for "a huge shard no longer stalls a
@@ -497,29 +496,14 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 			d.db.AppendState(snap)
 		}
 		now := d.cfg.Clock.Now()
-		if d.cfg.BatchSize > 0 {
-			// Batched: each worker drains its monitor's shard in bounded
-			// slices up to the frozen horizon and replays as it goes; the
-			// checking-list seeding is paid once per monitor, not once
-			// per batch.
-			d.runPool(len(sel), func(k int) {
-				ms := d.mons[sel[k]]
-				perMon[k], events[k] = d.replayMonitor(ms,
-					d.batchDrain(ms.mon.Name(), lastSeq), snaps[k], now)
-			})
-		} else {
-			// Single-drain: capture every segment while the world is
-			// stopped, then replay through the worker pool while the
-			// world is still held, as the paper's prototype does.
-			segs := make([]event.Seq, len(sel))
-			for k, i := range sel {
-				segs[k] = d.db.DrainMonitor(d.mons[i].mon.Name())
-			}
-			d.runPool(len(sel), func(k int) {
-				perMon[k], events[k] = d.replayMonitor(d.mons[sel[k]],
-					drainOnce(segs[k]), snaps[k], now)
-			})
-		}
+		// Each worker drains its monitor's shard up to the frozen
+		// horizon and replays it while the world is still held, as the
+		// paper's prototype does.
+		d.runPool(len(sel), func(k int) {
+			ms := d.mons[sel[k]]
+			perMon[k], events[k] = d.replayMonitor(ms,
+				d.batchDrain(ms.mon.Name(), lastSeq), snaps[k], now)
+		})
 		// Extras run while the world is still frozen, as before.
 		for _, extra := range d.cfg.Extra {
 			perMon = append(perMon, extra.Check(now))
@@ -535,12 +519,11 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 		}
 	} else {
 		// Per-monitor mode: each worker freezes only its own monitor and
-		// never stops an unrelated one. Unbatched, the freeze covers the
-		// snapshot and the whole drain; batched, it covers only fixing
-		// the checkpoint horizon — the drains and the replay run while
-		// the monitor keeps executing, since events recorded after the
-		// thaw carry sequence numbers beyond the horizon and stay
-		// buffered for the next checkpoint.
+		// never stops an unrelated one. The freeze covers only the
+		// snapshot and fixing the checkpoint horizon — the drain and the
+		// replay run while the monitor keeps executing, since events
+		// recorded after the thaw carry sequence numbers beyond the
+		// horizon and stay buffered for the next checkpoint.
 		now := d.cfg.Clock.Now()
 		frozen := make([]time.Duration, len(sel))
 		d.runPool(len(sel), func(k int) {
@@ -556,26 +539,13 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 			d.db.FlushMonitorWriters(ms.mon.Name())
 			t0 := d.cfg.Clock.Now()
 			snap := ms.mon.Snapshot().Clone()
-			var drain func() (event.Seq, bool)
-			if d.cfg.BatchSize > 0 {
-				horizon := d.db.LastSeq()
-				snap.LastSeq = horizon
-				d.db.AppendState(snap)
-				frozen[k] = d.cfg.Clock.Now().Sub(t0)
-				ms.mon.Thaw()
-				drain = d.batchDrain(ms.mon.Name(), horizon)
-			} else {
-				seg := d.db.DrainMonitor(ms.mon.Name())
-				snap.LastSeq = ms.prev.LastSeq
-				if n := len(seg); n > 0 {
-					snap.LastSeq = seg[n-1].Seq
-				}
-				d.db.AppendState(snap)
-				frozen[k] = d.cfg.Clock.Now().Sub(t0)
-				ms.mon.Thaw()
-				drain = drainOnce(seg)
-			}
-			perMon[k], events[k] = d.replayMonitor(ms, drain, snap, now)
+			horizon := d.db.LastSeq()
+			snap.LastSeq = horizon
+			d.db.AppendState(snap)
+			frozen[k] = d.cfg.Clock.Now().Sub(t0)
+			ms.mon.Thaw()
+			perMon[k], events[k] = d.replayMonitor(ms,
+				d.batchDrain(ms.mon.Name(), horizon), snap, now)
 		})
 		for _, f := range frozen {
 			d.stats.FrozenFor += f
@@ -621,17 +591,11 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 
 // batchDrain returns a drain function pulling the named monitor's
 // buffered events up to the checkpoint horizon in Config.BatchSize
-// slices.
+// slices (one unbounded batch when BatchSize is zero).
 func (d *Detector) batchDrain(name string, horizon int64) func() (event.Seq, bool) {
 	return func() (event.Seq, bool) {
 		return d.db.DrainMonitorUpTo(name, horizon, d.cfg.BatchSize)
 	}
-}
-
-// drainOnce adapts a pre-drained segment to the drain-function shape
-// used by replayMonitor: one batch, nothing more.
-func drainOnce(seg event.Seq) func() (event.Seq, bool) {
-	return func() (event.Seq, bool) { return seg, false }
 }
 
 // runPool applies fn to every index in [0, n) through the bounded

@@ -148,9 +148,66 @@ func appendEventBinary(dst []byte, e *Event) []byte {
 	return dst
 }
 
-// ReadBinary reads a binary trace written by WriteBinary.
+// errOverlongVarint reports a varint padded with continuation bytes.
+var errOverlongVarint = errors.New("event: varint not minimally encoded")
+
+// errVarintOverflow reports a varint beyond 64 bits.
+var errVarintOverflow = errors.New("event: varint overflows a 64-bit integer")
+
+// ReadUvarint is binary.ReadUvarint restricted to the minimal encoding
+// binary.AppendUvarint writes. A value padded with continuation bytes
+// decodes to the same number but re-encodes to different bytes, so the
+// trace and record decoders refuse it: whatever they accept re-encodes
+// byte-identically.
+func ReadUvarint(r io.ByteReader) (uint64, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, errVarintOverflow
+			}
+			if i > 0 && b == 0 {
+				return 0, errOverlongVarint
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, errVarintOverflow
+}
+
+// ReadVarint is binary.ReadVarint restricted to the minimal encoding,
+// like ReadUvarint.
+func ReadVarint(r io.ByteReader) (int64, error) {
+	ux, err := ReadUvarint(r)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+// ReadBinary reads a binary trace written by WriteBinary. A reader
+// that already implements io.ByteReader (a bytes.Reader, a
+// bufio.Reader) is read directly, so on return it sits right after the
+// trace; any other reader is buffered.
 func ReadBinary(r io.Reader) (Seq, error) {
-	br := bufio.NewReader(r)
+	br, ok := r.(interface {
+		io.Reader
+		io.ByteReader
+	})
+	if !ok {
+		br = bufio.NewReader(r)
+	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("event: read trace magic: %w", err)
@@ -159,7 +216,7 @@ func ReadBinary(r io.Reader) (Seq, error) {
 		return nil, ErrBadMagic
 	}
 	getString := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
+		n, err := ReadUvarint(br)
 		if err != nil {
 			return "", err
 		}
@@ -172,7 +229,7 @@ func ReadBinary(r io.Reader) (Seq, error) {
 		}
 		return string(buf), nil
 	}
-	count, err := binary.ReadUvarint(br)
+	count, err := ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("event: read trace length: %w", err)
 	}
@@ -185,18 +242,18 @@ func ReadBinary(r io.Reader) (Seq, error) {
 	out := make(Seq, 0, min(count, 4096))
 	for i := uint64(0); i < count; i++ {
 		var e Event
-		if e.Seq, err = binary.ReadVarint(br); err != nil {
+		if e.Seq, err = ReadVarint(br); err != nil {
 			return nil, fmt.Errorf("event: read event %d seq: %w", i, err)
 		}
 		if e.Monitor, err = getString(); err != nil {
 			return nil, fmt.Errorf("event: read event %d monitor: %w", i, err)
 		}
-		typ, err := binary.ReadUvarint(br)
+		typ, err := ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("event: read event %d type: %w", i, err)
 		}
 		e.Type = Type(typ)
-		if e.Pid, err = binary.ReadVarint(br); err != nil {
+		if e.Pid, err = ReadVarint(br); err != nil {
 			return nil, fmt.Errorf("event: read event %d pid: %w", i, err)
 		}
 		if e.Proc, err = getString(); err != nil {
@@ -205,12 +262,12 @@ func ReadBinary(r io.Reader) (Seq, error) {
 		if e.Cond, err = getString(); err != nil {
 			return nil, fmt.Errorf("event: read event %d cond: %w", i, err)
 		}
-		flag, err := binary.ReadUvarint(br)
+		flag, err := ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("event: read event %d flag: %w", i, err)
 		}
 		e.Flag = int(flag)
-		nanos, err := binary.ReadVarint(br)
+		nanos, err := ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("event: read event %d time: %w", i, err)
 		}

@@ -2,6 +2,8 @@ package event
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -144,6 +146,46 @@ func randomEvent(rng *rand.Rand, seq int64) Event {
 }
 
 // TestCodecsQuickRoundTrip fuzzes both codecs with random traces.
+// TestReadUvarintRefusesOverlong pins the strict varint readers: every
+// minimal encoding decodes, while padding with continuation bytes and
+// overflow past 64 bits are refused.
+func TestReadUvarintRefusesOverlong(t *testing.T) {
+	t.Parallel()
+	for _, v := range []int64{0, 1, -1, 127, 128, -129, math.MaxInt64, math.MinInt64} {
+		got, err := ReadVarint(bytes.NewReader(binary.AppendVarint(nil, v)))
+		if err != nil || got != v {
+			t.Errorf("ReadVarint(AppendVarint(%d)) = %d, %v", v, got, err)
+		}
+	}
+	if got, err := ReadUvarint(bytes.NewReader(binary.AppendUvarint(nil, math.MaxUint64))); err != nil || got != math.MaxUint64 {
+		t.Errorf("ReadUvarint(max) = %d, %v", got, err)
+	}
+	for _, in := range [][]byte{
+		{0x80, 0x00},       // 0 padded to two bytes
+		{0xff, 0x00},       // 127 padded to two bytes
+		{0x80, 0x80, 0x00}, // 0 padded to three bytes
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // > 64 bits
+	} {
+		if v, err := ReadUvarint(bytes.NewReader(in)); err == nil {
+			t.Errorf("ReadUvarint(%x) = %d, want an error", in, v)
+		}
+	}
+}
+
+// TestReadBinaryStopsAfterTrace pins that ReadBinary reads a byte
+// reader directly: it consumes exactly the trace and leaves what
+// follows, which is how a record decoder finds trailing bytes.
+func TestReadBinaryStopsAfterTrace(t *testing.T) {
+	t.Parallel()
+	r := bytes.NewReader(append(AppendBinary(nil, sampleSeq()), "tail"...))
+	if _, err := ReadBinary(r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != len("tail") {
+		t.Fatalf("%d bytes left after the trace, want %d", r.Len(), len("tail"))
+	}
+}
+
 func TestCodecsQuickRoundTrip(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64, n uint8) bool {

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"robustmon/internal/event"
 	"robustmon/internal/history"
 	"robustmon/internal/obs"
 )
@@ -120,8 +117,16 @@ func RunObsOverhead(cfg ObsOverheadConfig) ([]ObsOverheadRow, error) {
 		}
 		elapsed := make([]time.Duration, 0, repeats)
 		allocs := make([]float64, 0, repeats)
+		// The singleton append mode is the worst case for
+		// instrumentation: one counter bump per event, a histogram
+		// observation and pool accounting per drain.
+		var opts []history.Option
+		if instrumented {
+			opts = append(opts, history.WithObs(obs.NewRegistry()))
+		}
 		for i := 0; i < repeats; i++ {
-			e, ape, err := obsWorkloadOnce(cfg, drainEvery, instrumented)
+			e, _, ape, err := ingestOnce("append", cfg.Monitors, cfg.ProducersPerMonitor,
+				cfg.EventsPerProducer, 0, drainEvery, opts...)
 			if err != nil {
 				return ObsOverheadRow{}, err
 			}
@@ -168,66 +173,6 @@ func RunObsOverhead(cfg ObsOverheadConfig) ([]ObsOverheadRow, error) {
 	}
 
 	return []ObsOverheadRow{stripped, instrumented, increment}, nil
-}
-
-// obsWorkloadOnce runs the ingest workload once — the E6 singleton
-// append shape, which is the worst case for instrumentation (one
-// counter bump per event, a histogram observation and pool accounting
-// per drain) — with or without a live registry.
-func obsWorkloadOnce(cfg ObsOverheadConfig, drainEvery int, instrumented bool) (time.Duration, float64, error) {
-	var opts []history.Option
-	if instrumented {
-		opts = append(opts, history.WithObs(obs.NewRegistry()))
-	}
-	db := history.New(opts...)
-	names := make([]string, cfg.Monitors)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%d", i)
-	}
-	want := int64(cfg.Monitors) * int64(cfg.ProducersPerMonitor) * int64(cfg.EventsPerProducer)
-	var drained atomic.Int64
-
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for m := 0; m < cfg.Monitors; m++ {
-		for p := 0; p < cfg.ProducersPerMonitor; p++ {
-			wg.Add(1)
-			go func(mon string, pid int64) {
-				defer wg.Done()
-				tmpl := event.Event{
-					Monitor: mon, Type: event.Enter, Pid: pid,
-					Proc: "Op", Flag: event.Completed,
-					Time: time.Date(2001, 7, 1, 0, 0, 0, 0, time.UTC),
-				}
-				for i := 1; i <= cfg.EventsPerProducer; i++ {
-					db.Append(tmpl)
-					if i%drainEvery == 0 {
-						seg := db.DrainMonitor(mon)
-						drained.Add(int64(len(seg)))
-						history.Recycle(seg)
-					}
-				}
-			}(names[m], int64(m*cfg.ProducersPerMonitor+p+1))
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	for _, name := range names {
-		seg := db.DrainMonitor(name)
-		drained.Add(int64(len(seg)))
-		history.Recycle(seg)
-	}
-	runtime.ReadMemStats(&after)
-
-	if got := drained.Load(); got != want {
-		return 0, 0, fmt.Errorf("experiment: obs-overhead drained %d of %d events", got, want)
-	}
-	return elapsed, float64(after.Mallocs-before.Mallocs) / float64(want), nil
 }
 
 // obsIncrementOnce measures the bare instrument primitives: per

@@ -133,7 +133,8 @@ func RunRecordPath(cfg RecordPathConfig) ([]RecordPathRow, error) {
 			bytesPer := make([]float64, 0, repeats)
 			allocsPer := make([]float64, 0, repeats)
 			for i := 0; i < repeats; i++ {
-				e, bpe, ape, err := recordPathOnce(mode, monitors, batch, drainEvery, cfg)
+				e, bpe, ape, err := ingestOnce(mode, monitors, cfg.ProducersPerMonitor,
+					cfg.EventsPerProducer, batch, drainEvery)
 				if err != nil {
 					return nil, err
 				}
@@ -155,19 +156,22 @@ func RunRecordPath(cfg RecordPathConfig) ([]RecordPathRow, error) {
 	return rows, nil
 }
 
-// recordPathOnce runs one cell once: producers record, draining (and
-// recycling) their own monitor's shard every drainEvery events — the
-// checkpoint rhythm, inline so it cannot be starved on a small
-// machine — and the run's MemStats delta (taken around everything,
-// final sweep included) yields the allocation profile. Returns the
-// producers' wall time and the bytes/allocs per event.
-func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPathConfig) (time.Duration, float64, float64, error) {
-	db := history.New()
+// ingestOnce runs the ingest workload E6 and E7 share, once: producers
+// goroutines per monitor each record events events — one DB.Append per
+// event in mode "append", a BatchWriter staging batch events in mode
+// "batch" — and drain (and recycle) their own monitor's shard every
+// drainEvery records: the checkpoint rhythm, inline so it cannot be
+// starved on a small machine. opts configure the database (E7 passes
+// history.WithObs). The run's MemStats delta, taken around everything
+// including the final sweep, yields the allocation profile. Returns the
+// producers' wall time and the bytes and allocs per event.
+func ingestOnce(mode string, monitors, producers, events, batch, drainEvery int, opts ...history.Option) (time.Duration, float64, float64, error) {
+	db := history.New(opts...)
 	names := make([]string, monitors)
 	for i := range names {
 		names[i] = fmt.Sprintf("m%d", i)
 	}
-	want := int64(monitors) * int64(cfg.ProducersPerMonitor) * int64(cfg.EventsPerProducer)
+	want := int64(monitors) * int64(producers) * int64(events)
 	var drained atomic.Int64
 
 	// Settle the heap so the delta below is the run's own profile.
@@ -178,7 +182,7 @@ func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPath
 	var wg sync.WaitGroup
 	start := time.Now()
 	for m := 0; m < monitors; m++ {
-		for p := 0; p < cfg.ProducersPerMonitor; p++ {
+		for p := 0; p < producers; p++ {
 			wg.Add(1)
 			go func(mon string, pid int64) {
 				defer wg.Done()
@@ -199,7 +203,7 @@ func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPath
 				}
 				if mode == "batch" {
 					w := db.NewBatchWriter(mon, batch)
-					for i := 1; i <= cfg.EventsPerProducer; i++ {
+					for i := 1; i <= events; i++ {
 						w.Append(tmpl)
 						if i%drainEvery == 0 {
 							drain()
@@ -207,14 +211,14 @@ func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPath
 					}
 					w.Close()
 				} else {
-					for i := 1; i <= cfg.EventsPerProducer; i++ {
+					for i := 1; i <= events; i++ {
 						db.Append(tmpl)
 						if i%drainEvery == 0 {
 							drain()
 						}
 					}
 				}
-			}(names[m], int64(m*cfg.ProducersPerMonitor+p+1))
+			}(names[m], int64(m*producers+p+1))
 		}
 	}
 	wg.Wait()
@@ -228,7 +232,7 @@ func recordPathOnce(mode string, monitors, batch, drainEvery int, cfg RecordPath
 	runtime.ReadMemStats(&after)
 
 	if got := drained.Load(); got != want {
-		return 0, 0, 0, fmt.Errorf("experiment: record-path %s/%d drained %d of %d events", mode, monitors, got, want)
+		return 0, 0, 0, fmt.Errorf("experiment: ingest %s/%d drained %d of %d events", mode, monitors, got, want)
 	}
 	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / float64(want)
 	allocsPer := float64(after.Mallocs-before.Mallocs) / float64(want)

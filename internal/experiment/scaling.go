@@ -32,10 +32,6 @@ type ScalingConfig struct {
 	Interval time.Duration
 	// Workers bounds the detector's checkpoint worker pool (0 = auto).
 	Workers int
-	// GlobalLock, when set, forces the single-mutex history database
-	// (history.WithGlobalLock) so the sweep can expose the contention
-	// the sharding removes.
-	GlobalLock bool
 	// BatchSize, when positive, makes checkpoints drain and replay in
 	// batches of this many events (detect.Config.BatchSize) in every
 	// cell of the sweep.
@@ -176,11 +172,7 @@ func minDuration(runs []ScalingRow, get func(ScalingRow) time.Duration) time.Dur
 // runScalingCell measures one (monitor count, checkpoint mode,
 // scheduler mode) cell.
 func runScalingCell(cfg ScalingConfig, monitors int, hold, adaptive bool) (ScalingRow, error) {
-	var dbOpts []history.Option
-	if cfg.GlobalLock {
-		dbOpts = append(dbOpts, history.WithGlobalLock())
-	}
-	db := history.New(dbOpts...)
+	db := history.New()
 	mons := make([]*monitor.Monitor, monitors)
 	var writers []*history.BatchWriter
 	for i := range mons {

@@ -88,24 +88,6 @@ func TestScalingAdaptiveBatchedVariant(t *testing.T) {
 	}
 }
 
-func TestScalingGlobalLockVariant(t *testing.T) {
-	t.Parallel()
-	cfg := ScalingConfig{
-		Monitors:        []int{2},
-		OpsPerMonitor:   100,
-		ProcsPerMonitor: 1,
-		Interval:        2 * time.Millisecond,
-		GlobalLock:      true,
-	}
-	rows, err := RunScaling(cfg)
-	if err != nil {
-		t.Fatalf("RunScaling(global-lock): %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-}
-
 func TestScalingConfigValidation(t *testing.T) {
 	t.Parallel()
 	if _, err := RunScaling(ScalingConfig{}); err == nil {

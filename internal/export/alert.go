@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"robustmon/internal/event"
 	obsrules "robustmon/internal/obs/rules"
 )
 
@@ -68,18 +69,18 @@ func decodeAlert(payload []byte) (obsrules.Alert, error) {
 		return a, fmt.Errorf("unknown alert version %d", ver)
 	}
 	getFloat := func(what string) (float64, error) {
-		bits, err := binary.ReadUvarint(br)
+		bits, err := event.ReadUvarint(br)
 		if err != nil {
 			return 0, fmt.Errorf("alert %s: %w", what, err)
 		}
 		return math.Float64frombits(bits), nil
 	}
-	nanos, err := binary.ReadVarint(br)
+	nanos, err := event.ReadVarint(br)
 	if err != nil {
 		return a, fmt.Errorf("alert instant: %w", err)
 	}
 	a.At = time.Unix(0, nanos).UTC()
-	if a.Seq, err = binary.ReadVarint(br); err != nil {
+	if a.Seq, err = event.ReadVarint(br); err != nil {
 		return a, fmt.Errorf("alert horizon: %w", err)
 	}
 	if a.Rule, err = readString(br); err != nil {

@@ -1,10 +1,14 @@
 package export
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -211,4 +215,130 @@ func FuzzReadWALFile(f *testing.F) {
 			t.Fatal("round trip changed event bytes")
 		}
 	})
+}
+
+// fixtureFrames returns one framed record of each kind, cut out of the
+// committed testdata/allkinds WAL files (magic stripped), keyed by
+// kind.
+func fixtureFrames(f *testing.F) map[Kind][]byte {
+	f.Helper()
+	names, err := walFiles("testdata/allkinds")
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames := make(map[Kind][]byte)
+	for _, name := range names {
+		blob, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sum, locs, err := ScanFileRecords(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		kinds := make(map[int64]Kind)
+		for _, l := range locs {
+			kinds[l.Offset] = KindSegment
+		}
+		for _, a := range sum.Annotations {
+			kinds[a.Offset] = a.Kind
+		}
+		offsets := make([]int64, 0, len(kinds))
+		for off := range kinds {
+			offsets = append(offsets, off)
+		}
+		sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+		for i, off := range offsets {
+			end := int64(len(blob))
+			if i+1 < len(offsets) {
+				end = offsets[i+1]
+			}
+			if _, seen := frames[kinds[off]]; !seen {
+				frames[kinds[off]] = blob[off:end]
+			}
+		}
+	}
+	if len(frames) != 5 {
+		f.Fatalf("fixture holds %d record kinds, want 5", len(frames))
+	}
+	return frames
+}
+
+// withPayloadCRC returns a copy of frame whose header CRC is the
+// checksum of the payload behind it, so a mutated payload reaches the
+// payload decoders instead of stopping at the checksum. ok is false
+// when the header does not parse or the payload is short.
+func withPayloadCRC(frame []byte) (fixed []byte, ok bool) {
+	h, err := readHeader(bufio.NewReader(bytes.NewReader(frame)), walVersionLatest)
+	if err != nil {
+		return nil, false
+	}
+	hdr := len(h.raw)
+	if uint64(len(frame)-hdr) < uint64(h.payloadLen) {
+		return nil, false
+	}
+	fixed = append([]byte(nil), frame...)
+	payload := fixed[hdr : hdr+int(h.payloadLen)]
+	binary.LittleEndian.PutUint32(fixed[hdr-4:hdr], crc32.ChecksumIEEE(payload))
+	return fixed, true
+}
+
+// FuzzDecodeRecord throws corrupt, truncated and hostile frames at
+// DecodeRecord, the decoder the fleet collector runs on bytes read off
+// the network. It must never panic, and whatever it accepts must
+// re-encode through AppendRecord to identical bytes, so a collector
+// that decodes and re-writes a frame stores exactly what the producer
+// sent. Every input is decoded twice: as given, and with its payload
+// CRC recomputed.
+func FuzzDecodeRecord(f *testing.F) {
+	frames := fixtureFrames(f)
+	for _, k := range []Kind{KindSegment, KindMarker, KindHealth, KindTombstone, KindAlert} {
+		frame := frames[k]
+		if _, err := DecodeRecord(frame); err != nil {
+			f.Fatalf("%s seed frame rejected: %v", k, err)
+		}
+		f.Add(frame)
+		for _, cut := range []int{1, 3, len(frame) / 2, len(frame) - 1} {
+			f.Add(frame[:cut])
+		}
+	}
+	// A segment header whose payload length lies just under the 1 GiB
+	// plausibility cap, with the real payload behind it.
+	seg := frames[KindSegment]
+	lenAt := 1 + 2 + int(binary.LittleEndian.Uint16(seg[1:3])) + 8 + 8 + 4
+	lying := append([]byte(nil), seg...)
+	binary.LittleEndian.PutUint32(lying[lenAt:], 1<<30-1)
+	f.Add(lying)
+	// A segment whose payload carries one byte after its events, under
+	// an honest length and CRC: nothing re-encodes that byte.
+	padded := append(append([]byte(nil), seg...), 0)
+	binary.LittleEndian.PutUint32(padded[lenAt:], binary.LittleEndian.Uint32(seg[lenAt:])+1)
+	padded, ok := withPayloadCRC(padded)
+	if !ok {
+		f.Fatal("padded segment frame does not parse")
+	}
+	f.Add(padded)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeRecord(t, data)
+		if fixed, ok := withPayloadCRC(data); ok {
+			checkDecodeRecord(t, fixed)
+		}
+	})
+}
+
+func checkDecodeRecord(t *testing.T, data []byte) {
+	t.Helper()
+	rec, err := DecodeRecord(data)
+	if err != nil {
+		return
+	}
+	again, err := AppendRecord(nil, rec)
+	if err != nil {
+		t.Fatalf("AppendRecord refused a record DecodeRecord accepted: %v", err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("accepted frame re-encodes to different bytes:\n in  %x\n out %x", data, again)
+	}
 }

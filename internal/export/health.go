@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"robustmon/internal/event"
 	"robustmon/internal/obs"
 )
 
@@ -87,7 +88,7 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 		return h, fmt.Errorf("unknown health version %d", ver)
 	}
 	getLen := func(what string, bound uint64) (int, error) {
-		n, err := binary.ReadUvarint(br)
+		n, err := event.ReadUvarint(br)
 		if err != nil {
 			return 0, fmt.Errorf("health %s count: %w", what, err)
 		}
@@ -106,18 +107,18 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 			if ms[i].Name, err = readString(br); err != nil {
 				return nil, fmt.Errorf("health %s name: %w", what, err)
 			}
-			if ms[i].Value, err = binary.ReadVarint(br); err != nil {
+			if ms[i].Value, err = event.ReadVarint(br); err != nil {
 				return nil, fmt.Errorf("health %s value: %w", what, err)
 			}
 		}
 		return ms, nil
 	}
-	nanos, err := binary.ReadVarint(br)
+	nanos, err := event.ReadVarint(br)
 	if err != nil {
 		return h, fmt.Errorf("health instant: %w", err)
 	}
 	h.At = time.Unix(0, nanos).UTC()
-	if h.Seq, err = binary.ReadVarint(br); err != nil {
+	if h.Seq, err = event.ReadVarint(br); err != nil {
 		return h, fmt.Errorf("health horizon: %w", err)
 	}
 	if h.Metrics.Counters, err = getMetrics("counter"); err != nil {
@@ -135,10 +136,10 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 		if hs.Name, err = readString(br); err != nil {
 			return h, fmt.Errorf("health histogram name: %w", err)
 		}
-		if hs.Count, err = binary.ReadVarint(br); err != nil {
+		if hs.Count, err = event.ReadVarint(br); err != nil {
 			return h, fmt.Errorf("health histogram count: %w", err)
 		}
-		if hs.Sum, err = binary.ReadVarint(br); err != nil {
+		if hs.Sum, err = event.ReadVarint(br); err != nil {
 			return h, fmt.Errorf("health histogram sum: %w", err)
 		}
 		nb, err := getLen("bucket", maxHealthBuckets)
@@ -146,14 +147,14 @@ func decodeHealth(payload []byte) (obs.HealthRecord, error) {
 			return h, err
 		}
 		for j := 0; j < nb; j++ {
-			idx, err := binary.ReadUvarint(br)
+			idx, err := event.ReadUvarint(br)
 			if err != nil {
 				return h, fmt.Errorf("health bucket index: %w", err)
 			}
 			if idx >= maxHealthBuckets {
 				return h, fmt.Errorf("implausible health bucket index %d", idx)
 			}
-			cnt, err := binary.ReadVarint(br)
+			cnt, err := event.ReadVarint(br)
 			if err != nil {
 				return h, fmt.Errorf("health bucket count: %w", err)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"robustmon/internal/event"
 	"robustmon/internal/history"
 )
 
@@ -61,18 +62,18 @@ func decodeMarker(payload []byte) (history.RecoveryMarker, error) {
 	if ver != markerVersion {
 		return m, fmt.Errorf("unknown marker version %d", ver)
 	}
-	if m.Horizon, err = binary.ReadVarint(br); err != nil {
+	if m.Horizon, err = event.ReadVarint(br); err != nil {
 		return m, fmt.Errorf("marker horizon: %w", err)
 	}
-	dropped, err := binary.ReadUvarint(br)
+	dropped, err := event.ReadUvarint(br)
 	if err != nil {
 		return m, fmt.Errorf("marker dropped count: %w", err)
 	}
 	m.Dropped = int(dropped)
-	if m.Pid, err = binary.ReadVarint(br); err != nil {
+	if m.Pid, err = event.ReadVarint(br); err != nil {
 		return m, fmt.Errorf("marker pid: %w", err)
 	}
-	nanos, err := binary.ReadVarint(br)
+	nanos, err := event.ReadVarint(br)
 	if err != nil {
 		return m, fmt.Errorf("marker instant: %w", err)
 	}

@@ -287,11 +287,11 @@ func (st *originState) flushLocked() error {
 
 // maybeCompactLocked launches the configured per-origin background
 // compaction when the origin's rotated backlog has grown CompactEvery
-// files past the floor left by the last pass. Caller holds st.mu; the
-// compaction itself runs on its own goroutine (the connection handler
-// must keep applying frames, or a long pass would backpressure the
-// producer), one at a time per origin. The pass works on sealed files
-// only — the sink keeps appending to the newest file throughout.
+// files past the floor left by the last pass. Caller holds st.mu. The
+// pass runs on its own goroutine (the connection handler must keep
+// applying frames, or a long pass would backpressure the producer),
+// one at a time per origin, and works on sealed files only — the sink
+// keeps appending to the newest file throughout.
 func (c *Collector) maybeCompactLocked(st *originState) {
 	if c.cfg.CompactEvery <= 0 || c.cfg.Compact == nil {
 		return
@@ -301,23 +301,9 @@ func (c *Collector) maybeCompactLocked(st *originState) {
 		st.compactFloor = sealed
 		st.compactDone = false
 	}
-	if st.compacting || sealed-st.compactFloor < c.cfg.CompactEvery {
-		return
+	if sealed-st.compactFloor >= c.cfg.CompactEvery {
+		c.startCompactLocked(st, c.cfg.Compact)
 	}
-	st.compacting = true
-	st.compactions.Inc()
-	c.compactWG.Add(1)
-	go func() {
-		defer c.compactWG.Done()
-		err := c.cfg.Compact(st.dir)
-		st.mu.Lock()
-		st.compacting = false
-		st.compactDone = true
-		st.mu.Unlock()
-		if err != nil {
-			st.compactErrs.Inc()
-		}
-	}()
 }
 
 // CompactOrigins runs fn against every known origin's directory, each
@@ -328,38 +314,42 @@ func (c *Collector) maybeCompactLocked(st *originState) {
 // compact.Dir closure whose RetainBefore floor advances each tick.
 // No-op after Close.
 func (c *Collector) CompactOrigins(fn func(dir string) error) {
+	// c.mu is held throughout so no pass can start after Close has
+	// begun waiting for the in-flight ones.
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
-	states := make([]*originState, 0, len(c.origins))
 	for _, st := range c.origins {
-		states = append(states, st)
-	}
-	c.mu.Unlock()
-	for _, st := range states {
 		st.mu.Lock()
-		if st.compacting {
-			st.mu.Unlock()
-			continue
-		}
-		st.compacting = true
-		st.compactions.Inc()
-		c.compactWG.Add(1)
-		go func(st *originState) {
-			defer c.compactWG.Done()
-			err := fn(st.dir)
-			st.mu.Lock()
-			st.compacting = false
-			st.compactDone = true
-			st.mu.Unlock()
-			if err != nil {
-				st.compactErrs.Inc()
-			}
-		}(st)
+		c.startCompactLocked(st, fn)
 		st.mu.Unlock()
 	}
+}
+
+// startCompactLocked runs fn against the origin's directory on its own
+// goroutine unless a pass is already in flight there. Caller holds
+// st.mu. The finished pass marks the origin done, so the next
+// maybeCompactLocked refreshes its floor, and a failed one is counted.
+func (c *Collector) startCompactLocked(st *originState, fn func(dir string) error) {
+	if st.compacting {
+		return
+	}
+	st.compacting = true
+	st.compactions.Inc()
+	c.compactWG.Add(1)
+	go func() {
+		defer c.compactWG.Done()
+		err := fn(st.dir)
+		st.mu.Lock()
+		st.compacting = false
+		st.compactDone = true
+		st.mu.Unlock()
+		if err != nil {
+			st.compactErrs.Inc()
+		}
+	}()
 }
 
 // handle runs one producer connection: HELLO/WELCOME, then record

@@ -3,8 +3,10 @@ package netexport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -628,6 +630,69 @@ func TestCollectorCompactsOriginsWithRetention(t *testing.T) {
 			t.Fatalf("origin %s: marker lost under retention: %+v", origin, rep.Markers)
 		}
 	}
+}
+
+// TestCompactOriginsOncePerOrigin pins the wall-clock retention entry
+// point: one pass per known origin, none for an origin whose pass is
+// still in flight, failed passes counted, and nothing after Close.
+func TestCompactOriginsOncePerOrigin(t *testing.T) {
+	t.Parallel()
+	reg := obs.NewRegistry()
+	col, err := NewCollector(CollectorConfig{Dir: t.TempDir(), NoIndex: true, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := []string{"node-a", "node-b"}
+	for _, origin := range origins {
+		if _, err := col.origin(origin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unexpected := func(dir string) error {
+		t.Errorf("pass started for %s", dir)
+		return nil
+	}
+
+	started := make(chan string, len(origins))
+	release := make(chan struct{})
+	col.CompactOrigins(func(dir string) error {
+		started <- filepath.Base(dir)
+		<-release
+		if filepath.Base(dir) == "node-b" {
+			return errors.New("compaction failed")
+		}
+		return nil
+	})
+	ran := map[string]bool{}
+	for range origins {
+		ran[<-started] = true
+	}
+	if len(ran) != len(origins) {
+		t.Fatalf("passes ran for %v, want one per origin %v", ran, origins)
+	}
+	// Both passes are blocked in flight: this tick must skip both.
+	col.CompactOrigins(unexpected)
+	close(release)
+	col.compactWG.Wait()
+
+	for _, origin := range origins {
+		if got := reg.Counter(`collect_compactions_total{origin="` + origin + `"}`).Value(); got != 1 {
+			t.Errorf("%s: %d passes counted, want 1", origin, got)
+		}
+		wantErrs := int64(0)
+		if origin == "node-b" {
+			wantErrs = 1
+		}
+		if got := reg.Counter(`collect_compact_errors_total{origin="` + origin + `"}`).Value(); got != wantErrs {
+			t.Errorf("%s: %d failed passes counted, want %d", origin, got, wantErrs)
+		}
+	}
+
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	col.CompactOrigins(unexpected)
+	col.compactWG.Wait()
 }
 
 // TestTrimReleasesAckedRecords: trimming the acknowledged prefix of the

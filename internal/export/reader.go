@@ -480,8 +480,12 @@ func decodePayload(k Kind, monitor string, payload []byte) (Record, error) {
 		rec.Alert = &a
 	default:
 		var events event.Seq
-		if events, err = event.ReadBinary(bytes.NewReader(payload)); err != nil {
+		rd := bytes.NewReader(payload)
+		if events, err = event.ReadBinary(rd); err != nil {
 			break
+		}
+		if rd.Len() != 0 {
+			return Record{}, fmt.Errorf("%d trailing bytes after segment events", rd.Len())
 		}
 		for _, e := range events {
 			if e.Monitor != monitor {

@@ -50,7 +50,7 @@ func appendString(dst []byte, s string) []byte {
 // refused before allocating, so a corrupt prefix cannot balloon the
 // reader.
 func readString(br *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := event.ReadUvarint(br)
 	if err != nil {
 		return "", err
 	}

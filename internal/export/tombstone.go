@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"robustmon/internal/event"
 )
 
 // Retention tombstones in the export stream. Horizon-based retention
@@ -117,24 +119,24 @@ func decodeTombstone(payload []byte) (Tombstone, error) {
 	if ver != tombstoneVersion {
 		return t, fmt.Errorf("unknown tombstone version %d", ver)
 	}
-	if t.Horizon, err = binary.ReadVarint(br); err != nil {
+	if t.Horizon, err = event.ReadVarint(br); err != nil {
 		return t, fmt.Errorf("tombstone horizon: %w", err)
 	}
-	if t.Events, err = binary.ReadVarint(br); err != nil {
+	if t.Events, err = event.ReadVarint(br); err != nil {
 		return t, fmt.Errorf("tombstone events: %w", err)
 	}
-	if t.Records, err = binary.ReadVarint(br); err != nil {
+	if t.Records, err = event.ReadVarint(br); err != nil {
 		return t, fmt.Errorf("tombstone records: %w", err)
 	}
-	if t.Files, err = binary.ReadVarint(br); err != nil {
+	if t.Files, err = event.ReadVarint(br); err != nil {
 		return t, fmt.Errorf("tombstone files: %w", err)
 	}
-	nanos, err := binary.ReadVarint(br)
+	nanos, err := event.ReadVarint(br)
 	if err != nil {
 		return t, fmt.Errorf("tombstone instant: %w", err)
 	}
 	t.At = time.Unix(0, nanos).UTC()
-	nMons, err := binary.ReadUvarint(br)
+	nMons, err := event.ReadUvarint(br)
 	if err != nil {
 		return t, fmt.Errorf("tombstone monitor count: %w", err)
 	}
@@ -146,13 +148,13 @@ func decodeTombstone(payload []byte) (Tombstone, error) {
 		if tr.Monitor, err = readString(br); err != nil {
 			return t, fmt.Errorf("tombstone monitor %d: %w", i, err)
 		}
-		if tr.MinSeq, err = binary.ReadVarint(br); err != nil {
+		if tr.MinSeq, err = event.ReadVarint(br); err != nil {
 			return t, fmt.Errorf("tombstone monitor %d minseq: %w", i, err)
 		}
-		if tr.MaxSeq, err = binary.ReadVarint(br); err != nil {
+		if tr.MaxSeq, err = event.ReadVarint(br); err != nil {
 			return t, fmt.Errorf("tombstone monitor %d maxseq: %w", i, err)
 		}
-		if tr.Events, err = binary.ReadVarint(br); err != nil {
+		if tr.Events, err = event.ReadVarint(br); err != nil {
 			return t, fmt.Errorf("tombstone monitor %d events: %w", i, err)
 		}
 		t.Monitors = append(t.Monitors, tr)

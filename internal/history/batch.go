@@ -53,10 +53,6 @@ func (db *DB) AppendBatch(monitor string, events []event.Event) (first, last int
 		return 0, 0
 	}
 	s := db.shardFor(monitor)
-	c := s.counter
-	if c == nil { // WithGlobalLock: shared shard, per-monitor counters
-		c = db.counterFor(monitor)
-	}
 	s.mu.Lock()
 	// Claimed under the shard lock, like Append: the shard's segment
 	// stays sorted by global sequence number, and no concurrent
@@ -75,7 +71,7 @@ func (db *DB) AppendBatch(monitor string, events []event.Event) (first, last int
 	// them outside the critical section shortens the hot path and only
 	// delays visibility by nanoseconds.
 	db.total.Add(n)
-	c.n.Add(n)
+	s.counter.n.Add(n)
 	db.met.batches.Inc()
 	db.met.batchEvents.Add(n)
 	return base + 1, base + n

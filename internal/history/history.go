@@ -20,19 +20,14 @@
 // seq-sorted and the global sequence is recovered by merging shards
 // (event.Merge) on Drain, Full and the exports. The merged trace is
 // byte-identical to what a single global database would have recorded.
-// DrainMonitor lets the detector's parallel checkpoint pipeline drain
-// one monitor's shard without touching any other — which also means
-// detectors only consume the shards of monitors they were given, so
-// several detectors can share one database without stealing each
+// DrainMonitorUpTo lets the detector's parallel checkpoint pipeline
+// drain one monitor's shard without touching any other — which also
+// means detectors only consume the shards of monitors they were given,
+// so several detectors can share one database without stealing each
 // other's segments. The flip side: a monitor wired to a database but
 // covered by no detector (and never drained) buffers its events
 // indefinitely; give every recording monitor a detector, or drain its
 // shard yourself.
-//
-// WithGlobalLock collapses the database to a single shard guarded by
-// one mutex — the pre-sharding contention profile, kept for the
-// comparative benchmarks (BenchmarkHistoryGlobal vs
-// BenchmarkHistorySharded).
 //
 // # Batched publication
 //
@@ -46,6 +41,7 @@ package history
 
 import (
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,9 +59,7 @@ type shard struct {
 	full    event.Seq
 	// counter is the owning monitor's cumulative event counter,
 	// resolved once at shard creation so Append never touches the
-	// counter map. Nil for the WithGlobalLock shared shard, whose
-	// events span monitors — that mode looks counters up per append
-	// (it is the legacy contention profile anyway).
+	// counter map.
 	counter *counter
 	// met points at the owning DB's obs handles (never nil; the
 	// handles inside are nil without WithObs), so the drain path can
@@ -76,8 +70,7 @@ type shard struct {
 // counter is one monitor's cumulative event count. It lives outside
 // the shard so that rate estimators (the adaptive checkpoint
 // scheduler) can read it lock-free while appends and drains are in
-// flight — and so per-monitor counts survive WithGlobalLock, which
-// collapses the shards but not the counters.
+// flight.
 type counter struct{ n atomic.Int64 }
 
 // DrainTee observes drained segments. The database calls each
@@ -95,7 +88,6 @@ type DB struct {
 	nextSeq  atomic.Int64
 	total    atomic.Int64
 	keepFull bool
-	global   bool // WithGlobalLock: single shard, legacy contention profile
 
 	// tees observe every drained segment (see DrainTee). Guarded by
 	// teeMu so AddDrainTee can race drains safely.
@@ -140,14 +132,7 @@ func WithFullTrace() Option {
 	return func(db *DB) { db.keepFull = true }
 }
 
-// WithGlobalLock routes every monitor through a single shard, restoring
-// the pre-sharding single-mutex behaviour. It exists so benchmarks can
-// measure what the sharding buys; production callers should not use it.
-func WithGlobalLock() Option {
-	return func(db *DB) { db.global = true }
-}
-
-// New returns an empty database (sharded per monitor by default).
+// New returns an empty database, sharded per monitor.
 func New(opts ...Option) *DB {
 	db := &DB{
 		shards: make(map[string]*shard, 8),
@@ -162,9 +147,6 @@ func New(opts ...Option) *DB {
 // shardFor returns the shard receiving events of the named monitor,
 // creating it on first use.
 func (db *DB) shardFor(monitor string) *shard {
-	if db.global {
-		monitor = ""
-	}
 	db.shardMu.RLock()
 	s := db.shards[monitor]
 	db.shardMu.RUnlock()
@@ -174,18 +156,14 @@ func (db *DB) shardFor(monitor string) *shard {
 	db.shardMu.Lock()
 	defer db.shardMu.Unlock()
 	if s = db.shards[monitor]; s == nil {
-		s = &shard{met: &db.met}
-		if !db.global {
-			s.counter = db.counterFor(monitor)
-		}
+		s = &shard{counter: db.counterFor(monitor), met: &db.met}
 		db.shards[monitor] = s
 	}
 	return s
 }
 
 // counterFor returns the named monitor's cumulative event counter,
-// creating it on first use. Unlike shardFor it never aliases monitors
-// together under WithGlobalLock: counts stay per monitor.
+// creating it on first use.
 func (db *DB) counterFor(monitor string) *counter {
 	db.countMu.RLock()
 	c := db.counts[monitor]
@@ -275,44 +253,19 @@ type teePair struct {
 	seg     event.Seq
 }
 
-// splitByMonitor splits a mixed-monitor segment (the WithGlobalLock
-// single shard) into per-monitor subsequences, preserving seq order
-// within each.
-func splitByMonitor(seg event.Seq) []teePair {
-	byMon := make(map[string]event.Seq, 4)
-	var order []string
-	for _, e := range seg {
-		if _, ok := byMon[e.Monitor]; !ok {
-			order = append(order, e.Monitor)
-		}
-		byMon[e.Monitor] = append(byMon[e.Monitor], e)
-	}
-	pairs := make([]teePair, 0, len(order))
-	for _, m := range order {
-		pairs = append(pairs, teePair{monitor: m, seg: byMon[m]})
-	}
-	return pairs
-}
-
 // Append records the event, assigns it the next global sequence number
 // (starting at 1), and returns the stored copy. Appends to different
 // monitors contend only on the atomic counter, never on a common lock.
 // For block publication amortising the lock and the sequence claim,
 // see AppendBatch and BatchWriter (batch.go).
 //
-// This is the hottest function in the repository: the counter lookup
-// is resolved before the lock (the shard caches its monitor's counter;
-// only the WithGlobalLock shared shard pays a map lookup, outside the
-// critical section), the unlock is explicit rather than deferred, and
-// the atomic counter updates happen after the lock is released — the
-// critical section is exactly the sequence claim and the two slice
+// This is the hottest function in the repository: the shard caches
+// its monitor's counter, the unlock is explicit rather than deferred,
+// and the atomic counter updates happen after the lock is released —
+// the critical section is exactly the sequence claim and the two slice
 // appends.
 func (db *DB) Append(e event.Event) event.Event {
 	s := db.shardFor(e.Monitor)
-	c := s.counter
-	if c == nil { // WithGlobalLock: shared shard, per-monitor counters
-		c = db.counterFor(e.Monitor)
-	}
 	s.mu.Lock()
 	// Claimed under the shard lock, so the shard's segment stays sorted
 	// by global sequence number.
@@ -323,7 +276,7 @@ func (db *DB) Append(e event.Event) event.Event {
 	}
 	s.mu.Unlock()
 	db.total.Add(1)
-	c.n.Add(1)
+	s.counter.n.Add(1)
 	db.met.appends.Inc()
 	return e
 }
@@ -348,11 +301,7 @@ func (db *DB) Drain() event.Seq {
 		seg := s.drainSegmentLocked(len(s.segment))
 		segs = append(segs, seg)
 		if tees != nil {
-			if db.global {
-				pairs = append(pairs, splitByMonitor(seg)...)
-			} else {
-				pairs = append(pairs, teePair{monitor: names[i], seg: seg})
-			}
+			pairs = append(pairs, teePair{monitor: names[i], seg: seg})
 		}
 	}
 	unlock()
@@ -367,100 +316,47 @@ func (db *DB) Drain() event.Seq {
 	return event.Merge(segs...)
 }
 
-// DrainMonitor returns and resets only the named monitor's segment —
-// the per-monitor checkpoint path: the detector freezes one monitor,
-// drains its shard, and replays it without stopping any other monitor.
-// With WithGlobalLock the single shared shard holds every monitor's
-// events, so DrainMonitor filters the named monitor's events out of it
-// and keeps the rest queued. The drained segment is fed to the drain
-// tee (if one is installed) after the shard lock is released.
+// DrainMonitor returns and resets only the named monitor's segment:
+// DrainMonitorUpTo with no horizon and no batch bound.
 func (db *DB) DrainMonitor(monitor string) event.Seq {
-	s := db.shardFor(monitor)
-	var seg event.Seq
-	if db.global {
-		s.mu.Lock()
-		var mine, rest []event.Event
-		for _, e := range s.segment {
-			if e.Monitor == monitor {
-				mine = append(mine, e)
-			} else {
-				rest = append(rest, e)
-			}
-		}
-		s.segment = rest
-		s.mu.Unlock()
-		seg = mine
-	} else {
-		s.mu.Lock()
-		seg = s.drainSegmentLocked(len(s.segment))
-		s.mu.Unlock()
-	}
-	if len(seg) > 0 {
-		for _, tee := range db.drainTees() {
-			tee(monitor, seg)
-		}
-	}
+	seg, _ := db.DrainMonitorUpTo(monitor, math.MaxInt64, 0)
 	return seg
 }
 
 // DrainMonitorUpTo drains at most max events (max <= 0 means no bound)
 // of the named monitor's segment, restricted to sequence numbers ≤
 // upTo, and reports whether more such events remain buffered. It is
-// the batched-checkpoint drain: the detector freezes a monitor only
-// long enough to fix the checkpoint horizon upTo, thaws it, and then
-// pulls the segment in bounded batches while the monitor keeps
-// running — events recorded after the freeze have sequence numbers >
-// upTo and stay buffered for the next checkpoint, so the drained
-// prefix is exactly what a single DrainMonitor at the freeze instant
-// would have returned. Each batch is fed to the drain tees after the
+// the per-monitor checkpoint drain: the detector fixes the checkpoint
+// horizon upTo while the monitor is frozen and then pulls the segment
+// in one or more batches — events recorded after the freeze have
+// sequence numbers > upTo and stay buffered for the next checkpoint,
+// so the drained prefix is exactly what the monitor had recorded at
+// the freeze instant. Only the one shard is touched, so drains never
+// stop another monitor. Each batch is fed to the drain tees after the
 // shard lock is released, like every other drain path.
-//
-// Under WithGlobalLock the shared shard interleaves monitors and has
-// no per-monitor prefix to cut cheaply: honouring max there would
-// rescan (and reallocate) the whole remaining segment once per batch
-// — O(S²/B) under the single mutex, the opposite of what batching is
-// for. The legacy mode therefore drains the monitor's whole eligible
-// set in one O(S) filter pass and ignores max; callers receive it as
-// a single batch.
 func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (event.Seq, bool) {
 	s := db.shardFor(monitor)
-	var seg event.Seq
-	var more bool
 	s.mu.Lock()
-	if db.global {
-		var mine, rest []event.Event
-		for _, e := range s.segment {
-			if e.Monitor == monitor && e.Seq <= upTo {
-				mine = append(mine, e)
-			} else {
-				rest = append(rest, e)
-			}
-		}
-		s.segment = rest
-		seg = mine
-	} else {
-		// The shard is seq-sorted, so the events ≤ upTo are a prefix.
-		k := sort.Search(len(s.segment), func(i int) bool {
-			return s.segment[i].Seq > upTo
-		})
-		n := k
-		if max > 0 && n > max {
-			n = max
-		}
-		// The drained prefix is copied out (see drainSegmentLocked), so
-		// the returned slice is exclusively the consumers' — nothing can
-		// scribble over the events left buffered, and the shard's slab
-		// is retained instead of regrowing from nil every checkpoint.
-		seg = s.drainSegmentLocked(n)
-		more = k > n
+	// The shard is seq-sorted, so the events ≤ upTo are a prefix.
+	k := sort.Search(len(s.segment), func(i int) bool {
+		return s.segment[i].Seq > upTo
+	})
+	n := k
+	if max > 0 && n > max {
+		n = max
 	}
+	// The drained prefix is exclusively the consumers' (see
+	// drainSegmentLocked): nothing can scribble over the events left
+	// buffered, and the shard keeps a slab instead of regrowing from
+	// nil every checkpoint.
+	seg := s.drainSegmentLocked(n)
 	s.mu.Unlock()
 	if len(seg) > 0 {
 		for _, tee := range db.drainTees() {
 			tee(monitor, seg)
 		}
 	}
-	return seg, more
+	return seg, k > n
 }
 
 // Peek returns a copy of the current segment, merged across shards,
@@ -500,7 +396,7 @@ func (db *DB) SegmentLen() int {
 }
 
 // Shards reports how many shards the database currently holds (one per
-// monitor seen so far; 1 at most under WithGlobalLock).
+// monitor seen so far).
 func (db *DB) Shards() int {
 	db.shardMu.RLock()
 	defer db.shardMu.RUnlock()

@@ -153,11 +153,11 @@ func Recycle(seg event.Seq) {
 // maxRetainedCap is handed off the same way but would be rejected by
 // Recycle, so a pathological burst cannot park megabytes in the pool.
 //
-// A partial cut (DrainMonitorUpTo's bounded batches) copies the
-// prefix out into a pooled segment and advances the slab in place —
-// repeated batch drains of a long backlog stay O(n) total, not
-// O(n²/batch), and the handed-out prefix shares nothing with the
-// events left buffered.
+// A partial cut (a bounded batch, or a horizon with later events
+// buffered behind it) copies the prefix out into a pooled segment and
+// advances the slab in place — repeated batch drains of a long
+// backlog stay O(n) total, not O(n²/batch), and the handed-out prefix
+// shares nothing with the events left buffered.
 func (s *shard) drainSegmentLocked(n int) event.Seq {
 	if n == 0 {
 		return nil

@@ -1,10 +1,6 @@
 package history
 
-import (
-	"time"
-
-	"robustmon/internal/event"
-)
+import "time"
 
 // RecoveryMarker records one shard-local online reset — the recovery
 // manager's answer to the paper's §5 future-work ask that "error
@@ -68,22 +64,6 @@ func (db *DB) ResetMonitor(monitor string) int {
 	s := db.shardFor(monitor)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if db.global {
-		// The shared legacy shard interleaves monitors: filter out only
-		// the named monitor's events and keep the rest buffered.
-		var rest []event.Event
-		dropped := 0
-		for _, e := range s.segment {
-			if e.Monitor == monitor {
-				dropped++
-			} else {
-				rest = append(rest, e)
-			}
-		}
-		s.segment = rest
-		db.counterFor(monitor).n.Store(0)
-		return dropped
-	}
 	dropped := len(s.segment)
 	// Truncate in place: nothing is handed out, so the slab (and its
 	// retained capacity) stays with the shard. The stale entries beyond

@@ -6,14 +6,12 @@ import (
 	"robustmon/internal/event"
 )
 
-// ResetMonitor under WithGlobalLock: the legacy single shard
-// interleaves every monitor's events, so the reset must filter out
+// ResetMonitor with several monitors buffered: the reset must drop
 // exactly the named monitor's buffered events and leave everything
-// else queued — the sharded path was pinned when online recovery
-// landed; this pins the global-lock path it special-cases.
-func TestResetMonitorGlobalLockDropsOnlyNamedMonitor(t *testing.T) {
+// else queued.
+func TestResetMonitorDropsOnlyNamedMonitor(t *testing.T) {
 	t.Parallel()
-	db := New(WithGlobalLock())
+	db := New()
 	for i := 0; i < 4; i++ {
 		db.Append(mev("a", int64(i+1)))
 		db.Append(mev("b", int64(i+10)))
@@ -37,7 +35,7 @@ func TestResetMonitorGlobalLockDropsOnlyNamedMonitor(t *testing.T) {
 		if e.Monitor != "a" {
 			continue
 		}
-		t.Fatalf("reset monitor's event survived in the shared shard: %+v", e)
+		t.Fatalf("reset monitor's event survived: %+v", e)
 	}
 	// The global sequence and lifetime total keep counting: a reset
 	// discards buffered events, it does not rewrite history.
@@ -50,10 +48,10 @@ func TestResetMonitorGlobalLockDropsOnlyNamedMonitor(t *testing.T) {
 	}
 }
 
-func TestResetMonitorGlobalLockDoesNotFeedTees(t *testing.T) {
+func TestResetMonitorDoesNotFeedTees(t *testing.T) {
 	t.Parallel()
 	var teed []string
-	db := New(WithGlobalLock())
+	db := New()
 	db.AddDrainTee(func(monitor string, seg event.Seq) {
 		teed = append(teed, monitor)
 	})
@@ -69,9 +67,9 @@ func TestResetMonitorGlobalLockDoesNotFeedTees(t *testing.T) {
 	}
 }
 
-func TestResetMonitorGlobalLockKeepsFullTrace(t *testing.T) {
+func TestResetMonitorKeepsFullTrace(t *testing.T) {
 	t.Parallel()
-	db := New(WithGlobalLock(), WithFullTrace())
+	db := New(WithFullTrace())
 	db.Append(mev("a", 1))
 	db.Append(mev("b", 2))
 	db.Append(mev("a", 3))

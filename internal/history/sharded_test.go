@@ -30,14 +30,6 @@ func TestShardPerMonitor(t *testing.T) {
 	if got := db.Shards(); got != 3 {
 		t.Fatalf("Shards = %d, want 3 (one per monitor)", got)
 	}
-
-	global := New(WithGlobalLock())
-	for _, m := range []string{"a", "b", "c"} {
-		global.Append(mev(m, 1))
-	}
-	if got := global.Shards(); got != 1 {
-		t.Fatalf("Shards = %d under WithGlobalLock, want 1", got)
-	}
 }
 
 func TestDrainMergesGlobalOrder(t *testing.T) {
@@ -83,54 +75,39 @@ func TestDrainMonitorTouchesOnlyOwnShard(t *testing.T) {
 	}
 }
 
-func TestDrainMonitorUnderGlobalLock(t *testing.T) {
-	t.Parallel()
-	db := New(WithGlobalLock())
-	db.Append(mev("a", 1))
-	db.Append(mev("b", 2))
-	db.Append(mev("a", 3))
-
-	seg := db.DrainMonitor("a")
-	if len(seg) != 2 {
-		t.Fatalf("DrainMonitor(a) = %v, want 2 events", seg)
-	}
-	rest := db.Drain()
-	if len(rest) != 1 || rest[0].Monitor != "b" {
-		t.Fatalf("remaining segment = %v, want only b", rest)
-	}
-}
-
-// TestExportParityShardedVsGlobal feeds the same deterministic event
-// stream to a sharded and a global-lock database and requires
-// byte-identical exports: sharding must not change the recorded trace.
+// TestExportParityShardedVsGlobal feeds a deterministic event stream
+// to a sharded database and requires its exports to be byte-identical
+// to the stream itself in global append order (Seq = i+1), encoded
+// directly: sharding must not change the recorded trace.
 func TestExportParityShardedVsGlobal(t *testing.T) {
 	t.Parallel()
 	sharded := New(WithFullTrace())
-	global := New(WithFullTrace(), WithGlobalLock())
 	mons := []string{"alpha", "beta", "gamma", "delta"}
+	var stream event.Seq
 	for i := 0; i < 200; i++ {
 		e := mev(mons[i%len(mons)], int64(i%7+1))
 		sharded.Append(e)
-		global.Append(e)
+		e.Seq = int64(i + 1)
+		stream = append(stream, e)
 	}
 	var sj, gj, sb, gb bytes.Buffer
 	if err := sharded.ExportJSON(&sj); err != nil {
 		t.Fatal(err)
 	}
-	if err := global.ExportJSON(&gj); err != nil {
+	if err := event.WriteJSON(&gj, stream); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sj.Bytes(), gj.Bytes()) {
-		t.Fatal("sharded and global-lock JSON exports differ")
+		t.Fatal("sharded JSON export differs from the appended stream")
 	}
 	if err := sharded.ExportBinary(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := global.ExportBinary(&gb); err != nil {
+	if err := event.WriteBinary(&gb, stream); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sb.Bytes(), gb.Bytes()) {
-		t.Fatal("sharded and global-lock binary exports differ")
+		t.Fatal("sharded binary export differs from the appended stream")
 	}
 }
 
@@ -279,35 +256,6 @@ func TestDrainMonitorFeedsTee(t *testing.T) {
 	db.DrainMonitor("b")
 	if len(rec.pairs) != 2 || rec.pairs[1].monitor != "b" || len(rec.pairs[1].seg) != 1 {
 		t.Fatalf("tee observed %+v, want a's then b's single-event segment", rec.pairs)
-	}
-}
-
-func TestDrainTeeSplitsGlobalLockSegments(t *testing.T) {
-	t.Parallel()
-	rec := &teeRecorder{}
-	db := New(WithGlobalLock())
-	db.AddDrainTee(rec.tee)
-	for _, m := range []string{"a", "b", "a"} {
-		db.Append(mev(m, 1))
-	}
-	db.Drain()
-	if len(rec.pairs) != 2 {
-		t.Fatalf("tee observed %d segments under WithGlobalLock, want 2 (split per monitor)", len(rec.pairs))
-	}
-	for _, p := range rec.pairs {
-		for _, e := range p.seg {
-			if e.Monitor != p.monitor {
-				t.Fatalf("tee segment for %q contains event of %q", p.monitor, e.Monitor)
-			}
-		}
-	}
-	db.Append(mev("a", 1))
-	db.Append(mev("b", 1))
-	if got := db.DrainMonitor("a"); len(got) != 1 {
-		t.Fatalf("DrainMonitor(a) = %d events, want 1", len(got))
-	}
-	if last := rec.pairs[len(rec.pairs)-1]; last.monitor != "a" || len(last.seg) != 1 {
-		t.Fatalf("tee observed %+v for global-lock DrainMonitor, want a's single event", last)
 	}
 }
 

@@ -222,11 +222,6 @@ func NewHistory(opts ...HistoryOption) *History { return history.New(opts...) }
 // checking.
 func WithFullTrace() HistoryOption { return history.WithFullTrace() }
 
-// WithGlobalLock collapses the database to a single shard behind one
-// mutex — the pre-sharding contention profile, retained only so the
-// comparative benchmarks can measure what sharding buys.
-func WithGlobalLock() HistoryOption { return history.WithGlobalLock() }
-
 // Streaming trace export (the async pipeline replacing WithFullTrace
 // for offline artefacts — see internal/export).
 type (
