@@ -81,19 +81,23 @@ func run(args []string, out, errOut io.Writer) int {
 		workers   = fs.Int("workers", 0, "checkpoint worker-pool bound for -monitors (0 = auto)")
 		adaptive  = fs.Bool("adaptive", false, "add adaptive-scheduler rows to the -monitors sweep (per-monitor intervals next to every fixed-T cell)")
 		batch     = fs.Int("batch", 0, "batched-replay batch size for the -monitors sweep (0 = unbatched)")
-		store     = fs.Bool("tracestore", false, "add the E5 trace-store rows (full ReadDir vs index-backed windowed SeekReader over a synthetic export directory); combines with -monitors into one artefact, or runs standalone")
-		record    = fs.Bool("recordpath", false, "add the E6 record-path rows (singleton DB.Append vs BatchWriter ingest under concurrent producers: events/sec, ns/event, B/event, allocs/event); combines with -monitors into one artefact, or runs standalone")
-		obsover   = fs.Bool("obsoverhead", false, "add the E7 self-observability rows (instrumented vs stripped ingest throughput, plus the bare-increment allocation profile); combines with -monitors into one artefact, or runs standalone")
-		collector = fs.Bool("collector", false, "add the E8 collector rows (N NetSink producers over loopback into one fleet collector vs a single-process WALSink baseline); combines with -monitors into one artefact, or runs standalone")
-		soakf     = fs.Bool("soak", false, "add the E9 long-horizon compaction rows (streaming retention pass over backlogs many times the chunk budget: peak heap, bytes reclaimed); combines with -monitors into one artefact, or runs standalone")
-		obsrulesf = fs.Bool("obsrules", false, "add the E10 threshold-rule rows (rule-engine Eval cost per registry snapshot, quiet vs flapping, with the quiet path's zero-alloc claim gated); combines with -monitors into one artefact, or runs standalone")
 		batchw    = fs.Bool("batchwriters", false, "wire the -monitors workload through lock-free BatchWriters instead of direct DB.Append (the raw-speed record path under the full monitor protocol)")
 		jsonPath  = fs.String("json", "", "also write the sweep results as a JSON artefact to this path (e.g. BENCH_scaling.json)")
 		baseline  = fs.String("baseline", "", "perf gate: compare the fresh sweep against this JSON artefact and exit non-zero on regression")
 		tolerance = fs.Float64("tolerance", 0.25, "perf gate: relative tolerance for -baseline comparisons")
 	)
+	selected := make([]bool, len(sweeps))
+	for i, sw := range sweeps {
+		fs.BoolVar(&selected[i], sw.flag, false, sw.usage+"; combines with -monitors into one artefact, or runs standalone")
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	var chosen []sweep
+	for i, sw := range sweeps {
+		if selected[i] {
+			chosen = append(chosen, sw)
+		}
 	}
 
 	if *arch {
@@ -106,131 +110,51 @@ func run(args []string, out, errOut io.Writer) int {
 		return 0
 	}
 
-	if *monitors != "" {
-		return runScaling(scalingFlags{
-			monitorCounts: *monitors,
-			ops:           *ops,
-			procs:         *procs,
-			repeats:       *repeats,
-			intervals:     *intervals,
-			workers:       *workers,
-			adaptive:      *adaptive,
-			batch:         *batch,
-			batchwriters:  *batchw,
-			tracestore:    *store,
-			recordpath:    *record,
-			obsoverhead:   *obsover,
-			collector:     *collector,
-			soak:          *soakf,
-			obsrules:      *obsrulesf,
-			jsonPath:      *jsonPath,
-			baseline:      *baseline,
-			tolerance:     *tolerance,
-		}, out, errOut)
-	}
-
-	if *store || *record || *obsover || *collector || *soakf || *obsrulesf {
-		// Standalone E5/E6/E7/E8/E9/E10: their own artefact kinds; several
-		// flags at once share one artefact (the rows are keyed apart by
-		// "bench").
+	if *monitors != "" || len(chosen) > 0 {
+		// Standalone, the chosen sweeps share one artefact whose kind
+		// joins theirs; after E4 they join its "E4-scaling" artefact.
+		// Either way their rows are keyed apart by "bench" and their
+		// config blocks merge disjoint keys.
 		var kinds []string
+		for _, sw := range chosen {
+			kinds = append(kinds, sw.kind)
+		}
 		art := benchArtefact{
+			Kind:        strings.Join(kinds, "+"),
 			GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 			Config:      map[string]any{},
 		}
-		if *store {
-			rows, cfgEntries, code := runTraceStore(*repeats, out, errOut)
+		if *monitors != "" {
+			var code int
+			art, code = runScaling(scalingFlags{
+				monitorCounts: *monitors,
+				ops:           *ops,
+				procs:         *procs,
+				repeats:       *repeats,
+				intervals:     *intervals,
+				workers:       *workers,
+				adaptive:      *adaptive,
+				batch:         *batch,
+				batchwriters:  *batchw,
+			}, out, errOut)
 			if code != 0 {
 				return code
 			}
-			kinds = append(kinds, "E5-tracestore")
-			art.Rows = append(art.Rows, rows...)
-			for k, v := range cfgEntries {
-				art.Config[k] = v
-			}
 		}
-		if *record {
-			if *store {
+		for i, sw := range chosen {
+			if i > 0 || *monitors != "" {
 				fmt.Fprintln(out)
 			}
-			rows, cfgEntries, code := runRecordPathSweep(*repeats, out, errOut)
+			rows, cfgEntries, code := sw.run(*repeats, out, errOut)
 			if code != 0 {
 				return code
 			}
-			kinds = append(kinds, "E6-recordpath")
 			art.Rows = append(art.Rows, rows...)
 			for k, v := range cfgEntries {
 				art.Config[k] = v
 			}
 		}
-		if *obsover {
-			if *store || *record {
-				fmt.Fprintln(out)
-			}
-			rows, cfgEntries, code := runObsOverheadSweep(*repeats, out, errOut)
-			if code != 0 {
-				return code
-			}
-			kinds = append(kinds, "E7-obsoverhead")
-			art.Rows = append(art.Rows, rows...)
-			for k, v := range cfgEntries {
-				art.Config[k] = v
-			}
-		}
-		if *collector {
-			if *store || *record || *obsover {
-				fmt.Fprintln(out)
-			}
-			rows, cfgEntries, code := runCollectorSweep(*repeats, out, errOut)
-			if code != 0 {
-				return code
-			}
-			kinds = append(kinds, "E8-collector")
-			art.Rows = append(art.Rows, rows...)
-			for k, v := range cfgEntries {
-				art.Config[k] = v
-			}
-		}
-		if *soakf {
-			if *store || *record || *obsover || *collector {
-				fmt.Fprintln(out)
-			}
-			rows, cfgEntries, code := runSoakSweep(*repeats, out, errOut)
-			if code != 0 {
-				return code
-			}
-			kinds = append(kinds, "E9-soak")
-			art.Rows = append(art.Rows, rows...)
-			for k, v := range cfgEntries {
-				art.Config[k] = v
-			}
-		}
-		if *obsrulesf {
-			if *store || *record || *obsover || *collector || *soakf {
-				fmt.Fprintln(out)
-			}
-			rows, cfgEntries, code := runObsRulesSweep(*repeats, out, errOut)
-			if code != 0 {
-				return code
-			}
-			kinds = append(kinds, "E10-obsrules")
-			art.Rows = append(art.Rows, rows...)
-			for k, v := range cfgEntries {
-				art.Config[k] = v
-			}
-		}
-		art.Kind = strings.Join(kinds, "+")
-		if *jsonPath != "" {
-			if err := writeArtefact(*jsonPath, art); err != nil {
-				fmt.Fprintf(errOut, "monbench: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
-		}
-		if *baseline != "" {
-			return gateAgainstBaseline(*baseline, art, *tolerance, out, errOut)
-		}
-		return 0
+		return finish(art, *jsonPath, *baseline, *tolerance, out, errOut)
 	}
 
 	cfg := experiment.DefaultOverheadConfig()
@@ -313,17 +237,42 @@ func run(args []string, out, errOut io.Writer) int {
 			"events_per_sec": eps,
 		})
 	}
-	if *jsonPath != "" {
-		if err := writeArtefact(*jsonPath, art); err != nil {
+	return finish(art, *jsonPath, *baseline, *tolerance, out, errOut)
+}
+
+// finish writes the artefact to jsonPath when set and gates it against
+// the baseline artefact when set.
+func finish(art benchArtefact, jsonPath, baseline string, tolerance float64, out, errOut io.Writer) int {
+	if jsonPath != "" {
+		if err := writeArtefact(jsonPath, art); err != nil {
 			fmt.Fprintf(errOut, "monbench: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
+		fmt.Fprintf(out, "\nwrote %s\n", jsonPath)
 	}
-	if *baseline != "" {
-		return gateAgainstBaseline(*baseline, art, *tolerance, out, errOut)
+	if baseline != "" {
+		return gateAgainstBaseline(baseline, art, tolerance, out, errOut)
 	}
 	return 0
+}
+
+// sweep is one of the E5–E10 experiments, each selected by its own
+// flag: run alone, several at once, or after the E4 sweep.
+type sweep struct {
+	flag, kind, usage string
+	// run executes the sweep and returns its artefact rows and config
+	// entries (exit code non-zero on failure).
+	run func(repeats int, out, errOut io.Writer) ([]map[string]any, map[string]any, int)
+}
+
+// sweeps lists the E5–E10 experiments in the order they run and print.
+var sweeps = []sweep{
+	{"tracestore", "E5-tracestore", "add the E5 trace-store rows (full ReadDir vs index-backed windowed SeekReader over a synthetic export directory)", runTraceStore},
+	{"recordpath", "E6-recordpath", "add the E6 record-path rows (singleton DB.Append vs BatchWriter ingest under concurrent producers: events/sec, ns/event, B/event, allocs/event)", runRecordPathSweep},
+	{"obsoverhead", "E7-obsoverhead", "add the E7 self-observability rows (instrumented vs stripped ingest throughput, plus the bare-increment allocation profile)", runObsOverheadSweep},
+	{"collector", "E8-collector", "add the E8 collector rows (N NetSink producers over loopback into one fleet collector vs a single-process WALSink baseline)", runCollectorSweep},
+	{"soak", "E9-soak", "add the E9 long-horizon compaction rows (streaming retention pass over backlogs many times the chunk budget: peak heap, bytes reclaimed)", runSoakSweep},
+	{"obsrules", "E10-obsrules", "add the E10 threshold-rule rows (rule-engine Eval cost per registry snapshot, quiet vs flapping, with the quiet path's zero-alloc claim gated)", runObsRulesSweep},
 }
 
 // scalingFlags carries the E4 sweep's command-line configuration.
@@ -336,15 +285,6 @@ type scalingFlags struct {
 	adaptive      bool
 	batch         int
 	batchwriters  bool
-	tracestore    bool
-	recordpath    bool
-	obsoverhead   bool
-	collector     bool
-	soak          bool
-	obsrules      bool
-	jsonPath      string
-	baseline      string
-	tolerance     float64
 }
 
 // runTraceStore executes the E5 trace-store sweep and returns its
@@ -705,27 +645,28 @@ func runObsRulesSweep(repeats int, out, errOut io.Writer) ([]map[string]any, map
 	return artRows, cfgEntries, 0
 }
 
-// runScaling executes the E4 many-monitor sweep (-monitors).
-func runScaling(f scalingFlags, out, errOut io.Writer) int {
+// runScaling executes the E4 many-monitor sweep (-monitors) and
+// returns its artefact (exit code non-zero on failure).
+func runScaling(f scalingFlags, out, errOut io.Writer) (benchArtefact, int) {
 	cfg := experiment.DefaultScalingConfig()
 	cfg.Monitors = nil
 	for _, s := range strings.Split(f.monitorCounts, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || n <= 0 {
 			fmt.Fprintf(errOut, "monbench: bad monitor count %q\n", s)
-			return 2
+			return benchArtefact{}, 2
 		}
 		cfg.Monitors = append(cfg.Monitors, n)
 	}
 	if f.intervals != "" {
 		if strings.Contains(f.intervals, ",") {
 			fmt.Fprintf(errOut, "monbench: -monitors sweeps monitor counts at one checking interval; give a single -intervals value (got %q)\n", f.intervals)
-			return 2
+			return benchArtefact{}, 2
 		}
 		d, err := time.ParseDuration(strings.TrimSpace(f.intervals))
 		if err != nil {
 			fmt.Fprintf(errOut, "monbench: bad interval %q: %v\n", f.intervals, err)
-			return 2
+			return benchArtefact{}, 2
 		}
 		cfg.Interval = d
 	}
@@ -750,7 +691,7 @@ func runScaling(f scalingFlags, out, errOut io.Writer) int {
 	rows, err := experiment.RunScaling(cfg)
 	if err != nil {
 		fmt.Fprintf(errOut, "monbench: %v\n", err)
-		return 1
+		return benchArtefact{}, 1
 	}
 	fmt.Fprint(out, experiment.ScalingTable(rows).String())
 	fmt.Fprintln(out, "\nshape check: events/sec should hold (or grow) as monitors are added —")
@@ -777,83 +718,5 @@ func runScaling(f scalingFlags, out, errOut io.Writer) int {
 			"checkpoint_p99_ns": r.CheckP99.Nanoseconds(),
 		})
 	}
-	if f.tracestore {
-		fmt.Fprintln(out)
-		storeRows, storeCfg, code := runTraceStore(f.repeats, out, errOut)
-		if code != 0 {
-			return code
-		}
-		// One artefact for both sweeps: the E5 rows are keyed apart by
-		// their "bench" field, the config blocks merge disjoint keys.
-		art.Rows = append(art.Rows, storeRows...)
-		for k, v := range storeCfg {
-			art.Config[k] = v
-		}
-	}
-	if f.recordpath {
-		fmt.Fprintln(out)
-		rpRows, rpCfg, code := runRecordPathSweep(f.repeats, out, errOut)
-		if code != 0 {
-			return code
-		}
-		art.Rows = append(art.Rows, rpRows...)
-		for k, v := range rpCfg {
-			art.Config[k] = v
-		}
-	}
-	if f.obsoverhead {
-		fmt.Fprintln(out)
-		obsRows, obsCfg, code := runObsOverheadSweep(f.repeats, out, errOut)
-		if code != 0 {
-			return code
-		}
-		art.Rows = append(art.Rows, obsRows...)
-		for k, v := range obsCfg {
-			art.Config[k] = v
-		}
-	}
-	if f.collector {
-		fmt.Fprintln(out)
-		colRows, colCfg, code := runCollectorSweep(f.repeats, out, errOut)
-		if code != 0 {
-			return code
-		}
-		art.Rows = append(art.Rows, colRows...)
-		for k, v := range colCfg {
-			art.Config[k] = v
-		}
-	}
-	if f.soak {
-		fmt.Fprintln(out)
-		soakRows, soakCfg, code := runSoakSweep(f.repeats, out, errOut)
-		if code != 0 {
-			return code
-		}
-		art.Rows = append(art.Rows, soakRows...)
-		for k, v := range soakCfg {
-			art.Config[k] = v
-		}
-	}
-	if f.obsrules {
-		fmt.Fprintln(out)
-		orRows, orCfg, code := runObsRulesSweep(f.repeats, out, errOut)
-		if code != 0 {
-			return code
-		}
-		art.Rows = append(art.Rows, orRows...)
-		for k, v := range orCfg {
-			art.Config[k] = v
-		}
-	}
-	if f.jsonPath != "" {
-		if err := writeArtefact(f.jsonPath, art); err != nil {
-			fmt.Fprintf(errOut, "monbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(out, "\nwrote %s\n", f.jsonPath)
-	}
-	if f.baseline != "" {
-		return gateAgainstBaseline(f.baseline, art, f.tolerance, out, errOut)
-	}
-	return 0
+	return art, 0
 }

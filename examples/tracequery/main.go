@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"robustmon"
@@ -36,22 +37,22 @@ func main() {
 	// background compaction every 24 sealed files so the run bounds its
 	// own on-disk footprint while it is still recording.
 	maint := robustmon.NewTraceIndexMaintainer(dir)
+	var compactions atomic.Int64
 	sink, err := robustmon.NewWALSink(dir, robustmon.WALConfig{
 		MaxFileBytes: 4 << 10,          // rotate often: a real backlog
 		RotateEvery:  10 * time.Second, // idle monitors still seal segments
 		OnSeal:       []robustmon.ExportSealedSink{maint},
-	})
-	if err != nil {
-		log.Fatalf("tracequery: %v", err)
-	}
-	exp := robustmon.NewExporter(sink, robustmon.ExporterConfig{
-		Policy:       robustmon.ExportBlock,
 		CompactEvery: 24,
-		Compact: func() error {
+		Compact: func(dir string) error {
+			compactions.Add(1)
 			_, err := robustmon.CompactExportDir(dir, robustmon.CompactionConfig{})
 			return err
 		},
 	})
+	if err != nil {
+		log.Fatalf("tracequery: %v", err)
+	}
+	exp := robustmon.NewExporter(sink, robustmon.ExporterConfig{Policy: robustmon.ExportBlock})
 
 	db := robustmon.NewHistory() // no WithFullTrace: the WAL is the only copy
 	mons := make([]*robustmon.Monitor, nMonitors)
@@ -98,7 +99,7 @@ func main() {
 	}
 	st := exp.Stats()
 	fmt.Printf("recorded %d events in %d segments; %d background compactions\n",
-		st.Events, st.Written, st.Compactions)
+		st.Events, st.Written, compactions.Load())
 
 	// The expensive baseline: decode everything.
 	t0 := time.Now()

@@ -161,15 +161,6 @@ type Config struct {
 	// (duplicate or unnamed rules), like any other static-config
 	// programming error.
 	Rules []obsrules.Rule
-	// SuspendOverhead simulates the fixed per-checkpoint cost of the
-	// paper's prototype, whose checking routine suspended every user
-	// process via 2001-era JVM thread suspension — a platform cost that
-	// does not exist on a modern Go runtime (our Freeze is microseconds).
-	// When positive and HoldWorld is set, the detector stalls this long
-	// at each checkpoint while the world is frozen. Zero (the default)
-	// measures the native cost. Used by the E2 experiment to reproduce
-	// Table 1's interval-dependence; see DESIGN.md §6.
-	SuspendOverhead time.Duration
 }
 
 // Checker is an additional checkpoint-time check (e.g. a user-supplied
@@ -507,12 +498,6 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 		// Extras run while the world is still frozen, as before.
 		for _, extra := range d.cfg.Extra {
 			perMon = append(perMon, extra.Check(now))
-		}
-		if d.cfg.SuspendOverhead > 0 {
-			// Simulated platform suspension cost (see Config.SuspendOverhead).
-			// Real sleep, deliberately not the configured clock: this models
-			// wall-clock stall of the frozen world.
-			time.Sleep(d.cfg.SuspendOverhead)
 		}
 		for _, ms := range d.mons {
 			ms.mon.Thaw()

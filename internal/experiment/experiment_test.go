@@ -5,7 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"robustmon/internal/apps/boundedbuffer"
+	"robustmon/internal/clock"
+	"robustmon/internal/detect"
 	"robustmon/internal/faults"
+	"robustmon/internal/history"
+	"robustmon/internal/monitor"
 )
 
 // TestCoverageAllFaultKindsDetected is the E1 robustness experiment:
@@ -177,6 +182,32 @@ func TestDefaultOverheadConfigMatchesPaperSweep(t *testing.T) {
 	}
 	if len(cfg.Workloads) != 3 {
 		t.Fatalf("workloads = %v", cfg.Workloads)
+	}
+}
+
+// TestSuspendCheckerStallsFrozenWorld pins the E2 suspension model
+// (OverheadConfig.SuspendOverhead): the stall lands inside each
+// hold-world checkpoint's frozen window.
+func TestSuspendCheckerStallsFrozenWorld(t *testing.T) {
+	t.Parallel()
+	const suspend = 5 * time.Millisecond
+	db := history.New()
+	buf, err := boundedbuffer.New(4, boundedbuffer.WithMonitorOptions(monitor.WithRecorder(db)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := detect.New(db, detect.Config{
+		Tmax:      time.Hour,
+		Tio:       time.Hour,
+		Tlimit:    time.Hour,
+		Clock:     clock.Real{},
+		HoldWorld: true,
+		Extra:     []detect.Checker{suspendChecker(suspend)},
+	}, buf.Monitor())
+	d.CheckNow()
+	d.CheckNow()
+	if got := d.Stats().FrozenFor; got < 2*suspend {
+		t.Fatalf("FrozenFor = %v after two checkpoints, want at least %v", got, 2*suspend)
 	}
 }
 

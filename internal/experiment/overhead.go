@@ -13,6 +13,7 @@ import (
 	"robustmon/internal/history"
 	"robustmon/internal/monitor"
 	"robustmon/internal/proc"
+	"robustmon/internal/rules"
 )
 
 // Workload names one of the three monitor-class workloads of the E2
@@ -46,9 +47,13 @@ type OverheadConfig struct {
 	// Repeats is the number of measurement repetitions averaged per
 	// cell.
 	Repeats int
-	// SuspendOverhead, when positive, simulates the paper prototype's
-	// fixed per-checkpoint process-suspension cost (see
-	// detect.Config.SuspendOverhead). Zero measures the native Go cost.
+	// SuspendOverhead, when positive, simulates the fixed
+	// per-checkpoint cost of the paper's prototype, whose checking
+	// routine suspended every user process via 2001-era JVM thread
+	// suspension — a platform cost a modern Go runtime does not have
+	// (Freeze takes microseconds). Each hold-world checkpoint then
+	// stalls this long while the world is frozen (suspendChecker).
+	// Zero measures the native Go cost.
 	SuspendOverhead time.Duration
 }
 
@@ -140,6 +145,20 @@ type extension struct {
 	stats    detect.Stats
 }
 
+// suspendChecker is the E2 model of the prototype's process
+// suspension (OverheadConfig.SuspendOverhead). A hold-world checkpoint
+// runs its Extra checkers after replay and before the thaw, so the
+// stall lands inside the frozen window. It sleeps in real time,
+// deliberately not on the detector's clock: it models a wall-clock
+// stall of the frozen world.
+type suspendChecker time.Duration
+
+// Check stalls and reports nothing.
+func (s suspendChecker) Check(time.Time) []rules.Violation {
+	time.Sleep(time.Duration(s))
+	return nil
+}
+
 // MeasureWorkload runs one measurement cell and returns its wall time
 // and detector stats. A non-positive interval measures the bare
 // baseline (no recording, no checking; the returned stats are zero).
@@ -209,15 +228,18 @@ func runWorkload(w Workload, ops, procs int, ex *extension) (time.Duration, erro
 	var cancel context.CancelFunc
 	detDone := make(chan struct{})
 	if ex != nil {
-		det = detect.New(db, detect.Config{
-			Interval:        ex.interval,
-			Tmax:            time.Hour,
-			Tio:             time.Hour,
-			Tlimit:          time.Hour,
-			Clock:           clock.Real{},
-			HoldWorld:       true,
-			SuspendOverhead: ex.suspend,
-		}, mon)
+		cfg := detect.Config{
+			Interval:  ex.interval,
+			Tmax:      time.Hour,
+			Tio:       time.Hour,
+			Tlimit:    time.Hour,
+			Clock:     clock.Real{},
+			HoldWorld: true,
+		}
+		if ex.suspend > 0 {
+			cfg.Extra = []detect.Checker{suspendChecker(ex.suspend)}
+		}
+		det = detect.New(db, cfg, mon)
 		var ctx context.Context
 		ctx, cancel = context.WithCancel(context.Background())
 		go func() {

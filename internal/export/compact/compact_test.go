@@ -12,6 +12,7 @@ import (
 	"robustmon/internal/export"
 	"robustmon/internal/export/index"
 	"robustmon/internal/history"
+	"robustmon/internal/obs"
 )
 
 // tev builds a test event with the given monitor and seq.
@@ -314,27 +315,27 @@ func TestCompactionRecoversFromInterruptedSwap(t *testing.T) {
 
 func TestExporterBackgroundCompactionEndToEnd(t *testing.T) {
 	t.Parallel()
-	// The full production wiring: WALSink with index maintenance,
-	// exporter with a segment-count compaction trigger. Drive enough
+	// The full production wiring: WALSink with index maintenance and a
+	// sealed-file compaction trigger, behind an exporter. Drive enough
 	// segments through and the directory must end up compacted, indexed
 	// and replay-identical.
 	dir := filepath.Join(t.TempDir(), "run")
 	m := index.NewMaintainer(dir)
+	reg := obs.NewRegistry()
 	sink, err := export.NewWALSink(dir, export.WALConfig{
 		MaxFileBytes: 1, // rotate per record: worst-case backlog
 		OnSeal:       []export.SealedSink{m},
+		CompactEvery: 8,
+		Compact: func(dir string) error {
+			_, err := Dir(dir, Config{KeepNewest: 1})
+			return err
+		},
+		Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := export.New(sink, export.Config{
-		Policy:       export.Block,
-		CompactEvery: 8,
-		Compact: func() error {
-			_, err := Dir(dir, Config{KeepNewest: 1})
-			return err
-		},
-	})
+	exp := export.New(sink, export.Config{Policy: export.Block})
 	var want event.Seq
 	seq := int64(1)
 	for i := 0; i < 32; i++ {
@@ -347,12 +348,11 @@ func TestExporterBackgroundCompactionEndToEnd(t *testing.T) {
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := exp.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("no background compaction ran: %+v", st)
+	if n := reg.Counter("export_compactions_total").Value(); n == 0 {
+		t.Fatal("no background compaction ran")
 	}
-	if st.CompactErrors != 0 {
-		t.Fatalf("background compaction failed: %+v", st)
+	if n := reg.Counter("export_compact_errors_total").Value(); n != 0 {
+		t.Fatalf("%d background compactions failed", n)
 	}
 	names, err := export.WALFiles(dir)
 	if err != nil {

@@ -18,8 +18,9 @@ func snapCounter(s obs.Snapshot, name string) int64 {
 // exporter into sustained backpressure (a parked sink, a tiny buffer,
 // many concurrent producers) and asserts that the obs registry's
 // by-reason drop counters agree with Stats exactly — not
-// approximately. The two surfaces are fed by the same atomics, so any
-// divergence is a lost or double count in the accounting itself.
+// approximately. The two surfaces are separate counters bumped at the
+// same call sites, so any divergence is a lost or double count in the
+// accounting itself.
 // Run with -race: the producers, the writer goroutine and the
 // post-close stragglers all touch the counters concurrently.
 func TestExporterDropAccountingMatchesMetrics(t *testing.T) {

@@ -76,9 +76,9 @@
 // windowed queries (index.SeekReader.ReplayRange) by opening only the
 // files the index admits. compact merges the rotated backlog into
 // dense per-monitor segments, replay-identical to the original;
-// Config.CompactEvery/Compact let the exporter trigger it in the
-// background once the sink's SealedFiles backlog crosses a threshold,
-// so long-running detectors bound their own footprint.
+// WALConfig.CompactEvery/Compact let the WALSink launch it in the
+// background each time its sealed backlog grows past a threshold, so
+// long-running detectors bound their own footprint.
 package export
 
 import (

@@ -47,34 +47,13 @@ type Config struct {
 	// OnError, when set, is called from the writer goroutine for each
 	// sink write error.
 	OnError func(error)
-	// CompactEvery, together with Compact, turns on background
-	// compaction: after each written segment the writer asks the sink
-	// (if it implements SealedFileCounter; WALSink does) how many
-	// rotated files have piled up, and once CompactEvery files have
-	// accumulated *since the last compaction finished* it launches
-	// Compact on its own goroutine. The "since" matters: compacted
-	// output is still bounded by the sink's rotation threshold, so a
-	// big trace has an incompressible file-count floor, and a naive
-	// absolute threshold would re-trigger a futile full-directory
-	// rewrite after every segment once the floor crossed it. At most
-	// one compaction runs at a time; Close waits for an in-flight one.
-	// This is how a long-running detector bounds its on-disk footprint
-	// without anyone ever calling a CLI. Zero disables.
-	CompactEvery int
-	// Compact is the compaction to run when CompactEvery triggers —
-	// typically a closure over compact.Dir for the sink's directory
-	// (the export package cannot import its compact subpackage; the
-	// robustmon facade wires the two for you). It runs concurrently
-	// with the writer, which is safe because the compactor never
-	// touches the active segment file. Errors are reported through
-	// OnError and counted (Stats.CompactErrors) but are not sticky:
-	// a failed background compaction must not fail a later Flush.
-	Compact func() error
 	// Obs, when set, instruments the exporter: accept/write/drop
 	// counters mirroring Stats (drops split by reason — "full" vs
 	// "closed") and the export_queue_depth gauge. The counters are
-	// updated by the same atomics that feed Stats, so the two surfaces
-	// can never disagree. Nil disables at zero cost (see internal/obs).
+	// separate from the atomics that feed Stats but bumped at the same
+	// call sites, so the two surfaces agree
+	// (TestExporterDropAccountingMatchesMetrics checks it). Nil
+	// disables at zero cost (see internal/obs).
 	Obs *obs.Registry
 }
 
@@ -86,7 +65,6 @@ type expMetrics struct {
 	droppedSegsFull, droppedSegsClosed *obs.Counter
 	droppedEvsFull, droppedEvsClosed   *obs.Counter
 	writeErrors                        *obs.Counter
-	compactions, compactErrors         *obs.Counter
 	queueDepth                         *obs.Gauge
 }
 
@@ -112,8 +90,6 @@ func newExpMetrics(reg *obs.Registry) expMetrics {
 		droppedEvsFull:    reg.Counter(`export_dropped_events_total{reason="full"}`),
 		droppedEvsClosed:  reg.Counter(`export_dropped_events_total{reason="closed"}`),
 		writeErrors:       reg.Counter("export_write_errors_total"),
-		compactions:       reg.Counter("export_compactions_total"),
-		compactErrors:     reg.Counter("export_compact_errors_total"),
 		queueDepth:        reg.Gauge("export_queue_depth"),
 	}
 	for k, stem := range exportedKinds {
@@ -121,13 +97,6 @@ func newExpMetrics(reg *obs.Registry) expMetrics {
 		m.stored[k] = reg.Counter("export_" + stem + "_written_total")
 	}
 	return m
-}
-
-// SealedFileCounter is the optional Sink extension the background-
-// compaction trigger polls: how many rotated (sealed) files the sink
-// has accumulated.
-type SealedFileCounter interface {
-	SealedFiles() int
 }
 
 // Stats counts exporter activity. Dropped counters stay zero under the
@@ -158,10 +127,6 @@ type Stats struct {
 	DroppedSegmentsClosed, DroppedEventsClosed int64
 	// WriteErrors counts failed sink writes.
 	WriteErrors int64
-	// Compactions counts background compactions launched
-	// (Config.CompactEvery); CompactErrors those that returned an
-	// error.
-	Compactions, CompactErrors int64
 }
 
 // ErrClosed reports an operation on a closed exporter.
@@ -195,17 +160,9 @@ type Exporter struct {
 	droppedSegsFull, droppedEvsFull     atomic.Int64
 	droppedSegsClosed, droppedEvsClosed atomic.Int64
 	writeErrors                         atomic.Int64
-	compactions, compactErrors          atomic.Int64
 	met                                 expMetrics
-	compacting                          atomic.Bool
-	compactDone                         atomic.Bool
-	compactWG                           sync.WaitGroup
-	// compactFloor is the sealed-file count the last compaction could
-	// not shrink below — the re-trigger baseline. Writer goroutine
-	// only.
-	compactFloor      int
-	errMu             sync.Mutex
-	lastErr, closeErr error
+	errMu                               sync.Mutex
+	lastErr, closeErr                   error
 }
 
 // New starts an exporter writing to sink. Close it to stop the writer
@@ -262,7 +219,6 @@ func (e *Exporter) writer() {
 		}
 		e.written.Add(1)
 		e.met.written.Inc()
-		e.maybeCompact()
 	}
 	e.errMu.Lock()
 	e.closeErr = e.sink.Close()
@@ -283,53 +239,6 @@ func (e *Exporter) writeFailed(err error) {
 	if e.cfg.OnError != nil {
 		e.cfg.OnError(err)
 	}
-}
-
-// maybeCompact launches the configured background compaction when the
-// sink's rotated backlog reaches the threshold. Called from the writer
-// goroutine after each written segment; the compaction itself runs on
-// its own goroutine (the writer must keep draining the channel, or a
-// long compaction would backpressure the detector), one at a time.
-func (e *Exporter) maybeCompact() {
-	if e.cfg.CompactEvery <= 0 || e.cfg.Compact == nil {
-		return
-	}
-	fc, ok := e.sink.(SealedFileCounter)
-	if !ok {
-		return
-	}
-	sealed := fc.SealedFiles()
-	if e.compactDone.CompareAndSwap(true, false) {
-		// First look after a compaction finished: whatever is sealed now
-		// is (approximately) its incompressible floor; only CompactEvery
-		// NEW files on top of it justify another pass. Sampled here, on
-		// the writer goroutine, because the sink is writer-owned and the
-		// compaction goroutine must not touch it.
-		e.compactFloor = sealed
-	}
-	if sealed-e.compactFloor < e.cfg.CompactEvery {
-		return
-	}
-	if !e.compacting.CompareAndSwap(false, true) {
-		return // one in flight already
-	}
-	e.compactions.Add(1)
-	e.met.compactions.Inc()
-	e.compactWG.Add(1)
-	go func() {
-		defer e.compactWG.Done()
-		// LIFO: compactDone must be visible before compacting releases,
-		// so the writer refreshes the floor before it can relaunch.
-		defer e.compacting.Store(false)
-		defer e.compactDone.Store(true)
-		if err := e.cfg.Compact(); err != nil {
-			e.compactErrors.Add(1)
-			e.met.compactErrors.Inc()
-			if e.cfg.OnError != nil {
-				e.cfg.OnError(err)
-			}
-		}
-	}()
 }
 
 // Consume accepts one drained per-monitor segment and takes ownership
@@ -469,7 +378,6 @@ func (e *Exporter) Close() error {
 	}
 	e.mu.Unlock()
 	<-e.done
-	e.compactWG.Wait()
 	e.errMu.Lock()
 	defer e.errMu.Unlock()
 	if e.lastErr != nil {
@@ -499,7 +407,5 @@ func (e *Exporter) Stats() Stats {
 		DroppedSegmentsClosed: dsc,
 		DroppedEventsClosed:   dec,
 		WriteErrors:           e.writeErrors.Load(),
-		Compactions:           e.compactions.Load(),
-		CompactErrors:         e.compactErrors.Load(),
 	}
 }

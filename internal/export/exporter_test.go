@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"robustmon/internal/event"
+	"robustmon/internal/obs"
 )
 
 // tev builds a test event with the given monitor and seq.
@@ -184,66 +185,73 @@ func TestExporterSurfacesWriteErrors(t *testing.T) {
 	}
 }
 
-// countingSink wraps a WALSink-shaped sealed-file counter around a
-// MemorySink so the trigger logic is testable without disk.
-type countingSink struct {
-	MemorySink
-	sealed int
-}
-
-func (c *countingSink) SealedFiles() int { return c.sealed }
-
 func TestExporterBackgroundCompactionTrigger(t *testing.T) {
 	t.Parallel()
-	sink := &countingSink{sealed: 2}
+	reg := obs.NewRegistry()
 	var mu sync.Mutex
 	runs := 0
-	exp := New(sink, Config{
+	// MaxFileBytes 1 seals a file per segment, so the sealed backlog
+	// is the number of segments written.
+	sink, err := NewWALSink(t.TempDir(), WALConfig{
+		MaxFileBytes: 1,
 		CompactEvery: 3,
-		Compact: func() error {
+		Compact: func(string) error {
 			mu.Lock()
 			runs++
 			mu.Unlock()
 			return nil
 		},
+		Obs: reg,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := New(sink, Config{})
+	passes := reg.Counter("export_compactions_total")
 	// Below the threshold: no compaction.
 	exp.Consume("a", tseq("a", 1, 2))
+	exp.Consume("a", tseq("a", 3, 4))
 	if err := exp.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := exp.Stats(); st.Compactions != 0 {
-		t.Fatalf("compaction launched below threshold: %+v", st)
+	if n := passes.Value(); n != 0 {
+		t.Fatalf("%d compactions launched below threshold", n)
 	}
 	// At the threshold: exactly one launch, awaited by Close.
-	sink.sealed = 3
-	exp.Consume("a", tseq("a", 3, 4))
+	exp.Consume("a", tseq("a", 5, 6))
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := exp.Stats()
+	errs := reg.Counter("export_compact_errors_total").Value()
 	mu.Lock()
 	defer mu.Unlock()
-	if runs != 1 || st.Compactions != 1 || st.CompactErrors != 0 {
-		t.Fatalf("runs=%d stats=%+v, want exactly one clean compaction", runs, st)
+	if runs != 1 || passes.Value() != 1 || errs != 0 {
+		t.Fatalf("runs=%d compactions=%d errors=%d, want exactly one clean compaction",
+			runs, passes.Value(), errs)
 	}
 }
 
 func TestExporterCompactionErrorNotSticky(t *testing.T) {
 	t.Parallel()
-	sink := &countingSink{sealed: 5}
+	reg := obs.NewRegistry()
 	errBoom := errors.New("boom")
 	var got error
 	var mu sync.Mutex
-	exp := New(sink, Config{
+	sink, err := NewWALSink(t.TempDir(), WALConfig{
+		MaxFileBytes: 1,
 		CompactEvery: 1,
-		Compact:      func() error { return errBoom },
-		OnError: func(err error) {
+		Compact:      func(string) error { return errBoom },
+		OnSealError: func(err error) {
 			mu.Lock()
 			got = err
 			mu.Unlock()
 		},
+		Obs: reg,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := New(sink, Config{})
 	exp.Consume("a", tseq("a", 1, 2))
 	// A failed background compaction is reported and counted but must
 	// not fail the export path itself.
@@ -253,12 +261,14 @@ func TestExporterCompactionErrorNotSticky(t *testing.T) {
 	if err := exp.Close(); err != nil {
 		t.Fatalf("Close poisoned by a compaction error: %v", err)
 	}
-	if st := exp.Stats(); st.Compactions < 1 || st.CompactErrors < 1 {
-		t.Fatalf("stats = %+v, want the failed compaction counted", st)
+	passes := reg.Counter("export_compactions_total").Value()
+	errs := reg.Counter("export_compact_errors_total").Value()
+	if passes < 1 || errs < 1 {
+		t.Fatalf("compactions=%d errors=%d, want the failed compaction counted", passes, errs)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if got != errBoom {
-		t.Fatalf("OnError saw %v, want %v", got, errBoom)
+		t.Fatalf("OnSealError saw %v, want %v", got, errBoom)
 	}
 }

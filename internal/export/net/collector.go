@@ -33,22 +33,24 @@ type CollectorConfig struct {
 	RotateEvery  time.Duration
 	// NoIndex disables the per-origin trace-index maintainer.
 	NoIndex bool
-	// CompactEvery, together with Compact, arms per-origin background
-	// compaction: once an origin's sink has sealed CompactEvery rotated
-	// files since the last pass for that origin, Compact runs against
-	// the origin's directory on its own goroutine — one in flight per
-	// origin at a time, so a slow pass never stacks. Zero (or a nil
-	// Compact) disables.
+	// CompactEvery and Compact arm per-origin background compaction:
+	// they become the CompactEvery/Compact of each origin's WALSink
+	// (see export.WALConfig), so once an origin's sink has sealed
+	// CompactEvery files on top of its last pass's floor, Compact runs
+	// against the origin's directory on its own goroutine — one in
+	// flight per origin at a time, so a slow pass never stacks. Compact
+	// must leave the newest file alone (compact.Config.KeepNewest >= 1,
+	// the default): the origin's sink is live and appending to it. Zero
+	// (or a nil Compact) disables.
 	CompactEvery int
-	// Compact is the per-origin compaction to run when CompactEvery
-	// triggers — typically a compact.Dir closure. It must leave the
-	// newest file alone (compact.Config.KeepNewest >= 1, the default):
-	// the origin's sink is live and appending to it.
-	Compact func(dir string) error
+	Compact      func(dir string) error
 	// Obs, when set, instruments the collector: per-origin
 	// collect_records_total{origin="x"}, collect_dup_records_total and
 	// collect_durable_seq gauges, plus process-wide
 	// collect_conns_total and the collect_active_origins gauge. The
+	// origins' sinks count on it too, summed over origins: the
+	// export_wal_* series and the compaction passes
+	// (export_compactions_total, export_compact_errors_total). The
 	// same registry can back obs.StartServer for scraping.
 	Obs *obs.Registry
 }
@@ -69,7 +71,6 @@ type Collector struct {
 	listeners []net.Listener
 	conns     map[net.Conn]struct{} // live producer connections
 	wg        sync.WaitGroup
-	compactWG sync.WaitGroup // in-flight per-origin compactions
 
 	connsTotal *obs.Counter
 	actives    *obs.Gauge
@@ -86,15 +87,6 @@ type originState struct {
 	pending int    // records applied since the last flush-and-ack
 	active  bool   // a connection currently owns this origin
 
-	// Background-compaction scheduling, guarded by mu like the sink it
-	// watches: floor is the sealed-file count right after the last pass
-	// (its incompressible remainder — only CompactEvery NEW files on
-	// top justify another), compacting keeps passes one-at-a-time,
-	// done marks a finished pass whose floor awaits refresh.
-	compacting   bool
-	compactDone  bool
-	compactFloor int
-
 	// Liveness cursors for the fleet health timeline (moncollect's
 	// staleness rules read them through Activity): when the last
 	// record frame applied, how many have, and the horizon and capture
@@ -104,11 +96,9 @@ type originState struct {
 	lastHealthSeq int64
 	lastHealthAt  time.Time
 
-	records     *obs.Counter
-	dups        *obs.Counter
-	compactions *obs.Counter
-	compactErrs *obs.Counter
-	durGa       *obs.Gauge
+	records *obs.Counter
+	dups    *obs.Counter
+	durGa   *obs.Gauge
 }
 
 // NewCollector creates the fleet root and returns a collector ready
@@ -176,7 +166,7 @@ func (c *Collector) isClosed() bool {
 
 // Close stops accepting, waits for in-flight connections to unwind
 // (each flushes its origin durable on teardown), and closes every
-// origin's sink.
+// origin's sink, which waits for that origin's compaction in flight.
 func (c *Collector) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -198,9 +188,6 @@ func (c *Collector) Close() error {
 	}
 	c.lMu.Unlock()
 	c.wg.Wait()
-	// In-flight compactions next: they rewrite origin directories and
-	// must unwind before the sinks close underneath them.
-	c.compactWG.Wait()
 	var firstErr error
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,6 +229,8 @@ func (c *Collector) origin(name string) (*originState, error) {
 	walCfg := export.WALConfig{
 		MaxFileBytes: c.cfg.MaxFileBytes,
 		RotateEvery:  c.cfg.RotateEvery,
+		CompactEvery: c.cfg.CompactEvery,
+		Compact:      c.cfg.Compact,
 		Obs:          c.cfg.Obs,
 	}
 	st := &originState{dir: dir, durable: loadShipState(dir)}
@@ -258,8 +247,6 @@ func (c *Collector) origin(name string) (*originState, error) {
 	if reg := c.cfg.Obs; reg != nil {
 		st.records = reg.Counter(`collect_records_total{origin="` + name + `"}`)
 		st.dups = reg.Counter(`collect_dup_records_total{origin="` + name + `"}`)
-		st.compactions = reg.Counter(`collect_compactions_total{origin="` + name + `"}`)
-		st.compactErrs = reg.Counter(`collect_compact_errors_total{origin="` + name + `"}`)
 		st.durGa = reg.Gauge(`collect_durable_seq{origin="` + name + `"}`)
 		st.durGa.Set(int64(st.durable))
 	}
@@ -285,37 +272,16 @@ func (st *originState) flushLocked() error {
 	return nil
 }
 
-// maybeCompactLocked launches the configured per-origin background
-// compaction when the origin's rotated backlog has grown CompactEvery
-// files past the floor left by the last pass. Caller holds st.mu. The
-// pass runs on its own goroutine (the connection handler must keep
-// applying frames, or a long pass would backpressure the producer),
-// one at a time per origin, and works on sealed files only — the sink
-// keeps appending to the newest file throughout.
-func (c *Collector) maybeCompactLocked(st *originState) {
-	if c.cfg.CompactEvery <= 0 || c.cfg.Compact == nil {
-		return
-	}
-	sealed := st.sink.SealedFiles()
-	if st.compactDone {
-		st.compactFloor = sealed
-		st.compactDone = false
-	}
-	if sealed-st.compactFloor >= c.cfg.CompactEvery {
-		c.startCompactLocked(st, c.cfg.Compact)
-	}
-}
-
 // CompactOrigins runs fn against every known origin's directory, each
-// on its own goroutine under the same one-pass-at-a-time-per-origin
-// guard as background compaction (an origin with a pass already in
-// flight is skipped, not queued). This is the wall-clock retention
-// timer's entry point: moncollect calls it on a ticker with a
-// compact.Dir closure whose RetainBefore floor advances each tick.
-// No-op after Close.
+// on its own goroutine through the origin sink's launcher
+// (export.WALSink.Compact), the one background compaction uses: an
+// origin with a pass already in flight is skipped, not queued. This is
+// the wall-clock retention timer's entry point: moncollect calls it on
+// a ticker with a compact.Dir closure whose RetainBefore floor
+// advances each tick. No-op after Close.
 func (c *Collector) CompactOrigins(fn func(dir string) error) {
 	// c.mu is held throughout so no pass can start after Close has
-	// begun waiting for the in-flight ones.
+	// begun closing the sinks.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -323,33 +289,9 @@ func (c *Collector) CompactOrigins(fn func(dir string) error) {
 	}
 	for _, st := range c.origins {
 		st.mu.Lock()
-		c.startCompactLocked(st, fn)
+		st.sink.Compact(fn)
 		st.mu.Unlock()
 	}
-}
-
-// startCompactLocked runs fn against the origin's directory on its own
-// goroutine unless a pass is already in flight there. Caller holds
-// st.mu. The finished pass marks the origin done, so the next
-// maybeCompactLocked refreshes its floor, and a failed one is counted.
-func (c *Collector) startCompactLocked(st *originState, fn func(dir string) error) {
-	if st.compacting {
-		return
-	}
-	st.compacting = true
-	st.compactions.Inc()
-	c.compactWG.Add(1)
-	go func() {
-		defer c.compactWG.Done()
-		err := fn(st.dir)
-		st.mu.Lock()
-		st.compacting = false
-		st.compactDone = true
-		st.mu.Unlock()
-		if err != nil {
-			st.compactErrs.Inc()
-		}
-	}()
 }
 
 // handle runs one producer connection: HELLO/WELCOME, then record
@@ -421,9 +363,6 @@ func (c *Collector) handle(conn net.Conn) {
 			st.mu.Lock()
 			err := st.flushLocked()
 			durable := st.durable
-			if err == nil {
-				c.maybeCompactLocked(st)
-			}
 			st.mu.Unlock()
 			if err != nil {
 				_, _ = conn.Write(appendFrame(nil, appendErrorFrame(nil, err.Error())))
@@ -472,7 +411,6 @@ func (c *Collector) apply(st *originState, conn net.Conn, seq uint64, recBytes [
 		if err := st.flushLocked(); err != nil {
 			return err
 		}
-		c.maybeCompactLocked(st)
 		if _, err := conn.Write(appendFrame(nil, appendAck(nil, st.durable))); err != nil {
 			return fmt.Errorf("netexport: write ack: %w", err)
 		}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"robustmon/internal/clock"
@@ -138,9 +140,26 @@ type WALConfig struct {
 	// Clock is the time source for age-based rotation (default: wall
 	// clock). Only consulted when RotateEvery is set.
 	Clock clock.Clock
-	// SyncEveryWrite additionally fsyncs after every record — maximum
-	// durability for crash-recovery tests; too slow for production.
-	SyncEveryWrite bool
+	// CompactEvery, together with Compact, arms background compaction:
+	// each seal counts the sealed files in the directory, and once
+	// CompactEvery of them have sealed on top of the floor the last
+	// pass left, the sink launches Compact (see WALSink.Compact). The
+	// floor matters: compacted output is still bounded by MaxFileBytes,
+	// so a big trace has an incompressible file count, and an absolute
+	// threshold would relaunch a futile full-directory rewrite at every
+	// seal once the trace crossed it. A seal is the only event that
+	// adds a sealed file, so checking there launches at the same count
+	// as checking after every write would. This is how a long-running
+	// detector or collector bounds its on-disk footprint without anyone
+	// calling a CLI. Zero (or a nil Compact) disables.
+	CompactEvery int
+	// Compact is the pass CompactEvery launches, called with the sink's
+	// directory — typically a compact.Dir closure (the export package
+	// cannot import its compact subpackage). It runs concurrently with
+	// the writes, which is safe because the compactor leaves the newest
+	// file alone (compact.Config.KeepNewest >= 1, the default): it is
+	// the one the sink appends to.
+	Compact func(dir string) error
 	// OnSeal holds the consumers notified with the sealed file's summary
 	// each time a file is rotated or closed. Every consumer sees every
 	// seal, in registration order; one consumer's error is routed to
@@ -150,25 +169,32 @@ type WALConfig struct {
 	// every sealed segment for free; wire a network shipper alongside it
 	// and sealed segments stream off-box too.
 	OnSeal []SealedSink
-	// OnSealError, when set, receives each error an OnSeal consumer
-	// returns. Seal errors are advisory — the file is already durable
-	// locally — so they are reported, not propagated.
+	// OnSealError, when set, receives each error an OnSeal consumer or
+	// a background compaction returns. Both are advisory — the files
+	// are already durable locally — so they are reported, not
+	// propagated: they never fail a write, a Flush or Close. A failed
+	// compaction reports from its own goroutine, so OnSealError must be
+	// safe for concurrent use.
 	OnSealError func(error)
 	// Obs, when set, instruments the sink: export_wal_bytes_total
 	// (header + payload bytes written), export_wal_records_total,
-	// export_wal_rotations_total and the export_wal_fsync_ns latency
-	// histogram. Nil disables at zero cost (see internal/obs).
+	// export_wal_rotations_total, the export_wal_fsync_ns latency
+	// histogram, and export_compactions_total and
+	// export_compact_errors_total for the background passes. Nil
+	// disables at zero cost (see internal/obs).
 	Obs *obs.Registry
 }
 
 // walMetrics are the sink's obs handles; the zero value (all nil) is
 // the disabled mode.
 type walMetrics struct {
-	bytes      *obs.Counter
-	records    *obs.Counter
-	rotations  *obs.Counter
-	sealErrors *obs.Counter
-	fsyncNs    *obs.Histogram
+	bytes         *obs.Counter
+	records       *obs.Counter
+	rotations     *obs.Counter
+	sealErrors    *obs.Counter
+	compactions   *obs.Counter
+	compactErrors *obs.Counter
+	fsyncNs       *obs.Histogram
 }
 
 func newWALMetrics(reg *obs.Registry) walMetrics {
@@ -176,18 +202,21 @@ func newWALMetrics(reg *obs.Registry) walMetrics {
 		return walMetrics{}
 	}
 	return walMetrics{
-		bytes:      reg.Counter("export_wal_bytes_total"),
-		records:    reg.Counter("export_wal_records_total"),
-		rotations:  reg.Counter("export_wal_rotations_total"),
-		sealErrors: reg.Counter("export_wal_seal_errors_total"),
-		fsyncNs:    reg.Histogram("export_wal_fsync_ns"),
+		bytes:         reg.Counter("export_wal_bytes_total"),
+		records:       reg.Counter("export_wal_records_total"),
+		rotations:     reg.Counter("export_wal_rotations_total"),
+		sealErrors:    reg.Counter("export_wal_seal_errors_total"),
+		compactions:   reg.Counter("export_compactions_total"),
+		compactErrors: reg.Counter("export_compact_errors_total"),
+		fsyncNs:       reg.Histogram("export_wal_fsync_ns"),
 	}
 }
 
 // WALSink persists exported segments to a directory of numbered,
 // CRC-protected segment files. Construct with NewWALSink; it is driven
 // by the exporter's writer goroutine and is not safe for concurrent
-// use.
+// use. Only the background compaction it launches runs on a goroutine
+// of its own.
 type WALSink struct {
 	dir  string
 	cfg  WALConfig
@@ -203,6 +232,16 @@ type WALSink struct {
 	openedAt time.Time
 	cur      *summaryBuilder // summary of the file being written
 	met      walMetrics
+
+	// compacting keeps passes one at a time; compactDone marks a
+	// finished pass whose floor the next seal re-bases. Both are
+	// written by the pass goroutine. compactFloor is the sealed-file
+	// count the last pass could not shrink below: the re-trigger
+	// baseline, touched only by the goroutine driving the sink.
+	compacting   atomic.Bool
+	compactDone  atomic.Bool
+	compactFloor int
+	compactWG    sync.WaitGroup
 }
 
 // NewWALSink opens (creating if needed) dir for appending. An existing
@@ -247,16 +286,15 @@ func walFiles(dir string) ([]string, error) {
 // Dir returns the sink's directory.
 func (w *WALSink) Dir() string { return w.dir }
 
-// SealedFiles reports how many sealed segment files are on disk —
+// sealedFiles reports how many sealed segment files are on disk —
 // the rotated backlog a compactor can merge. It counts the directory
-// (one readdir per call — the exporter polls it once per written
-// segment, which is drain-rhythm, not event-rhythm), not the sink's
-// monotonic file number: compaction shrinks the directory, and the
-// backlog must shrink with it or a threshold trigger would keep
-// firing forever after first crossing it. Files inherited from
+// (one readdir per call, made only at an armed sink's seals), not the
+// sink's monotonic file number: compaction shrinks the directory, and
+// the backlog must shrink with it or the CompactEvery trigger would
+// keep firing forever after first crossing it. Files inherited from
 // earlier sink sessions count too, since numbering resumes after
 // them; the file currently being written does not.
-func (w *WALSink) SealedFiles() int {
+func (w *WALSink) sealedFiles() int {
 	names, err := walFiles(w.dir)
 	if err != nil {
 		return 0
@@ -380,11 +418,6 @@ func (w *WALSink) writeRecord(typ Kind, monitor string, first, last int64, count
 	w.size += int64(len(w.hdr) + len(payload))
 	w.met.records.Inc()
 	w.met.bytes.Add(int64(len(w.hdr) + len(payload)))
-	if w.cfg.SyncEveryWrite {
-		if err := w.sync(); err != nil {
-			return err
-		}
-	}
 	if w.size >= w.cfg.MaxFileBytes {
 		return w.rotate()
 	}
@@ -413,13 +446,67 @@ func (w *WALSink) stale() bool {
 	return w.cfg.RotateEvery > 0 && w.cfg.Clock.Now().Sub(w.openedAt) >= w.cfg.RotateEvery
 }
 
-// rotate seals the current file — flush, fsync, close — and arranges
-// for the next write to open a fresh one. Everything before the
-// rotation point is durable from here on; the sealed file's summary is
-// then fanned out to every OnSeal consumer. One consumer's failure
-// never starves another: the error goes to OnSealError and the
-// seal-error counter, and the loop continues.
+// rotate seals the current file and arranges for the next write to
+// open a fresh one; the seal is also where the CompactEvery trigger
+// is checked, since only a seal grows the backlog.
 func (w *WALSink) rotate() error {
+	if err := w.seal(); err != nil {
+		return err
+	}
+	if w.cfg.CompactEvery <= 0 || w.cfg.Compact == nil {
+		return nil
+	}
+	sealed := w.sealedFiles()
+	if w.compactDone.CompareAndSwap(true, false) {
+		// First seal after a pass finished: what was sealed right after
+		// the pass — everything but the file that just sealed — is its
+		// incompressible floor, and only CompactEvery new files on top
+		// of it justify another pass.
+		w.compactFloor = sealed - 1
+	}
+	if sealed-w.compactFloor >= w.cfg.CompactEvery {
+		w.Compact(w.cfg.Compact)
+	}
+	return nil
+}
+
+// Compact runs fn against the sink's directory on its own goroutine —
+// the writes must go on, or a long pass would backpressure the
+// detector — unless a pass is already in flight, in which case it
+// does nothing. The pass is counted in export_compactions_total, a
+// failed one in export_compact_errors_total and reported through
+// OnSealError; it never fails a write, a Flush or Close. Close waits
+// for the pass in flight. The CompactEvery trigger launches through
+// here, and so does a caller running a pass of its own, such as a
+// wall-clock retention timer. Like every other method it must not be
+// called concurrently with the sink's writes.
+func (w *WALSink) Compact(fn func(dir string) error) {
+	if !w.compacting.CompareAndSwap(false, true) {
+		return
+	}
+	w.met.compactions.Inc()
+	w.compactWG.Add(1)
+	go func() {
+		defer w.compactWG.Done()
+		// LIFO: compactDone must be visible before compacting releases,
+		// so the next seal re-bases the floor before it can relaunch.
+		defer w.compacting.Store(false)
+		defer w.compactDone.Store(true)
+		if err := fn(w.dir); err != nil {
+			w.met.compactErrors.Inc()
+			if w.cfg.OnSealError != nil {
+				w.cfg.OnSealError(err)
+			}
+		}
+	}()
+}
+
+// seal closes the current file — flush, fsync, close. Everything
+// before this point is durable from here on; the sealed file's
+// summary is then fanned out to every OnSeal consumer. One consumer's
+// failure never starves another: the error goes to OnSealError and
+// the seal-error counter, and the loop continues.
+func (w *WALSink) seal() error {
 	if w.f == nil {
 		return nil
 	}
@@ -460,5 +547,11 @@ func (w *WALSink) Flush() error {
 	return w.sync()
 }
 
-// Close seals the current file. The sink is unusable afterwards.
-func (w *WALSink) Close() error { return w.rotate() }
+// Close seals the current file, without checking the CompactEvery
+// trigger, and waits for the compaction in flight. The sink is
+// unusable afterwards.
+func (w *WALSink) Close() error {
+	err := w.seal()
+	w.compactWG.Wait()
+	return err
+}

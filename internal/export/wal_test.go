@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"robustmon/internal/event"
 	"robustmon/internal/history"
 	"robustmon/internal/monitor"
+	"robustmon/internal/obs"
 	"robustmon/internal/proc"
 )
 
@@ -228,8 +230,8 @@ func TestWALAgeBasedRotation(t *testing.T) {
 	if err := sink.WriteSegment(Segment{Monitor: "m", Events: tseq("m", 3, 4)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.SealedFiles(); got != 0 {
-		t.Fatalf("SealedFiles = %d before the age threshold, want 0", got)
+	if got := sink.sealedFiles(); got != 0 {
+		t.Fatalf("sealedFiles = %d before the age threshold, want 0", got)
 	}
 	// Past the threshold: the next write seals the stale file first and
 	// lands in a fresh one — an idle monitor's trickle cannot pin one
@@ -238,16 +240,16 @@ func TestWALAgeBasedRotation(t *testing.T) {
 	if err := sink.WriteSegment(Segment{Monitor: "m", Events: tseq("m", 5, 6)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.SealedFiles(); got != 1 {
-		t.Fatalf("SealedFiles = %d after an age rotation, want 1", got)
+	if got := sink.sealedFiles(); got != 1 {
+		t.Fatalf("sealedFiles = %d after an age rotation, want 1", got)
 	}
 	// A stale file is sealed by Flush too, not only by the next write.
 	clk.Advance(time.Hour)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.SealedFiles(); got != 2 {
-		t.Fatalf("SealedFiles = %d after a stale Flush, want 2", got)
+	if got := sink.sealedFiles(); got != 2 {
+		t.Fatalf("sealedFiles = %d after a stale Flush, want 2", got)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -262,6 +264,127 @@ func TestWALAgeBasedRotation(t *testing.T) {
 	}
 	if len(rep.Events) != 6 {
 		t.Fatalf("replayed %d events across age-rotated files, want 6", len(rep.Events))
+	}
+}
+
+// TestWALCompactTrigger pins the sink's one background-compaction
+// launcher: no pass below CompactEvery sealed files, exactly one at
+// it, none while a pass is in flight, the floor re-based to what the
+// finished pass left, and a Close that seals without launching and
+// waits for the pass in flight.
+func TestWALCompactTrigger(t *testing.T) {
+	t.Parallel()
+	clk := clock.NewVirtual(time.Date(2001, 7, 1, 0, 0, 0, 0, time.UTC))
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	// Buffered, so a pass launched by mistake fails an expectation
+	// below instead of hanging the test.
+	started := make(chan struct{}, 1)
+	release := make(chan struct{}, 1)
+	var finished atomic.Int64
+	cfg := WALConfig{
+		RotateEvery:  time.Minute,
+		Clock:        clk,
+		CompactEvery: 2,
+		Compact: func(got string) error {
+			if got != dir {
+				t.Errorf("pass ran on %q, want the sink's directory %q", got, dir)
+			}
+			started <- struct{}{}
+			<-release
+			finished.Add(1)
+			return nil
+		},
+		Obs: reg,
+	}
+	sink, err := NewWALSink(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := reg.Counter("export_compactions_total")
+	seq := int64(1)
+	write := func() {
+		t.Helper()
+		if err := sink.WriteSegment(Segment{Monitor: "m", Events: tseq("m", seq, seq+1)}); err != nil {
+			t.Fatal(err)
+		}
+		seq += 2
+	}
+	// seal writes one segment into a fresh file and seals it through a
+	// stale Flush: one more sealed file per call.
+	seal := func() {
+		t.Helper()
+		write()
+		clk.Advance(time.Hour)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A launch is counted before its goroutine starts, so the counter
+	// is exact as soon as the sealing call returns.
+	expect := func(step string, want int64) {
+		t.Helper()
+		if got := passes.Value(); got != want {
+			t.Fatalf("%s: %d passes launched, want %d", step, got, want)
+		}
+	}
+
+	seal()
+	expect("1 sealed file", 0)
+	seal()
+	expect("2 sealed files", 1)
+	<-started
+	seal()
+	seal()
+	expect("2 more seals with the pass in flight", 1)
+	release <- struct{}{}
+	sink.compactWG.Wait()
+
+	// The pass left all 4 files: the first seal after it re-bases the
+	// floor to 4, so the pass launches at the 6th file, not the 5th.
+	seal()
+	expect("1 file on top of the floor", 1)
+	seal()
+	expect("2 files on top of the floor", 2)
+	<-started
+	release <- struct{}{}
+	sink.compactWG.Wait()
+
+	// The floor is 6 now; the 7th file sealed here and the 8th sealed
+	// by Close would reach the threshold, but Close never launches. The
+	// token left in release is for a pass launched by mistake.
+	seal()
+	write()
+	release <- struct{}{}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expect("Close", 2)
+	<-release
+	if names, err := walFiles(dir); err != nil || len(names) != 8 {
+		t.Fatalf("walFiles = %d names, %v; want 8 sealed files", len(names), err)
+	}
+
+	// Close waits for the pass in flight, here one the explicit
+	// launcher started: Close's own seal releases it, so only a Close
+	// that waits sees it finished.
+	cfg.OnSeal = []SealedSink{SealedSinkFunc(func(FileSummary) error {
+		release <- struct{}{}
+		return nil
+	})}
+	sink, err = NewWALSink(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Compact(cfg.Compact)
+	<-started
+	expect("explicit launch", 3)
+	write()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := finished.Load(); got != 3 {
+		t.Fatalf("Close returned with %d passes finished, want all 3", got)
 	}
 }
 

@@ -22,7 +22,7 @@
 // replays it (cmd/monsoak), so soak failures found in CI reduce to a
 // one-line local repro. The harness is deliberately built from the
 // same public seams the production pipeline uses — detect.Config.
-// Exporter, export.Config.CompactEvery, compact.Config.RetainSeq — so
+// Exporter, export.WALConfig.CompactEvery, compact.Config.RetainSeq — so
 // an invariant violation here is a bug in the shipped composition, not
 // in test-only plumbing.
 package soak
@@ -282,21 +282,13 @@ func Run(cfg Config) (*Report, error) {
 		maint = index.NewMaintainer(dir)
 		seal = append(seal, maint)
 	}
+	var led *ledger
+	var passIdx atomic.Int64
 	sink, err := export.NewWALSink(dir, export.WALConfig{
 		MaxFileBytes: c.maxFileBytes,
 		OnSeal:       seal,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var led *ledger
-	var passIdx atomic.Int64
-	exp := export.New(sink, export.Config{
-		Policy:       export.Block,
 		CompactEvery: c.compactEvery,
-		Obs:          reg,
-		Compact: func() error {
+		Compact: func(dir string) error {
 			// The floor advances with the run: each background pass
 			// retains only the newest fraction of what has been accepted
 			// so far, so rotation, compaction, retention and recovery all
@@ -310,7 +302,13 @@ func Run(cfg Config) (*Report, error) {
 			})
 			return err
 		},
+		Obs: reg,
 	})
+	if err != nil {
+		return nil, err
+	}
+
+	exp := export.New(sink, export.Config{Policy: export.Block, Obs: reg})
 	led = newLedger(exp)
 
 	db := history.New()
@@ -473,7 +471,7 @@ func Run(cfg Config) (*Report, error) {
 
 	rep := &Report{
 		Seed: cfg.Seed, App: c.app, Fault: faultName, Procs: c.procs,
-		Compactions: es.Compactions, Resets: stats.Resets,
+		Compactions: reg.Counter("export_compactions_total").Value(), Resets: stats.Resets,
 		Violations: len(violations), Dir: dir,
 	}
 	if err := verify(cfg.Seed, dir, led, rep); err != nil {

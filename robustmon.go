@@ -340,12 +340,12 @@ func OpenTraceReader(dir string) (*TraceSeekReader, error) { return index.OpenDi
 // CompactExportDir merges dir's rotated segment files per monitor —
 // never the active segment (Config.KeepNewest) — preserving recovery
 // markers and replay equivalence, and brings the index in step. Wire
-// it into ExporterConfig.Compact (with CompactEvery) to have a
-// long-running detector bound its own on-disk footprint:
+// it into WALConfig.Compact (with CompactEvery) to have a long-running
+// detector bound its own on-disk footprint:
 //
-//	cfg := robustmon.ExporterConfig{
+//	cfg := robustmon.WALConfig{
 //	    CompactEvery: 64,
-//	    Compact: func() error {
+//	    Compact: func(dir string) error {
 //	        _, err := robustmon.CompactExportDir(dir, robustmon.CompactionConfig{})
 //	        return err
 //	    },

@@ -270,18 +270,16 @@ func TestPublicAPITraceStore(t *testing.T) {
 	sink, err := robustmon.NewWALSink(dir, robustmon.WALConfig{
 		MaxFileBytes: 1 << 10, // rotate often: a real backlog to index
 		OnSeal:       []robustmon.ExportSealedSink{maint},
-	})
-	if err != nil {
-		t.Fatalf("NewWALSink: %v", err)
-	}
-	exp := robustmon.NewExporter(sink, robustmon.ExporterConfig{
-		Policy:       robustmon.ExportBlock,
 		CompactEvery: 4,
-		Compact: func() error {
+		Compact: func(dir string) error {
 			_, err := robustmon.CompactExportDir(dir, robustmon.CompactionConfig{})
 			return err
 		},
 	})
+	if err != nil {
+		t.Fatalf("NewWALSink: %v", err)
+	}
+	exp := robustmon.NewExporter(sink, robustmon.ExporterConfig{Policy: robustmon.ExportBlock})
 	db := robustmon.NewHistory()
 	mon, err := robustmon.NewMonitor(spec, robustmon.WithRecorder(db))
 	if err != nil {
