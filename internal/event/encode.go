@@ -189,11 +189,7 @@ func ReadUvarint(r io.ByteReader) (uint64, error) {
 // like ReadUvarint.
 func ReadVarint(r io.ByteReader) (int64, error) {
 	ux, err := ReadUvarint(r)
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, err
+	return unzigzag(ux), err
 }
 
 // ReadBinary reads a binary trace written by WriteBinary. A reader
@@ -275,4 +271,113 @@ func ReadBinary(r io.Reader) (Seq, error) {
 		out = append(out, e)
 	}
 	return out, nil
+}
+
+// VerifyBinary checks that b is exactly one binary trace whose every
+// event belongs to monitor, without building the events: it accepts
+// exactly what ReadBinary(bytes.NewReader(b)) accepts, provided the
+// trace ends at the end of b and every event's Monitor equals monitor.
+// n is the event count, and first and last are the Seq of the first
+// and the last event (both 0 for an empty trace). It walks b in place
+// and allocates nothing, which is what lets a collector store a
+// received segment payload verbatim instead of decoding it.
+func VerifyBinary(b []byte, monitor string) (n int, first, last int64, err error) {
+	if len(b) < len(binaryMagic) {
+		return 0, 0, 0, fmt.Errorf("event: read trace magic: %w", io.ErrUnexpectedEOF)
+	}
+	if [4]byte(b[:4]) != binaryMagic {
+		return 0, 0, 0, ErrBadMagic
+	}
+	off := len(binaryMagic)
+	count, off, err := uvarintAt(b, off)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("event: read trace length: %w", err)
+	}
+	if count > 1<<30 {
+		return 0, 0, 0, fmt.Errorf("event: implausible trace length %d", count)
+	}
+	for i := uint64(0); i < count; i++ {
+		var seq uint64
+		if seq, off, err = uvarintAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d seq: %w", i, err)
+		}
+		last = unzigzag(seq)
+		if i == 0 {
+			first = last
+		}
+		var mon []byte
+		if mon, off, err = stringAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d monitor: %w", i, err)
+		}
+		if string(mon) != monitor {
+			return 0, 0, 0, fmt.Errorf("event: event %d belongs to monitor %q, want %q", last, mon, monitor)
+		}
+		if _, off, err = uvarintAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d type: %w", i, err)
+		}
+		if _, off, err = uvarintAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d pid: %w", i, err)
+		}
+		if _, off, err = stringAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d proc: %w", i, err)
+		}
+		if _, off, err = stringAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d cond: %w", i, err)
+		}
+		if _, off, err = uvarintAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d flag: %w", i, err)
+		}
+		if _, off, err = uvarintAt(b, off); err != nil {
+			return 0, 0, 0, fmt.Errorf("event: read event %d time: %w", i, err)
+		}
+	}
+	if rest := len(b) - off; rest > 0 {
+		return 0, 0, 0, fmt.Errorf("event: %d trailing bytes after the trace", rest)
+	}
+	return int(count), first, last, nil
+}
+
+// uvarintAt reads the uvarint at b[off:] under ReadUvarint's rules and
+// returns it with the offset just past it. binary.Uvarint on the slice
+// is the fast path; the checks after it give ReadUvarint's verdicts.
+func uvarintAt(b []byte, off int) (uint64, int, error) {
+	rest := b[off:]
+	v, n := binary.Uvarint(rest)
+	switch {
+	case n > 1 && rest[n-1] == 0:
+		return 0, off, errOverlongVarint
+	case n > 0:
+		return v, off + n, nil
+	case n < 0 || len(rest) >= binary.MaxVarintLen64:
+		return 0, off, errVarintOverflow
+	default:
+		return 0, off, io.ErrUnexpectedEOF
+	}
+}
+
+// stringAt reads the length-prefixed string at b[off:] under
+// ReadBinary's rules and returns its bytes, a sub-slice of b, with the
+// offset just past it.
+func stringAt(b []byte, off int) ([]byte, int, error) {
+	n, off, err := uvarintAt(b, off)
+	if err != nil {
+		return nil, off, err
+	}
+	if n > 1<<20 {
+		return nil, off, fmt.Errorf("event: implausible string length %d", n)
+	}
+	if uint64(len(b)-off) < n {
+		return nil, off, io.ErrUnexpectedEOF
+	}
+	return b[off : off+int(n)], off + int(n), nil
+}
+
+// unzigzag maps a zigzag-encoded uvarint back to the signed value, as
+// ReadVarint does.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
 }

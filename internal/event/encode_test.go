@@ -239,3 +239,25 @@ func TestAppendBinaryIsAllocFreeIntoSizedBuffer(t *testing.T) {
 		t.Fatalf("AppendBinary into a sized buffer allocates %.1f times per call, want 0", avg)
 	}
 }
+
+func TestVerifyBinaryAllocatesNothing(t *testing.T) {
+	// Not parallel: AllocsPerRun measures the whole process heap.
+	rng := rand.New(rand.NewSource(1))
+	s := make(Seq, 256)
+	for i := range s {
+		s[i] = randomEvent(rng, int64(i+1))
+		s[i].Monitor = "buf"
+	}
+	b := AppendBinary(nil, s)
+	var n int
+	var first, last int64
+	var err error
+	if avg := testing.AllocsPerRun(100, func() {
+		n, first, last, err = VerifyBinary(b, "buf")
+	}); avg != 0 {
+		t.Fatalf("VerifyBinary allocates %.1f times per call on a %d-event payload, want 0", avg, len(s))
+	}
+	if err != nil || n != len(s) || first != 1 || last != int64(len(s)) {
+		t.Fatalf("VerifyBinary = %d, %d..%d, %v; want %d, 1..%d, nil", n, first, last, err, len(s), len(s))
+	}
+}

@@ -66,6 +66,58 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
+// FuzzVerifyBinary pins VerifyBinary to ReadBinary: for any input and
+// monitor it accepts exactly when ReadBinary accepts, reads every byte
+// and finds only events of that monitor, and on acceptance its count,
+// first and last agree with the decoded events. Whenever ReadBinary
+// decodes an event, the input is also checked against that event's
+// monitor, so acceptance is fuzzed too, not only refusal.
+func FuzzVerifyBinary(f *testing.F) {
+	good := AppendBinary(nil, Seq{
+		{Seq: 1, Monitor: "buf", Type: Enter, Pid: 3, Proc: "Send", Flag: Completed,
+			Time: time.Date(2001, 7, 1, 0, 0, 0, 0, time.UTC)},
+		{Seq: 2, Monitor: "buf", Type: SignalExit, Pid: 3, Proc: "Send", Cond: "notEmpty", Flag: Blocked,
+			Time: time.Date(2001, 7, 1, 0, 0, 1, 0, time.UTC)},
+	})
+	f.Add(good, "buf")
+	for _, cut := range []int{0, 3, 4, 5, 7, len(good) / 2, len(good) - 1} {
+		f.Add(good[:cut], "buf")
+	}
+	f.Add([]byte{'R', 'M', 'T', 1, 0x81, 0x00}, "buf")                                              // count 1, not minimally encoded
+	f.Add([]byte{'R', 'M', 'T', 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "") // count beyond 64 bits
+	f.Add(good, "alloc")                                                                            // foreign monitor
+	f.Add(append(append([]byte(nil), good...), 0), "buf")                                           // a byte after the events
+
+	f.Fuzz(func(t *testing.T, data []byte, monitor string) {
+		rd := bytes.NewReader(data)
+		events, rerr := ReadBinary(rd)
+		check := func(monitor string) {
+			t.Helper()
+			ok := rerr == nil && rd.Len() == 0
+			for _, e := range events {
+				ok = ok && e.Monitor == monitor
+			}
+			n, first, last, err := VerifyBinary(data, monitor)
+			if (err == nil) != ok {
+				t.Fatalf("VerifyBinary(%q) = %v, but ReadBinary = %v with %d bytes left", monitor, err, rerr, rd.Len())
+			}
+			if err != nil {
+				return
+			}
+			if n != len(events) {
+				t.Fatalf("VerifyBinary counted %d events, ReadBinary decoded %d", n, len(events))
+			}
+			if n > 0 && (first != events[0].Seq || last != events[n-1].Seq) {
+				t.Fatalf("VerifyBinary seq range %d..%d, events span %d..%d", first, last, events[0].Seq, events[n-1].Seq)
+			}
+		}
+		check(monitor)
+		if len(events) > 0 {
+			check(events[0].Monitor)
+		}
+	})
+}
+
 // TestReadBinaryLyingCountDoesNotOverAllocate pins the pre-size guard
 // directly: a tiny stream whose header claims 2^29 events must fail
 // with a decode error, not allocate gigabytes first.

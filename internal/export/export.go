@@ -61,8 +61,12 @@
 // header fields both writers frame it with and the reader checks it
 // against, Record.Key is the one dedup identity, ReadRecordAt the one
 // point read, FileSummary.Annotations the one index table, and
-// Record.Apply the one route into a sink. Typed seams remain only at
-// the edges, where callers handle concrete types: the detector's
+// Record.Apply the one route into a sink, which compaction takes. The
+// fleet collector stores a record it receives without decoding it:
+// WALSink.WriteEncoded applies DecodeRecord's checks to the frame,
+// checking a segment's payload in place (event.VerifyBinary), and
+// writes the received bytes unchanged. Typed seams remain only at the
+// edges, where callers handle concrete types: the detector's
 // TraceExporter (Consume*), the sinks' optional Write* extensions, and
 // Replay's typed slices.
 //

@@ -1,12 +1,12 @@
 package export
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -269,7 +269,7 @@ func fixtureFrames(f *testing.F) map[Kind][]byte {
 // payload decoders instead of stopping at the checksum. ok is false
 // when the header does not parse or the payload is short.
 func withPayloadCRC(frame []byte) (fixed []byte, ok bool) {
-	h, err := readHeader(bufio.NewReader(bytes.NewReader(frame)), walVersionLatest)
+	h, err := readHeader(bytes.NewReader(frame), walVersionLatest)
 	if err != nil {
 		return nil, false
 	}
@@ -284,12 +284,13 @@ func withPayloadCRC(frame []byte) (fixed []byte, ok bool) {
 }
 
 // FuzzDecodeRecord throws corrupt, truncated and hostile frames at
-// DecodeRecord, the decoder the fleet collector runs on bytes read off
-// the network. It must never panic, and whatever it accepts must
-// re-encode through AppendRecord to identical bytes, so a collector
-// that decodes and re-writes a frame stores exactly what the producer
-// sent. Every input is decoded twice: as given, and with its payload
-// CRC recomputed.
+// DecodeRecord and at the check the fleet collector runs on bytes read
+// off the network (WALSink.WriteEncoded's verifyRecord). Neither may
+// panic, they must accept the same frames, and whatever DecodeRecord
+// accepts must re-encode through AppendRecord to identical bytes: the
+// codec is canonical, so storing a checked frame verbatim stores what
+// decoding and re-encoding it would. Every input is checked twice: as
+// given, and with its payload CRC recomputed.
 func FuzzDecodeRecord(f *testing.F) {
 	frames := fixtureFrames(f)
 	for _, k := range []Kind{KindSegment, KindMarker, KindHealth, KindTombstone, KindAlert} {
@@ -328,11 +329,25 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
+// checkDecodeRecord also runs WriteEncoded's check (verifyRecord) on
+// every input: it must accept exactly what DecodeRecord accepts, and
+// the header and payload it hands the WAL writer must frame back to
+// the input byte for byte.
 func checkDecodeRecord(t *testing.T, data []byte) {
 	t.Helper()
 	rec, err := DecodeRecord(data)
+	h, payload, vrec, verr := verifyRecord(data)
+	if (err == nil) != (verr == nil) {
+		t.Fatalf("DecodeRecord and WriteEncoded's check disagree on %x:\n decode %v\n verify %v", data, err, verr)
+	}
 	if err != nil {
 		return
+	}
+	if framed := append(appendRecordHeader(nil, h.typ, h.monitor, h.first, h.last, h.count, payload), payload...); !bytes.Equal(framed, data) {
+		t.Fatalf("verified frame re-frames to different bytes:\n in  %x\n out %x", data, framed)
+	}
+	if h.typ != KindSegment && !reflect.DeepEqual(vrec, rec) {
+		t.Fatalf("WriteEncoded's check decoded %+v, DecodeRecord %+v", vrec, rec)
 	}
 	again, err := AppendRecord(nil, rec)
 	if err != nil {

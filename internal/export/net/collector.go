@@ -57,9 +57,9 @@ type CollectorConfig struct {
 
 // Collector is the fleet-mode server: it accepts producer
 // connections, resume-handshakes each one against the origin's
-// durable state, applies record frames to the origin's WALSink, and
-// acknowledges durability. One connection per origin at a time; one
-// goroutine per connection.
+// durable state, checks each record frame and appends its bytes
+// unchanged to the origin's WALSink, and acknowledges durability. One
+// connection per origin at a time; one goroutine per connection.
 type Collector struct {
 	cfg CollectorConfig
 
@@ -301,7 +301,7 @@ func (c *Collector) handle(conn net.Conn) {
 	c.connsTotal.Inc()
 	br := bufio.NewReader(conn)
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	body, err := readFrame(br)
+	body, err := readFrame(br, nil)
 	if err != nil {
 		return
 	}
@@ -343,11 +343,16 @@ func (c *Collector) handle(conn net.Conn) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 
+	// One frame buffer serves the whole connection: apply copies the
+	// record bytes into the WAL's buffer and the annotations it decodes
+	// own their strings, so nothing holds the previous frame.
+	var buf []byte
 	for {
-		body, err := readFrame(br)
+		body, err := readFrame(br, buf)
 		if err != nil {
 			return // torn frame or dropped connection: resync on reconnect
 		}
+		buf = body
 		switch {
 		case len(body) > 0 && body[0] == frameRecord:
 			seq, rec, err := parseRecordFrame(body)
@@ -378,9 +383,11 @@ func (c *Collector) handle(conn net.Conn) {
 	}
 }
 
-// apply decodes one record frame and lands it in the origin's WAL,
-// acking when the cadence is due. Duplicates (a resent tail whose ack
-// was lost) are skipped and counted; sequences may jump forward only
+// apply checks one record frame's bytes and lands them unchanged in
+// the origin's WAL (export.WALSink.WriteEncoded), acking when the
+// cadence is due. Only a health snapshot comes back decoded, for the
+// liveness cursors. Duplicates (a resent tail whose ack was lost) are
+// skipped and counted before any check; sequences may jump forward only
 // past a lost resume-state file, where the producer's trim — which
 // only ever follows an ack, which only ever follows durability — is
 // the authority.
@@ -391,11 +398,8 @@ func (c *Collector) apply(st *originState, conn net.Conn, seq uint64, recBytes [
 		st.dups.Inc()
 		return nil
 	}
-	rec, err := export.DecodeRecord(recBytes)
+	rec, err := st.sink.WriteEncoded(recBytes)
 	if err != nil {
-		return err
-	}
-	if err := rec.Apply(st.sink); err != nil {
 		return err
 	}
 	st.applied = seq

@@ -3,7 +3,11 @@ package netexport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -119,37 +123,37 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 	var wire []byte
 	wire = appendFrame(wire, appendHello(nil, "node-1"))
 	wire = appendFrame(wire, appendWelcome(nil, 42))
-	wire = appendFrame(wire, appendRecordFrame(nil, 7, []byte("payload")))
+	wire = appendRecordFrame(wire, 7, []byte("payload"))
 	wire = appendFrame(wire, appendAck(nil, 7))
 	wire = appendFrame(wire, appendFlushFrame(nil))
 	wire = appendFrame(wire, appendErrorFrame(nil, "nope"))
 
 	br := bufio.NewReader(bytes.NewReader(wire))
-	b, err := readFrame(br)
+	b, err := readFrame(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if origin, err := parseHello(b); err != nil || origin != "node-1" {
 		t.Fatalf("hello = %q, %v", origin, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if seq, err := parseWelcome(b); err != nil || seq != 42 {
 		t.Fatalf("welcome = %d, %v", seq, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	seq, rec, err := parseRecordFrame(b)
 	if err != nil || seq != 7 || string(rec) != "payload" {
 		t.Fatalf("record = %d, %q, %v", seq, rec, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if seq, err := parseAck(b); err != nil || seq != 7 {
 		t.Fatalf("ack = %d, %v", seq, err)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if len(b) != 1 || b[0] != frameFlush {
 		t.Fatalf("flush frame = %v", b)
 	}
-	b, _ = readFrame(br)
+	b, _ = readFrame(br, nil)
 	if msg := parseErrorFrame(b); msg != "nope" {
 		t.Fatalf("error frame = %q", msg)
 	}
@@ -157,7 +161,7 @@ func TestProtocolFrameRoundTrip(t *testing.T) {
 	// A flipped byte is a CRC failure, not a mis-parse.
 	bad := appendFrame(nil, appendAck(nil, 9))
 	bad[5] ^= 0xff
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad)), nil); err == nil {
 		t.Fatal("corrupted frame passed CRC")
 	}
 }
@@ -290,7 +294,17 @@ func TestDegradedNetwork(t *testing.T) {
 	// Phase 3: full partition. Writes pile into the buffer; nothing is
 	// lost (Block policy) and nothing gets through.
 	nf.Partition()
-	time.Sleep(10 * time.Millisecond) // let a retry or two slam into the wall
+	// Let a retry or two slam into the wall.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, refused, _ := nf.Stats(); refused >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no two dials refused within 10s of the partition")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for lo := int64(81); lo <= 180; lo += 20 {
 		write(lo, lo+19)
 	}
@@ -334,6 +348,237 @@ func TestDegradedNetwork(t *testing.T) {
 	buf, _ := snap.Gauge("netship_buffered")
 	if rec != ack+drop+buf {
 		t.Fatalf("registry conservation violated: %d != %d + %d + %d", rec, ack, drop, buf)
+	}
+}
+
+// rawRecord frames one WAL record by the documented record layout
+// (type, monitor, seq range, count, payload length, payload CRC,
+// payload) with an honest length and CRC — so a test can build records
+// no export encoder writes.
+func rawRecord(kind export.Kind, monitor string, first, last int64, count uint32, payload []byte) []byte {
+	b := []byte{byte(kind)}
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(monitor)))
+	b = append(b, monitor...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(first))
+	b = binary.LittleEndian.AppendUint64(b, uint64(last))
+	b = binary.LittleEndian.AppendUint32(b, count)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// walRecords returns every record in dir's WAL files, header plus
+// payload, in file order across rotations.
+func walRecords(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	names, err := export.WALFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 5 {
+			t.Fatalf("%s: %d bytes, shorter than the WAL magic", name, len(b))
+		}
+		for b = b[5:]; len(b) > 0; {
+			const fixed = 1 + 2 + 8 + 8 + 4 // type, monitor length, seq range, count
+			if len(b) < 3 {
+				t.Fatalf("%s: torn record header", name)
+			}
+			at := fixed + int(binary.LittleEndian.Uint16(b[1:3]))
+			if len(b) < at+8 {
+				t.Fatalf("%s: torn record header", name)
+			}
+			n := at + 8 + int(binary.LittleEndian.Uint32(b[at:]))
+			if len(b) < n {
+				t.Fatalf("%s: torn record payload", name)
+			}
+			out = append(out, b[:n])
+			b = b[n:]
+		}
+	}
+	return out
+}
+
+// TestCollectorRefusesMalformedRecords: record frames whose wire CRC
+// is valid but whose record is not — a payload of another monitor, a
+// header that misstates the count or the last seq, a non-minimal
+// varint, a byte after the events, a health snapshot whose header
+// horizon disagrees with its payload — each get an ERROR frame and a
+// closed connection, and the origin's WAL holds exactly the valid
+// records sent before them. Storing record bytes verbatim must keep
+// every check decoding them applied.
+func TestCollectorRefusesMalformedRecords(t *testing.T) {
+	t.Parallel()
+	fleetDir := t.TempDir()
+	col, addr := startCollector(t, CollectorConfig{Dir: fleetDir, AckEvery: 1})
+	defer col.Close()
+
+	seg, err := export.AppendSegmentRecord(nil, export.Segment{Monitor: "m", Events: tseq("m", 1, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := tmarker("m", 4)
+	mark, err := export.AppendRecord(nil, export.Record{Marker: &marker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := [][]byte{seg, mark}
+
+	h := thealth(10)
+	health, err := export.AppendRecord(nil, export.Record{Health: &h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const annotationHeader = 1 + 2 + 8 + 8 + 4 + 4 + 4 // no monitor
+	healthPayload := health[annotationHeader:]
+	evs := event.AppendBinary(nil, tseq("m", 5, 8))
+	if !bytes.Equal(rawRecord(export.KindHealth, "", 10, 10, 0, healthPayload), health) ||
+		!bytes.Equal(rawRecord(export.KindSegment, "m", 1, 4, 4, event.AppendBinary(nil, tseq("m", 1, 4))), seg) {
+		t.Fatal("rawRecord diverges from the export encoders")
+	}
+	if evs[4] != 4 {
+		t.Fatalf("count byte %#x, want 4", evs[4])
+	}
+	nonMinimal := append([]byte{'R', 'M', 'T', 1, 0x84, 0x00}, evs[5:]...) // count 4 padded to two bytes
+	trailing := append(append([]byte(nil), evs...), 0)
+
+	cases := []struct {
+		name string
+		rec  []byte
+	}{
+		{"foreign monitor", rawRecord(export.KindSegment, "m", 5, 8, 4, event.AppendBinary(nil, tseq("x", 5, 8)))},
+		{"count off by one", rawRecord(export.KindSegment, "m", 5, 8, 5, evs)},
+		{"wrong last seq", rawRecord(export.KindSegment, "m", 5, 9, 4, evs)},
+		{"non-minimal varint", rawRecord(export.KindSegment, "m", 5, 8, 4, nonMinimal)},
+		{"byte after the events", rawRecord(export.KindSegment, "m", 5, 8, 4, trailing)},
+		{"health horizon disagrees", rawRecord(export.KindHealth, "", 11, 11, 0, healthPayload)},
+	}
+	for i, c := range cases {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(conn)
+		origin := fmt.Sprintf("bad-%d", i)
+		if _, err := conn.Write(appendFrame(nil, appendHello(nil, origin))); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("%s: handshake: %v", c.name, err)
+		}
+		if seq, err := parseWelcome(body); err != nil || seq != 0 {
+			t.Fatalf("%s: welcome = %d, %v", c.name, seq, err)
+		}
+		var wire []byte
+		for j, r := range append(valid, c.rec) {
+			wire = appendRecordFrame(wire, uint64(j+1), r)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			body, err = readFrame(br, nil)
+			if err != nil || len(body) == 0 || body[0] != frameAck {
+				break
+			}
+			if seq, _ := parseAck(body); seq > uint64(len(valid)) {
+				break // the malformed record was acknowledged
+			}
+		}
+		if err != nil || body[0] != frameError {
+			t.Errorf("%s: collector answered %v, %v; want an ERROR frame", c.name, body, err)
+		} else if _, err := readFrame(br, nil); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: after the ERROR frame the read got %v, want the connection closed", c.name, err)
+		}
+		conn.Close()
+	}
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		got := walRecords(t, filepath.Join(fleetDir, fmt.Sprintf("bad-%d", i)))
+		if !reflect.DeepEqual(got, valid) {
+			t.Errorf("%s: origin WAL holds %d records, want exactly the %d valid ones sent before it", c.name, len(got), len(valid))
+		}
+	}
+}
+
+// TestCollectorStoresProducerBytes: a producer tees into a local
+// WALSink and a NetSink, and the origin's raw records — header plus
+// payload, in file order across rotations — equal the local WAL's
+// byte for byte: the collector stores the producer's bytes, not a
+// re-encoding of them.
+func TestCollectorStoresProducerBytes(t *testing.T) {
+	t.Parallel()
+	fleetDir := t.TempDir()
+	col, addr := startCollector(t, CollectorConfig{Dir: fleetDir, AckEvery: 3, MaxFileBytes: 700})
+	defer col.Close()
+	localDir := t.TempDir()
+	local, err := export.NewWALSink(localDir, export.WALConfig{MaxFileBytes: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ship, err := NewNetSink(NetSinkConfig{Addr: addr, Origin: "verbatim", FlushTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tee := export.NewTeeSink(local, ship)
+
+	monitors := []string{"buf", "alloc", "rw"}
+	next := int64(1)
+	segments := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			m := monitors[i%len(monitors)]
+			last := next + int64(i%4)
+			if err := tee.WriteSegment(export.Segment{Monitor: m, Events: tseq(m, next, last)}); err != nil {
+				t.Fatal(err)
+			}
+			next = last + 1
+		}
+	}
+	segments(9)
+	if err := tee.WriteMarker(tmarker("alloc", next-1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tee.WriteHealth(thealth(next - 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tee.WriteAlert(originAlert("verbatim", next-1, true)); err != nil {
+		t.Fatal(err)
+	}
+	segments(6)
+	if err := tee.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if err := tee.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := col.Close(); err != nil {
+		t.Fatalf("collector close: %v", err)
+	}
+
+	originDir := filepath.Join(fleetDir, "verbatim")
+	for _, dir := range []string{localDir, originDir} {
+		if names, err := export.WALFiles(dir); err != nil || len(names) < 2 {
+			t.Fatalf("%s holds %d WAL files (%v), want rotations", dir, len(names), err)
+		}
+	}
+	want, got := walRecords(t, localDir), walRecords(t, originDir)
+	if len(got) != len(want) {
+		t.Fatalf("origin WAL holds %d records, the local WAL %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d differs:\n local  %x\n origin %x", i, want[i], got[i])
+		}
 	}
 }
 
@@ -506,7 +751,7 @@ func TestDuplicateOriginRefused(t *testing.T) {
 	if _, err := conn.Write(appendFrame(nil, appendHello(nil, "solo"))); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(bufio.NewReader(conn))
+	body, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,18 @@
 // The Collector runs the familiar server-side stack — WALSink, index
 // maintainer, compaction-ready per-origin directories — so montrace
 // and SeekReader queries work unchanged against each origin's
-// subdirectory.
+// subdirectory. It checks each record's bytes as export.DecodeRecord
+// would (export.WALSink.WriteEncoded) but stores them as received, so
+// an origin's records are the producer's own bytes.
 //
 // Delivery is at-least-once: an ack can be lost to a partition after
 // the records it covers became durable, so the producer resends its
 // un-acked tail on reconnect and the collector skips what it already
-// applied. Because record encodings are deterministic and
-// export.MergeReplay collapses identical duplicates, the replica's
-// replay is byte-identical to the origin's local WAL replay —
-// exactly-once at the store level over an at-least-once wire.
+// applied. Because record encodings are deterministic, the collector
+// stores them verbatim and export.MergeReplay collapses identical
+// duplicates, the replica's replay is byte-identical to the origin's
+// local WAL replay — exactly-once at the store level over an
+// at-least-once wire.
 package netexport
 
 import (
@@ -70,8 +73,10 @@ func appendFrame(dst, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
-// readFrame reads one CRC-validated frame body.
-func readFrame(br *bufio.Reader) ([]byte, error) {
+// readFrame reads one CRC-validated frame body. It reads into buf
+// when the frame fits there, so the body then shares buf's backing
+// array; a nil buf always gets a fresh one.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
@@ -80,7 +85,11 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n == 0 || n > maxFrameBody {
 		return nil, fmt.Errorf("%w: body length %d", errFrameTooLarge, n)
 	}
-	body := make([]byte, n+4)
+	body := buf[:0]
+	if cap(body) < int(n)+4 {
+		body = make([]byte, n+4)
+	}
+	body = body[:n+4]
 	if _, err := io.ReadFull(br, body); err != nil {
 		return nil, err
 	}
@@ -153,11 +162,23 @@ func parseWelcome(body []byte) (lastDurable uint64, err error) {
 	return n, nil
 }
 
+// appendRecordFrame appends one whole RECORD frame — the bytes
+// appendFrame would wrap around the body (frame type, ship seq, record
+// bytes) — building the body in place after a length placeholder, so
+// the record bytes are copied once.
 func appendRecordFrame(dst []byte, seq uint64, rec []byte) []byte {
-	dst = append(dst, frameRecord)
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameRecord)
 	dst = binary.AppendUvarint(dst, seq)
-	return append(dst, rec...)
+	dst = append(dst, rec...)
+	body := dst[start+4:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
+
+// recordFrameOverhead bounds the bytes appendRecordFrame adds around
+// the record bytes: length, frame type, ship seq and CRC.
+const recordFrameOverhead = 4 + 1 + binary.MaxVarintLen64 + 4
 
 func parseRecordFrame(body []byte) (seq uint64, rec []byte, err error) {
 	if len(body) < 1 || body[0] != frameRecord {

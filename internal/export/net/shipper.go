@@ -352,7 +352,7 @@ func (s *NetSink) connect() (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	body, err := readFrame(bufio.NewReader(conn))
+	body, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -411,6 +411,11 @@ func (s *NetSink) trimLocked(durable uint64) {
 	s.cond.Broadcast()
 }
 
+// maxShipWrite caps one connection write of coalesced RECORD frames:
+// large enough to amortise the write call over many small records,
+// small enough that the shipper's frame buffer stays modest.
+const maxShipWrite = 64 << 10
+
 // serve streams the buffer over one connection until it breaks or the
 // sink closes. A companion goroutine reads acks; either side closing
 // the connection unblocks the other.
@@ -422,7 +427,7 @@ func (s *NetSink) serve(conn net.Conn) {
 		defer close(readerDone)
 		br := bufio.NewReader(conn)
 		for {
-			body, err := readFrame(br)
+			body, err := readFrame(br, nil)
 			if err != nil {
 				break
 			}
@@ -471,15 +476,24 @@ func (s *NetSink) serve(conn net.Conn) {
 		}
 		s.mu.Unlock()
 
+		// The frames are built in place in one reused buffer and written
+		// in chunks of up to maxShipWrite bytes (a larger frame goes
+		// alone); the FLUSH frame rides the last chunk.
+		frame = frame[:0]
 		for _, r := range batch {
-			frame = appendFrame(frame[:0], appendRecordFrame(nil, r.seq, r.data))
-			if _, err := conn.Write(frame); err != nil {
-				s.rewind()
-				goto out
+			if len(frame) > 0 && len(frame)+len(r.data)+recordFrameOverhead > maxShipWrite {
+				if _, err := conn.Write(frame); err != nil {
+					s.rewind()
+					goto out
+				}
+				frame = frame[:0]
 			}
+			frame = appendRecordFrame(frame, r.seq, r.data)
 		}
 		if wantFlush {
-			frame = appendFrame(frame[:0], appendFlushFrame(nil))
+			frame = appendFrame(frame, appendFlushFrame(nil))
+		}
+		if len(frame) > 0 {
 			if _, err := conn.Write(frame); err != nil {
 				s.rewind()
 				goto out

@@ -330,11 +330,11 @@ type recHeader struct {
 // header damage is distinguishable from a tear — arbitrary bytes left
 // by a torn tail produce exactly the same shapes — so readHeader never
 // reports corruption; that verdict needs the payload CRC.
-func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
+func readHeader(r io.Reader, version byte) (*recHeader, error) {
 	h := &recHeader{typ: KindSegment, raw: make([]byte, 0, 64)}
 	var scratch [8]byte
 	read := func(n int) error {
-		if _, err := io.ReadFull(br, scratch[:n]); err != nil {
+		if _, err := io.ReadFull(r, scratch[:n]); err != nil {
 			return err
 		}
 		h.raw = append(h.raw, scratch[:n]...)
@@ -367,7 +367,7 @@ func readHeader(br *bufio.Reader, version byte) (*recHeader, error) {
 		return nil, fmt.Errorf("export: monitor name %d bytes long (limit %d)", monLen, maxMonitorName)
 	}
 	mon := make([]byte, monLen)
-	if _, err := io.ReadFull(br, mon); err != nil {
+	if _, err := io.ReadFull(r, mon); err != nil {
 		return nil, noEOFBoundary(err)
 	}
 	h.raw = append(h.raw, mon...)
@@ -446,14 +446,33 @@ func readRecord(br *bufio.Reader, version byte) (rec Record, terr, rerr error) {
 
 	// The CRC passed, so a payload that fails to decode or disagrees
 	// with its header is a writer bug, not a torn write.
-	if rec, err = decodePayload(h.typ, h.monitor, payload); err != nil {
-		return Record{}, nil, fmt.Errorf("decode %s payload: %w", h.typ, err)
+	rec, err = decodeChecked(h, payload)
+	return rec, nil, err
+}
+
+// decodeChecked decodes a CRC-checked payload and checks it against
+// the header it arrived under — the one payload check of the file
+// reader and DecodeRecord.
+func decodeChecked(h *recHeader, payload []byte) (Record, error) {
+	rec, err := decodePayload(h.typ, h.monitor, payload)
+	if err != nil {
+		return Record{}, fmt.Errorf("decode %s payload: %w", h.typ, err)
 	}
-	if w, _ := rec.header(); w.typ != h.typ || w.monitor != h.monitor || w.first != h.first || w.last != h.last || w.count != h.count {
-		return Record{}, nil, fmt.Errorf("%s header (monitor %q, seq %d..%d, count %d) disagrees with its payload (monitor %q, seq %d..%d, count %d)",
+	w, _ := rec.header()
+	if err := h.agree(w); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// agree checks that w, the header fields derived from a decoded
+// payload, match the header h the payload arrived under.
+func (h *recHeader) agree(w recHeader) error {
+	if w.typ != h.typ || w.monitor != h.monitor || w.first != h.first || w.last != h.last || w.count != h.count {
+		return fmt.Errorf("%s header (monitor %q, seq %d..%d, count %d) disagrees with its payload (monitor %q, seq %d..%d, count %d)",
 			h.typ, h.monitor, h.first, h.last, h.count, w.monitor, w.first, w.last, w.count)
 	}
-	return rec, nil, nil
+	return nil
 }
 
 // decodePayload decodes the payload of a record of kind k; monitor is

@@ -3,15 +3,15 @@ package export
 // The standalone record codec and the one decoded form of a record.
 // A WAL file is a magic header followed by framed records; this file
 // exposes the record framing itself — encode one record to bytes,
-// decode one record from bytes — so the same encoding that lands on
-// local disk can travel a wire (see internal/export/net) and be
-// re-applied to a sink on the far side byte-for-byte identically.
-// Sharing appendRecordHeader and Record.header with WALSink is what
-// makes that identity a structural property rather than a convention:
-// there is exactly one encoder.
+// decode or check one record's bytes — so the same encoding that lands
+// on local disk can travel a wire (see internal/export/net) and land
+// in a sink on the far side byte-for-byte identically
+// (WALSink.WriteEncoded stores the checked bytes as received). Sharing
+// appendRecordHeader and Record.header with WALSink is what makes that
+// identity a structural property rather than a convention: there is
+// exactly one encoder.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -198,19 +198,59 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // applies on disk. Trailing bytes are an error: a frame carries one
 // record.
 func DecodeRecord(b []byte) (Record, error) {
-	r := bytes.NewReader(b)
-	br := bufio.NewReader(r)
-	rec, terr, rerr := readRecord(br, walVersionLatest)
-	if rerr != nil {
-		return Record{}, fmt.Errorf("export: decode record: %w", rerr)
+	h, payload, err := checkFrame(b)
+	if err != nil {
+		return Record{}, err
 	}
-	if terr != nil {
-		return Record{}, fmt.Errorf("export: decode record: truncated: %w", terr)
-	}
-	if rest := br.Buffered() + r.Len(); rest > 0 {
-		return Record{}, fmt.Errorf("export: decode record: %d trailing bytes", rest)
+	rec, err := decodeChecked(h, payload)
+	if err != nil {
+		return Record{}, fmt.Errorf("export: decode record: %w", err)
 	}
 	return rec, nil
+}
+
+// verifyRecord applies DecodeRecord's checks to b, but checks a
+// segment's payload in place (event.VerifyBinary) instead of building
+// its events: it accepts exactly what DecodeRecord accepts. It returns
+// the header and the payload, a sub-slice of b, and the decoded record
+// for an annotation; for a segment rec has no field set.
+func verifyRecord(b []byte) (h *recHeader, payload []byte, rec Record, err error) {
+	if h, payload, err = checkFrame(b); err != nil {
+		return nil, nil, Record{}, err
+	}
+	if h.typ != KindSegment {
+		rec, err = decodeChecked(h, payload)
+	} else if n, first, last, verr := event.VerifyBinary(payload, h.monitor); verr != nil {
+		err = fmt.Errorf("decode %s payload: %w", h.typ, verr)
+	} else {
+		err = h.agree(recHeader{typ: KindSegment, monitor: h.monitor, first: first, last: last, count: uint32(n)})
+	}
+	if err != nil {
+		return nil, nil, Record{}, fmt.Errorf("export: decode record: %w", err)
+	}
+	return h, payload, rec, nil
+}
+
+// checkFrame checks that b is exactly one framed record — a header, a
+// payload of the length it states, and that payload's CRC — and
+// returns the header and the payload, a sub-slice of b.
+func checkFrame(b []byte) (*recHeader, []byte, error) {
+	h, err := readHeader(bytes.NewReader(b), walVersionLatest)
+	if err != nil {
+		return nil, nil, fmt.Errorf("export: decode record: truncated: %w", err)
+	}
+	rest := b[len(h.raw):]
+	if uint64(len(rest)) < uint64(h.payloadLen) {
+		return nil, nil, fmt.Errorf("export: decode record: truncated: %w", io.ErrUnexpectedEOF)
+	}
+	payload := rest[:h.payloadLen]
+	if got := crc32.ChecksumIEEE(payload); got != h.sum {
+		return nil, nil, fmt.Errorf("export: decode record: %w (got %08x, header says %08x)", errCRCMismatch, got, h.sum)
+	}
+	if extra := len(rest) - len(payload); extra > 0 {
+		return nil, nil, fmt.Errorf("export: decode record: %d trailing bytes", extra)
+	}
+	return h, payload, nil
 }
 
 // deliver writes r through the sink method for its kind. stored is
@@ -242,9 +282,9 @@ func (r Record) deliver(sink Sink) (stored bool, err error) {
 
 // Apply writes the record to sink, routing annotations through the
 // sink's optional extensions. Unlike the exporter, which skips a kind
-// its sink cannot store, Apply refuses it: Apply exists for
-// replication, where a silent drop would break the byte-identity of
-// the replica.
+// its sink cannot store, Apply refuses it: Apply exists for rewriting
+// a store (compaction), where a silent drop would lose a record the
+// source holds.
 func (r Record) Apply(sink Sink) error {
 	h, ok := r.header()
 	if !ok {

@@ -373,6 +373,25 @@ func (w *WALSink) WriteTombstone(t Tombstone) error {
 	return w.writeAnnotation(Record{Tombstone: &t})
 }
 
+// WriteEncoded appends one framed record, as AppendRecord encodes it,
+// verbatim: the bytes written are b. It first applies every check
+// DecodeRecord applies — the frame, the payload CRC, the payload and
+// its agreement with the header — so a collector can store the bytes
+// it received without trusting them. A segment's payload is checked in
+// place (event.VerifyBinary), never decoded, so for a segment the
+// returned Record has no field set; an annotation comes back decoded.
+// The sink keeps no reference to b.
+func (w *WALSink) WriteEncoded(b []byte) (Record, error) {
+	h, payload, rec, err := verifyRecord(b)
+	if err != nil {
+		return Record{}, err
+	}
+	if err := w.writeRecord(h.typ, h.monitor, h.first, h.last, h.count, payload); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
 // writeAnnotation appends one non-segment record under the header
 // Record.header derives for it, its payload encoded into a pooled
 // buffer.
