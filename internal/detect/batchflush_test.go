@@ -133,3 +133,71 @@ func TestPerMonitorFlushLeavesOtherWritersAlone(t *testing.T) {
 	}
 	wb.Close()
 }
+
+// TestCloseWritersDuringCheckpoints closes monitor-fed writers once
+// their producers are done while checkpoints keep running on another
+// goroutine, as a caller that joins its workload and then closes its
+// writers does. Close and the checkpoint handshake may then reach the
+// same staged block at once; each block must still publish exactly
+// once, or the replay sees a duplicated Enter or Exit and reports a
+// spurious fault.
+func TestCloseWritersDuringCheckpoints(t *testing.T) {
+	t.Parallel()
+	for _, hold := range []bool{true, false} {
+		hold := hold
+		name := "hold-world"
+		if !hold {
+			name = "per-monitor"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			const monitors, procs, pairs = 6, 2, 100
+			db := history.New()
+			mons := make([]*monitor.Monitor, monitors)
+			writers := make([]*history.BatchWriter, monitors)
+			for i := range mons {
+				spec := monitor.Spec{
+					Name: fmt.Sprintf("m%d", i), Kind: monitor.OperationManager,
+					Conditions: []string{"ok"}, Procedures: []string{"Op"},
+				}
+				// 400 events per monitor: the last block is partial, so
+				// Close has something to publish.
+				writers[i] = db.NewBatchWriter(spec.Name, 64)
+				m, err := monitor.New(spec, monitor.WithRecorder(writers[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mons[i] = m
+			}
+			det := New(db, Config{
+				Tmax: time.Minute, Tio: time.Minute,
+				Clock: clock.Real{}, HoldWorld: hold, Workers: 4, BatchSize: 16,
+			}, mons...)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				hammer(proc.NewRuntime(), mons, procs, pairs)
+				for _, w := range writers {
+					w.Close()
+				}
+			}()
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				if vs := det.CheckNow(); len(vs) != 0 {
+					t.Fatalf("clean workload produced violations: %v", vs)
+				}
+			}
+			want := monitors * procs * pairs * 2
+			if got := db.Total(); int(got) != want {
+				t.Fatalf("published %d events, want %d", got, want)
+			}
+			if got := det.Stats().Events; got != want {
+				t.Fatalf("checkpoints replayed %d events, want %d", got, want)
+			}
+		})
+	}
+}

@@ -283,8 +283,8 @@ type Stats struct {
 	// the horizon fix.
 	FrozenFor time.Duration
 	// CheckP50 and CheckP99 are percentile checkpoint latencies — the
-	// perf-gate signal for "a huge shard no longer stalls a
-	// checkpoint". Zero until the first checkpoint completes.
+	// signal for "a huge shard no longer stalls a checkpoint". Zero
+	// until the first checkpoint completes.
 	//
 	// Since the obs subsystem landed they are computed from the
 	// detect_check_ns histogram (power-of-two buckets, interpolated

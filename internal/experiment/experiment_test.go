@@ -131,6 +131,23 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+func TestFormatEventsPerSec(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		in   float64
+		want string
+	}{
+		{2_500_000, "2.50M"},
+		{830_000, "830k"},
+		{512, "512"},
+	}
+	for _, c := range cases {
+		if got := FormatEventsPerSec(c.in); got != c.want {
+			t.Errorf("FormatEventsPerSec(%v) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
 // TestOverheadSmokeRun runs a miniature E2 sweep and checks its
 // structural invariants: ratios above 1 (the extension costs
 // something), zero violations on fault-free runs, and at least one

@@ -1,20 +1,13 @@
-// Package experiment implements the paper's evaluation (§4) plus this
-// repository's scaling experiment: the robustness experiment E1
-// (inject every fault kind from the §2.2 taxonomy, measure detection
-// coverage — RunCoverage), the performance experiment E2 (Table 1 —
-// overhead ratio of the augmented monitor versus the bare monitor at
-// different checking intervals — RunOverhead), the structural
-// reproduction E3 (Figure 1 — the wiring of the augmented monitor
-// construct — Figure1), and the E4 scaling sweep (RunScaling): N
-// monitors into one sharded history database and one detector,
-// hold-world versus per-monitor checkpoints × fixed versus adaptive
-// scheduling × batched replay, reporting events/sec throughput and
-// checkpoint p50/p99 latency per cell, with -repeats taking the
-// per-cell median throughput and minimum latency. E4's JSON artefact
-// (BENCH_scaling.json via cmd/monbench -json) is the perf-trajectory
-// baseline the CI perf gate compares against. Both the command-line
-// tools and the benchmark suite call into this package so every
-// reported number comes from one code path.
+// Package experiment implements the paper's evaluation (§4): the
+// robustness experiment E1 (inject every fault kind from the §2.2
+// taxonomy, measure detection coverage — RunCoverage), the performance
+// experiment E2 (Table 1 — overhead ratio of the augmented monitor
+// versus the bare monitor at different checking intervals —
+// RunOverhead) and the structural reproduction E3 (Figure 1 — the
+// wiring of the augmented monitor construct — Figure1). Both the
+// command-line tools and the benchmark suite call into this package so
+// every reported number comes from one code path. The performance gate
+// is the end-to-end benchmark in bench/, not this package.
 package experiment
 
 import (

@@ -59,3 +59,16 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// FormatEventsPerSec renders a throughput figure compactly (e.g.
+// "1.25M", "830k").
+func FormatEventsPerSec(v float64) string {
+	switch {
+	case v >= 1e6:
+		return fmt.Sprintf("%.2fM", v/1e6)
+	case v >= 1e3:
+		return fmt.Sprintf("%.0fk", v/1e3)
+	default:
+		return fmt.Sprintf("%.0f", v)
+	}
+}

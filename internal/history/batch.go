@@ -89,19 +89,22 @@ func (db *DB) AppendBatch(monitor string, events []event.Event) (first, last int
 //
 // # Synchronization contract
 //
-// A writer is deliberately lock-free: exactly one producer — the
-// goroutine(s) serialised by the owning monitor's mutex, or one
-// direct-producer goroutine — may call Append, Flush, Pending or
-// Close. The checkpoint handshake (DB.FlushMonitorWriters) may flush
-// a writer from another goroutine only while its producer is
-// quiescent under a happens-before edge; the detector has exactly
-// that edge for monitor-fed writers, because monitor.record runs
-// under the checkpoint gate's read lock and the detector flushes
-// while holding the freeze (the gate's write lock). Direct producers
-// are not covered by any freeze: they flush their own writer (or
-// Close it) before the events are needed, e.g. before a standalone
-// Drain. An event for a different monitor than the writer is bound to
-// is published immediately through the singleton DB.Append — correct,
+// Append, Flush and Pending are deliberately lock-free: exactly one
+// producer — the goroutine(s) serialised by the owning monitor's
+// mutex, or one direct-producer goroutine — may call them. The
+// checkpoint handshake (DB.FlushMonitorWriters) may flush a writer
+// from another goroutine only while its producer is quiescent under a
+// happens-before edge; the detector has exactly that edge for
+// monitor-fed writers, because monitor.record runs under the
+// checkpoint gate's read lock and the detector flushes while holding
+// the freeze (the gate's write lock). Direct producers are not covered
+// by any freeze: they flush their own writer (or Close it) before the
+// events are needed, e.g. before a standalone Drain. Close may be
+// called from any goroutine once the writer's producers are done,
+// even while a detector keeps checkpointing: Close and the handshake
+// flush under DB.writerMu, so a staged block publishes exactly once.
+// An event for a different monitor than the writer is bound to is
+// published immediately through the singleton DB.Append — correct,
 // just unamortised — so a misrouted event can never sit invisibly in
 // the wrong writer.
 type BatchWriter struct {
@@ -179,12 +182,14 @@ func (w *BatchWriter) Pending() int { return len(w.buf) }
 func (w *BatchWriter) Monitor() string { return w.monitor }
 
 // Close flushes the staged block and deregisters the writer from the
-// checkpoint handshake. The writer must not be used after Close.
+// checkpoint handshake. Both happen under DB.writerMu, the lock the
+// handshake flushes under, so Close may race a checkpoint (see the
+// synchronization contract). The writer must not be used after Close.
 func (w *BatchWriter) Close() {
-	w.flush()
 	w.db.writerMu.Lock()
+	defer w.db.writerMu.Unlock()
+	w.flush()
 	delete(w.db.writers, w)
-	w.db.writerMu.Unlock()
 }
 
 // FlushMonitorWriters publishes the staged block of every registered
@@ -196,21 +201,19 @@ func (w *BatchWriter) Close() {
 // checkpoint horizon taken right after covers everything recorded
 // before the freeze — exactly the serial path's guarantee. Writers of
 // monitors outside the set are left untouched: their events are not
-// this checkpoint's business, and their producers may be live.
+// this checkpoint's business, and their producers may be live. The
+// flushes run under writerMu, which orders them against Close; the lock
+// order is writerMu, then the shard lock AppendBatch takes.
 func (db *DB) FlushMonitorWriters(monitors ...string) {
 	db.writerMu.Lock()
-	var flush []*BatchWriter
+	defer db.writerMu.Unlock()
 	for w := range db.writers {
 		for _, m := range monitors {
 			if w.monitor == m {
-				flush = append(flush, w)
+				w.flush()
 				break
 			}
 		}
-	}
-	db.writerMu.Unlock()
-	for _, w := range flush {
-		w.Flush()
 	}
 }
 
@@ -219,14 +222,11 @@ func (db *DB) FlushMonitorWriters(monitors ...string) {
 // them all) — the convenience for standalone drain callers: tests and
 // tools that drained the database without a detector. Detector
 // checkpoints use FlushMonitorWriters with the frozen subset instead.
+// Like FlushMonitorWriters it flushes under writerMu.
 func (db *DB) FlushWriters() {
 	db.writerMu.Lock()
-	writers := make([]*BatchWriter, 0, len(db.writers))
+	defer db.writerMu.Unlock()
 	for w := range db.writers {
-		writers = append(writers, w)
-	}
-	db.writerMu.Unlock()
-	for _, w := range writers {
-		w.Flush()
+		w.flush()
 	}
 }

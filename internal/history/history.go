@@ -108,7 +108,8 @@ type DB struct {
 	// checkpoint flush handshake (FlushWriters) publishes. Writers
 	// register in NewBatchWriter and leave in Close; the registry is
 	// touched at construction, close and checkpoint rhythm, never per
-	// event.
+	// event. Close and the handshake also flush under it, so the two
+	// never publish the same staged block.
 	writerMu sync.Mutex
 	writers  map[*BatchWriter]struct{}
 

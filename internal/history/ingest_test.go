@@ -310,6 +310,56 @@ func TestDrainRetainsSlabCapacityAcrossCycles(t *testing.T) {
 	}
 }
 
+// TestRecordPathAllocsPerEvent bounds what the closed record loop
+// allocates: record a burst, publish it, drain it up to the horizon
+// and recycle the drained segment. The steady state allocates per
+// cycle (the pool's slab handle), never per staged block (at least 16
+// here) or per event (at least 4,096), for singleton Append and for a
+// BatchWriter alike. Not parallel: AllocsPerRun counts every
+// goroutine's allocations.
+func TestRecordPathAllocsPerEvent(t *testing.T) {
+	const events, maxAllocs = 4096, 4
+	tmpl := event.Event{Monitor: "m", Type: event.Enter, Pid: 1, Proc: "Op", Flag: event.Completed}
+	for _, batch := range []bool{false, true} {
+		name := "append"
+		if batch {
+			name = "batchwriter"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := New()
+			record := db.Append
+			var w *BatchWriter
+			if batch {
+				w = db.NewBatchWriter("m", DefaultBatchSize)
+				defer w.Close()
+				record = w.Append
+			}
+			drained, cycles := 0, 0
+			cycle := func() {
+				for i := 0; i < events; i++ {
+					record(tmpl)
+				}
+				if w != nil {
+					w.Flush()
+				}
+				seg, _ := db.DrainMonitorUpTo("m", db.LastSeq(), 0)
+				drained += len(seg)
+				cycles++
+				Recycle(seg)
+			}
+			cycle() // warm-up: the shard's first slab grows from nil
+			allocs := testing.AllocsPerRun(50, cycle)
+			if drained != cycles*events {
+				t.Fatalf("drained %d events in %d cycles, want %d", drained, cycles, cycles*events)
+			}
+			if allocs > maxAllocs {
+				t.Fatalf("record loop allocates %.2f per %d-event cycle, want at most %d", allocs, events, maxAllocs)
+			}
+			t.Logf("%.2f allocations per %d-event cycle", allocs, events)
+		})
+	}
+}
+
 // raceInvariants drains everything left, then checks the global
 // bookkeeping a batched-ingest race must preserve: every published
 // event is either drained or reset-dropped, sequence numbers are

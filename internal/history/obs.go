@@ -8,8 +8,8 @@ import "robustmon/internal/obs"
 // slab-pool traffic and drain sizes at drain rhythm. Without WithObs
 // the handles are nil and every update is a nil-safe no-op (obs's
 // off switch), so the uninstrumented hot path pays only a predicted
-// branch per counter; the E7 benchmark (monbench -obsoverhead) gates
-// the instrumented cost.
+// branch per counter. The instrumented cost is gated end to end by the
+// benchmark's fanout-fleet workload, whose database runs on a registry.
 
 // histMetrics are the database's obs handles; the zero value (all
 // nil) is the disabled mode. Shards hold a pointer to the DB's copy,

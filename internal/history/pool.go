@@ -25,10 +25,10 @@ import (
 //     detector (replay) → exporter (write) → Recycle → pool → shard:
 //     the detector hands each replayed segment to its exporter, whose
 //     writer recycles it once the sink has written it (or the
-//     detector recycles it itself when no exporter is wired). The E6
-//     record-path harness and any tool that drains, uses and discards
-//     close the same loop by hand. With the loop closed the record
-//     path allocates nothing per event in steady state.
+//     detector recycles it itself when no exporter is wired).
+//     TestRecordPathAllocsPerEvent and any tool that drains, uses and
+//     discards close the same loop by hand. With the loop closed the
+//     record path allocates nothing per event in steady state.
 //
 // Consumers that never call Recycle lose nothing: the handed-off slabs
 // are ordinary garbage, and the pool's classes are refilled by fresh

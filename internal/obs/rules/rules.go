@@ -13,9 +13,9 @@
 // live registry inside a detector (detect.Config.Rules, at health-
 // cadence checkpoints) and against decoded health records from a WAL
 // or a fleet collector (moncollect's per-origin staleness rules).
-// Evaluation allocates nothing on the no-fire path — the E10 sweep
-// (monbench -obsrules) gates that — so watching the watcher stays off
-// the hot path, the same discipline the detectEr-overheads frame
+// Evaluation allocates nothing on the no-fire path — TestEvalNoFireAllocs
+// pins that, and BenchmarkEval times it — so watching the watcher stays
+// off the hot path, the same discipline the detectEr-overheads frame
 // demands of every other layer.
 //
 // A transition (fire or clear) produces an Alert. Downstream the
@@ -209,9 +209,10 @@ func (e *Engine) Has(name string) bool {
 // capture instant and sequence horizon. When nothing transitions —
 // the overwhelmingly common case — Eval performs no allocation, so a
 // detector can run it at every health checkpoint for the cost of a
-// few linear scans over the snapshot's sorted sections (E10 gates
-// this). The snapshot is retained until the next Eval (rate rules
-// difference against it) and must not be mutated by the caller.
+// few linear scans over the snapshot's sorted sections
+// (TestEvalNoFireAllocs pins this). The snapshot is retained until the
+// next Eval (rate rules difference against it) and must not be mutated
+// by the caller.
 func (e *Engine) Eval(dst []Alert, at time.Time, seq int64, s obs.Snapshot) []Alert {
 	for i := range e.rules {
 		r := &e.rules[i]

@@ -224,8 +224,8 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-// TestEvalNoFireAllocs pins the quiet-path claim E10 gates: evaluating
-// a rule set that stays below its ceilings allocates nothing.
+// TestEvalNoFireAllocs pins the quiet-path claim: evaluating a rule
+// set that stays below its ceilings allocates nothing.
 func TestEvalNoFireAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("c").Add(3)

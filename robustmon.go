@@ -436,7 +436,8 @@ type (
 	// synthetic META violation and a WAL pipeline alert on each
 	// transition; ResetMonitor additionally drives the shard-local
 	// recovery path. The quiet (no-transition) evaluation walk is
-	// allocation-free — gated by the E10 sweep.
+	// allocation-free (pinned by TestEvalNoFireAllocs in
+	// internal/obs/rules).
 	ObsRule = obsrules.Rule
 	// ObsAlert is one rule transition (fired or cleared), streamed
 	// through the export WAL and returned by ReadExportDir in
@@ -650,18 +651,11 @@ func NewRecoveryManager(p RecoveryPolicy, rt *Runtime, mons ...*Monitor) *Recove
 type (
 	// CoverageResult is one row of the E1 robustness experiment.
 	CoverageResult = experiment.CoverageResult
-	// OverheadConfig parameterises the E2 overhead experiment.
-	OverheadConfig = experiment.OverheadConfig
-	// OverheadRow is one cell of Table 1.
-	OverheadRow = experiment.OverheadRow
 )
 
 // RunCoverage injects the given fault kinds and reports detection
 // results (E1: the paper's "all injected faults are detected").
 func RunCoverage(kinds []FaultKind) []CoverageResult { return experiment.RunCoverage(kinds) }
-
-// RunOverhead executes the Table 1 overhead sweep (E2).
-func RunOverhead(cfg OverheadConfig) ([]OverheadRow, error) { return experiment.RunOverhead(cfg) }
 
 // External consistency (§1's per-program sequential constraints,
 // checked at run time across monitors).
