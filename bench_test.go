@@ -252,64 +252,6 @@ func BenchmarkHistorySharded(b *testing.B) {
 	benchHistoryAppendParallel(b, nil)
 }
 
-// BenchmarkHistoryAppendBatch is the block-publication fast path: the
-// same parallel per-monitor workload as BenchmarkHistorySharded, but
-// published DefaultBatchSize events at a time through AppendBatch —
-// one lock acquire and one sequence claim per block. Run with
-// -benchmem: the headline next to the speedup is allocs/op ≈ 0.
-func BenchmarkHistoryAppendBatch(b *testing.B) {
-	db := history.New()
-	var worker int64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		id := atomic.AddInt64(&worker, 1)
-		mon := fmt.Sprintf("mon%02d", id)
-		e := event.Event{
-			Monitor: mon, Type: event.Enter, Pid: id, Proc: "Op", Flag: 1,
-		}
-		block := make([]event.Event, 0, history.DefaultBatchSize)
-		i := 0
-		for pb.Next() {
-			block = append(block, e)
-			if len(block) == cap(block) {
-				db.AppendBatch(mon, block)
-				block = block[:0]
-			}
-			if i++; i%4096 == 0 {
-				history.Recycle(db.DrainMonitor(mon)) // keep the shard bounded
-			}
-		}
-		db.AppendBatch(mon, block)
-	})
-}
-
-// BenchmarkBatchWriter is the full batched record path as a monitor
-// would drive it: per-goroutine BatchWriter staging, block publication
-// on overflow, pooled slab recycling at the drain. Compare ns/op and
-// allocs/op against BenchmarkHistorySharded for what the batching
-// layer buys over singleton Appends.
-func BenchmarkBatchWriter(b *testing.B) {
-	db := history.New()
-	var worker int64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		id := atomic.AddInt64(&worker, 1)
-		mon := fmt.Sprintf("mon%02d", id)
-		w := db.NewBatchWriter(mon, 0)
-		e := event.Event{
-			Monitor: mon, Type: event.Enter, Pid: id, Proc: "Op", Flag: 1,
-		}
-		i := 0
-		for pb.Next() {
-			w.Append(e)
-			if i++; i%4096 == 0 {
-				history.Recycle(db.DrainMonitor(mon)) // keep the shard bounded
-			}
-		}
-		w.Close()
-	})
-}
-
 // BenchmarkCheckNowManyMonitors measures one checkpoint over N
 // monitors with full segments, comparing the stop-the-world barrier
 // against the per-monitor pipeline. The per-monitor work is

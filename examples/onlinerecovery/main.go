@@ -1,14 +1,14 @@
 // Online recovery: reset a faulty monitor without stopping the world.
 //
-// Four monitors share one sharded history database and one adaptive,
-// per-monitor-mode detector streaming its checkpoints to a WAL export
-// directory. A keep-lock fault wedges one monitor mid-run; the
-// recovery manager's ResetMonitor policy — wired shard-local via
-// SetResetter — freezes only that monitor, discards its unchecked
-// history, reinitialises it and lets its workload resume, while the
-// other three monitors never stop. The exported WAL carries a recovery
-// marker recording the reset horizon, which the replay at the end
-// reads back.
+// Four monitors share one sharded history database and one
+// per-monitor-mode detector, checking every 2ms and streaming its
+// checkpoints to a WAL export directory. A keep-lock fault wedges one
+// monitor mid-run; the recovery manager's ResetMonitor policy — wired
+// shard-local via SetResetter — freezes only that monitor, discards
+// its unchecked history, reinitialises it and lets its workload
+// resume, while the other three monitors never stop. The exported WAL
+// carries a recovery marker recording the reset horizon, which the
+// replay at the end reads back.
 //
 //	go run ./examples/onlinerecovery
 package main
@@ -72,8 +72,7 @@ func run() error {
 	rt := robustmon.NewRuntime()
 	mgr := robustmon.NewRecoveryManager(robustmon.ResetMonitor, rt, faulty)
 	det := robustmon.NewDetectorNoFreeze(db, robustmon.DetectorConfig{
-		MinInterval: 2 * time.Millisecond,
-		MaxInterval: 25 * time.Millisecond,
+		Interval:    2 * time.Millisecond,
 		BatchSize:   64,
 		Exporter:    exp,
 		OnViolation: mgr.Handle,

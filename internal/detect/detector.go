@@ -23,31 +23,23 @@
 // for faults whose only symptom is that nothing happens. See
 // DESIGN.md for the architecture.
 //
-// Two scaling controls sit on top of the pipeline. Batched replay
-// (Config.BatchSize) drains and replays each monitor's segment in
-// fixed-size batches with the checking-list seeding paid once per
-// checkpoint, so a shard that buffered a million events no longer
-// stalls its checkpoint on one giant drain. Adaptive scheduling
-// (Config.MinInterval/MaxInterval, package sched) replaces the single
-// fixed checking interval with a per-monitor effective interval
-// driven by observed per-shard event rates: hot monitors are checked
-// often enough that their segments stay near Config.TargetBatch
-// events, idle monitors back off toward MaxInterval. Both controls
-// are detection-equivalent to the fixed-T serial path: the same
-// events replay through the same seeded lists, so the violation set
-// is identical (pinned by TestBatchedAdaptiveEquivalence).
+// Batched replay (Config.BatchSize) sits on top of the pipeline: each
+// monitor's segment is drained and replayed in fixed-size batches with
+// the checking-list seeding paid once per checkpoint, so a shard that
+// buffered a million events no longer stalls its checkpoint on one
+// giant drain. It is detection-equivalent to the serial single-drain
+// path: the same events replay through the same seeded lists, so the
+// violation set is identical (pinned by TestBatchedEquivalence).
 package detect
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"robustmon/internal/checklists"
 	"robustmon/internal/clock"
-	"robustmon/internal/detect/sched"
 	"robustmon/internal/event"
 	"robustmon/internal/history"
 	"robustmon/internal/monitor"
@@ -114,28 +106,9 @@ type Config struct {
 	// The violation set is the same either way; only WAL record framing
 	// (one record per drained batch) differs.
 	BatchSize int
-	// MaxInterval, when positive, switches Run to the adaptive
-	// scheduler (package sched): each monitor gets its own effective
-	// checking interval in [MinInterval, MaxInterval], derived from its
-	// observed event rate, instead of the single fixed Interval. Hot
-	// monitors are checked more often (their interval aims their
-	// segment size at TargetBatch events); idle monitors back off
-	// toward MaxInterval, which is therefore the worst-case detection
-	// latency for periodic-phase faults. CheckNow still checks every
-	// monitor on demand.
-	MaxInterval time.Duration
-	// MinInterval is the adaptive scheduler's floor (its Tmin): no
-	// monitor is checked more often than this. Zero falls back to
-	// Interval, then to 1ms.
-	MinInterval time.Duration
-	// TargetBatch is the per-checkpoint segment size (events) the
-	// adaptive scheduler tunes each monitor's interval toward. Zero
-	// means BatchSize when set, else sched.DefaultTargetBatch.
-	TargetBatch int
 	// Obs, when set, instruments the detector on the registry (see
-	// obs.go): checkpoint/freeze latency histograms, check, replay,
-	// violation and reset counters, and per-monitor interval gauges
-	// when the adaptive scheduler is on. It is also the registry
+	// obs.go): checkpoint/freeze latency histograms and check, replay,
+	// violation and reset counters. It is also the registry
 	// HealthEvery snapshots are captured from. Nil disables at zero
 	// cost (Stats.CheckP50/CheckP99 still work — the latency histogram
 	// is kept standalone).
@@ -226,16 +199,11 @@ type monState struct {
 // methods are safe for concurrent use, though checkpoints themselves
 // are serialised (the worker pool parallelises within a checkpoint).
 type Detector struct {
-	cfg   Config
-	db    *history.DB
-	sched *sched.Scheduler // nil unless cfg.MaxInterval > 0
+	cfg Config
+	db  *history.DB
 	// byName maps monitor name → d.mons index; fixed at construction,
-	// used by every adaptive checkpoint to translate due names.
+	// used by RequestReset to find the monitor to reset.
 	byName map[string]int
-	// monNames lists this detector's monitors — the set a hold-world
-	// checkpoint freezes, and so the set whose batch writers the flush
-	// handshake publishes. Fixed at construction.
-	monNames []string
 
 	// met are the obs handles (see obs.go); met.checkNs is live even
 	// without Config.Obs, backing Stats.CheckP50/CheckP99. health is
@@ -324,33 +292,13 @@ func New(db *history.DB, cfg Config, mons ...*monitor.Monitor) *Detector {
 		prev := m.Snapshot().Clone()
 		m.Thaw()
 		d.byName[m.Name()] = len(d.mons)
-		d.monNames = append(d.monNames, m.Name())
 		d.mons = append(d.mons, &monState{
 			mon:  m,
 			prev: prev,
 			rl:   checklists.NewRequestList(m.Spec()),
 		})
 	}
-	if cfg.MaxInterval > 0 {
-		tmin := cfg.MinInterval
-		if tmin <= 0 {
-			tmin = cfg.Interval
-		}
-		target := cfg.TargetBatch
-		if target <= 0 {
-			target = cfg.BatchSize
-		}
-		d.sched = sched.New(sched.Config{
-			Tmin:        tmin,
-			Tmax:        cfg.MaxInterval,
-			TargetBatch: target,
-		})
-		now := cfg.Clock.Now()
-		for _, ms := range d.mons {
-			d.sched.Add(ms.mon.Name(), now)
-		}
-	}
-	d.met = newDetMetrics(cfg.Obs, d.monNames, d.sched != nil)
+	d.met = newDetMetrics(cfg.Obs)
 	if cfg.HealthEvery > 0 && cfg.Obs != nil && cfg.Exporter != nil {
 		// Health emission needs all three legs: a cadence, a registry to
 		// snapshot, and an exporter to carry the record — no type sniff:
@@ -381,8 +329,7 @@ func NewDefault(db *history.DB, cfg Config, mons ...*monitor.Monitor) *Detector 
 	return New(db, cfg, mons...)
 }
 
-// workers returns the effective checkpoint pool size for n selected
-// monitors.
+// workers returns the effective checkpoint pool size for n monitors.
 func (d *Detector) workers(n int) int {
 	w := d.cfg.Workers
 	if w <= 0 {
@@ -402,40 +349,16 @@ func (d *Detector) workers(n int) int {
 // Violations are reported in monitor order regardless of worker
 // scheduling, so the parallel pipeline yields the same violation set
 // (and order) as a serial pass.
-func (d *Detector) CheckNow() []rules.Violation {
-	sel := make([]int, len(d.mons))
-	for i := range sel {
-		sel[i] = i
-	}
-	return d.checkSubset(sel)
-}
-
-// checkNames runs one checkpoint over the named monitors — the
-// adaptive scheduler's entry point, where only the monitors that are
-// due get checked. Unknown names are ignored.
-func (d *Detector) checkNames(names []string) []rules.Violation {
-	sel := make([]int, 0, len(names))
-	for _, name := range names {
-		if i, ok := d.byName[name]; ok {
-			sel = append(sel, i)
-		}
-	}
-	sort.Ints(sel) // monitor order, whatever order the names came in
-	return d.checkSubset(sel)
-}
-
-// checkSubset runs one checkpoint over the selected monitor indices.
-// It is the single checkpoint implementation behind CheckNow (all
-// monitors) and the adaptive scheduler (the due subset). Pending
-// shard-local recovery resets (RequestReset) are applied at both
-// checkpoint boundaries while the checkpoint lock is held — never
+//
+// Pending shard-local recovery resets (RequestReset) are applied at
+// both checkpoint boundaries while the checkpoint lock is held — never
 // inside the checkpoint — so a reset can never interleave with an
 // in-flight snapshot, drain or batched replay of the same shard.
-func (d *Detector) checkSubset(sel []int) []rules.Violation {
+func (d *Detector) CheckNow() []rules.Violation {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.applyResetsLocked()
-	out := d.checkSubsetLocked(sel)
+	out := d.checkLocked()
 	// A violation found by this checkpoint reaches OnViolation (and so
 	// a recovery manager) synchronously above; its reset request lands
 	// here, before the checkpoint returns. Requests enqueued after
@@ -454,32 +377,23 @@ func (d *Detector) checkSubset(sel []int) []rules.Violation {
 	return out
 }
 
-// checkSubsetLocked is checkSubset's body; the caller holds d.mu.
-func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
+// checkLocked is CheckNow's checkpoint body; the caller holds d.mu.
+func (d *Detector) checkLocked() []rules.Violation {
 	start := d.cfg.Clock.Now()
-	perMon := make([][]rules.Violation, len(sel))
-	events := make([]int, len(sel))
+	perMon := make([][]rules.Violation, len(d.mons))
+	events := make([]int, len(d.mons))
 
 	if d.cfg.HoldWorld {
-		// Two-phase barrier (§4): stop the whole world — every monitor,
-		// selected or not, so the checkpoint observes one consistent
-		// global state — and capture the selected snapshots against it …
+		// Two-phase barrier (§4): stop the whole world, so the checkpoint
+		// observes one consistent global state, and capture every
+		// snapshot against it …
 		for _, ms := range d.mons {
 			ms.mon.Freeze()
 		}
-		// Flush-on-checkpoint handshake: monitors publishing through
-		// batch writers may hold recorded-but-unpublished events in
-		// writer-local buffers. The monitors are frozen — nothing new
-		// can be staged, and the freeze is the happens-before edge that
-		// makes reading their writers safe — so publishing the
-		// stragglers here, before the horizon is fixed, makes the
-		// checkpoint observe exactly the events a serial (unbatched)
-		// record path would have published.
-		d.db.FlushMonitorWriters(d.monNames...)
 		lastSeq := d.db.LastSeq()
-		snaps := make([]state.Snapshot, len(sel))
-		for k, i := range sel {
-			snap := d.mons[i].mon.Snapshot().Clone()
+		snaps := make([]state.Snapshot, len(d.mons))
+		for k, ms := range d.mons {
+			snap := ms.mon.Snapshot().Clone()
 			snap.LastSeq = lastSeq
 			snaps[k] = snap
 			// §4: the database keeps the checkpoint states alongside the
@@ -490,8 +404,8 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 		// Each worker drains its monitor's shard up to the frozen
 		// horizon and replays it while the world is still held, as the
 		// paper's prototype does.
-		d.runPool(len(sel), func(k int) {
-			ms := d.mons[sel[k]]
+		d.runPool(len(d.mons), func(k int) {
+			ms := d.mons[k]
 			perMon[k], events[k] = d.replayMonitor(ms,
 				d.batchDrain(ms.mon.Name(), lastSeq), snaps[k], now)
 		})
@@ -510,18 +424,10 @@ func (d *Detector) checkSubsetLocked(sel []int) []rules.Violation {
 		// recorded after the thaw carry sequence numbers beyond the
 		// horizon and stay buffered for the next checkpoint.
 		now := d.cfg.Clock.Now()
-		frozen := make([]time.Duration, len(sel))
-		d.runPool(len(sel), func(k int) {
-			ms := d.mons[sel[k]]
+		frozen := make([]time.Duration, len(d.mons))
+		d.runPool(len(d.mons), func(k int) {
+			ms := d.mons[k]
 			ms.mon.Freeze()
-			// Same flush-on-checkpoint handshake as hold-world mode,
-			// scoped to the one monitor this worker froze: its writers
-			// are quiescent behind the freeze, so the flush publishes
-			// every event it recorded before this checkpoint's horizon is
-			// fixed below. Other monitors' writers stay untouched — their
-			// producers may be live, and their events are not this
-			// checkpoint's business.
-			d.db.FlushMonitorWriters(ms.mon.Name())
 			t0 := d.cfg.Clock.Now()
 			snap := ms.mon.Snapshot().Clone()
 			horizon := d.db.LastSeq()
@@ -622,8 +528,8 @@ func (d *Detector) runPool(n int, fn func(k int)) {
 // amortised-seeding half of batched checkpoints). Each batch is handed
 // off (see handOff) as soon as it is replayed, so a batched checkpoint
 // holds one batch at a time. Within a checkpoint it is called by
-// exactly one worker per monitor; the checkpoint barrier in
-// checkSubset orders these calls across checkpoints.
+// exactly one worker per monitor; the checkpoint lock held by
+// CheckNow orders these calls across checkpoints.
 func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), cur state.Snapshot, now time.Time) ([]rules.Violation, int) {
 	spec := ms.mon.Spec()
 
@@ -676,99 +582,31 @@ func (d *Detector) handOff(monitor string, seg event.Seq) {
 	history.Recycle(seg)
 }
 
-// Run drives the periodic checking routine until ctx is cancelled,
-// then performs one final all-monitor check so no recorded events go
-// unchecked (and, when an Exporter is configured, flushes it so the
-// exported trace is complete through that final checkpoint). With the
-// adaptive scheduler enabled (Config.MaxInterval > 0) each monitor is
-// checked on its own rate-derived interval; otherwise every monitor is
-// checked every Interval. It returns all violations found while
-// running.
+// Run drives the periodic checking routine: it checks every monitor
+// every Interval until ctx is cancelled, then performs one final check
+// so no recorded events go unchecked (and, when an Exporter is
+// configured, flushes it so the exported trace is complete through
+// that final checkpoint). With Interval <= 0 only the final check
+// runs. It returns every violation found so far, as Violations does.
 func (d *Detector) Run(ctx context.Context) []rules.Violation {
 	defer func() {
 		if d.cfg.Exporter != nil {
 			_ = d.cfg.Exporter.Flush()
 		}
 	}()
-	if d.sched != nil {
-		return d.runAdaptive(ctx)
-	}
-	if d.cfg.Interval <= 0 {
-		<-ctx.Done()
-		return d.CheckNow()
-	}
 	for {
-		select {
-		case <-ctx.Done():
-			d.CheckNow()
-			return d.Violations()
-		case <-d.cfg.Clock.After(d.cfg.Interval):
-			d.CheckNow()
-		}
-	}
-}
-
-// runAdaptive is Run's adaptive-scheduler loop: sleep until the
-// earliest monitor is due, refresh every monitor's rate estimate from
-// the database's per-shard counters, and checkpoint exactly the due
-// subset. The final cancellation check still covers every monitor.
-func (d *Detector) runAdaptive(ctx context.Context) []rules.Violation {
-	for {
-		wait, ok := d.sched.NextWake(d.cfg.Clock.Now())
-		if !ok {
-			// No monitors: nothing to schedule, but honour the contract
-			// of a final check on cancellation.
-			<-ctx.Done()
-			d.CheckNow()
-			return d.Violations()
+		var tick <-chan time.Time // nil without an Interval: never fires
+		if d.cfg.Interval > 0 {
+			tick = d.cfg.Clock.After(d.cfg.Interval)
 		}
 		select {
 		case <-ctx.Done():
 			d.CheckNow()
 			return d.Violations()
-		case <-d.cfg.Clock.After(wait):
-			now := d.cfg.Clock.Now()
-			// Rates refresh for every monitor on every tick — that is
-			// what decays an idle monitor's estimate and backs its
-			// interval off toward MaxInterval. The tick does O(monitors)
-			// uncontended lock hops (EventCount is an RLock + atomic
-			// load; Append stopped touching countMu once shards cached
-			// their counter); if fleets grow to many thousands of
-			// monitors, batch Observe/EventCounts APIs are the next
-			// step.
-			for _, ms := range d.mons {
-				name := ms.mon.Name()
-				d.sched.Observe(name, d.db.EventCount(name), now)
-			}
-			due := d.sched.Due(now)
-			if len(due) == 0 {
-				continue
-			}
-			d.checkNames(due)
-			done := d.cfg.Clock.Now()
-			for _, name := range due {
-				d.sched.MarkChecked(name, done)
-			}
-			if d.met.intervals != nil {
-				// Refresh the effective-interval gauges at checkpoint
-				// rhythm; the map was resolved at construction, so this
-				// is gauge stores, not registry lookups.
-				for name, iv := range d.sched.Intervals() {
-					d.met.intervals[name].Set(int64(iv))
-				}
-			}
+		case <-tick:
+			d.CheckNow()
 		}
 	}
-}
-
-// Intervals returns each monitor's current effective checking
-// interval when the adaptive scheduler is enabled (nil otherwise) —
-// the observability hook the adaptive example and benchmarks read.
-func (d *Detector) Intervals() map[string]time.Duration {
-	if d.sched == nil {
-		return nil
-	}
-	return d.sched.Intervals()
 }
 
 // Violations returns every violation found so far, in detection order.

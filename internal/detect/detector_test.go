@@ -2,6 +2,8 @@ package detect
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,8 @@ import (
 	"robustmon/internal/faults"
 	"robustmon/internal/history"
 	"robustmon/internal/monitor"
+	"robustmon/internal/obs"
+	obsrules "robustmon/internal/obs/rules"
 	"robustmon/internal/proc"
 	"robustmon/internal/rules"
 )
@@ -410,6 +414,37 @@ func TestRunLoopPeriodicChecks(t *testing.T) {
 	}
 	if got := f.det.Stats().Checks; got < 4 {
 		t.Fatalf("Checks = %d, want ≥ 4 (3 periodic + 1 final)", got)
+	}
+}
+
+// TestRunReturnsEveryViolation: Run returns every violation found
+// while it ran, as Violations does, with or without a periodic
+// Interval. The rule fires at the final checkpoint's health
+// evaluation; its meta-violation is never part of CheckNow's result,
+// so Run has to report the accumulated set.
+func TestRunReturnsEveryViolation(t *testing.T) {
+	t.Parallel()
+	for _, iv := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("interval=%v", iv), func(t *testing.T) {
+			t.Parallel()
+			f := newFixture(t, managerSpec(), monitor.Hooks{}, Config{
+				Interval: iv,
+				Obs:      obs.NewRegistry(), HealthEvery: time.Minute, Exporter: &alertCapture{},
+				Rules: []obsrules.Rule{{
+					Name: "any-check", Metric: "detect_checks_total", Ceiling: 0, FireAfter: 1,
+				}},
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			got := f.det.Run(ctx)
+			want := f.det.Violations()
+			if len(want) != 1 || want[0].Rule != rules.Meta {
+				t.Fatalf("Violations() = %v, want the one meta-violation", want)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Run returned %v, want every violation found: %v", got, want)
+			}
+		})
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 
 // Detector self-observability. Config.Obs instruments the checkpoint
 // pipeline on an obs registry — checkpoint and freeze latency
-// histograms, check/replay/violation/reset counters, and per-monitor
-// effective-interval gauges under the adaptive scheduler — and
+// histograms and check/replay/violation/reset counters — and
 // Config.HealthEvery periodically captures the whole registry as a
 // health snapshot sent through the exporter's ConsumeHealth, so the
 // export WAL carries the detector's health timeline alongside its
@@ -26,17 +25,13 @@ type detMetrics struct {
 	resets, resetDropped *obs.Counter
 	healthsEmitted       *obs.Counter
 	checkNs, freezeNs    *obs.Histogram
-	// intervals are the per-monitor effective-interval gauges
-	// (detect_interval_ns{monitor="..."}), resolved once at
-	// construction; nil unless the adaptive scheduler is on.
-	intervals map[string]*obs.Gauge
 }
 
-func newDetMetrics(reg *obs.Registry, monitors []string, adaptive bool) detMetrics {
+func newDetMetrics(reg *obs.Registry) detMetrics {
 	if reg == nil {
 		return detMetrics{checkNs: obs.NewHistogram()}
 	}
-	m := detMetrics{
+	return detMetrics{
 		checks:         reg.Counter("detect_checks_total"),
 		violations:     reg.Counter("detect_violations_total"),
 		eventsReplayed: reg.Counter("detect_events_replayed_total"),
@@ -46,13 +41,6 @@ func newDetMetrics(reg *obs.Registry, monitors []string, adaptive bool) detMetri
 		checkNs:        reg.Histogram("detect_check_ns"),
 		freezeNs:       reg.Histogram("detect_freeze_ns"),
 	}
-	if adaptive {
-		m.intervals = make(map[string]*obs.Gauge, len(monitors))
-		for _, name := range monitors {
-			m.intervals[name] = reg.Gauge(`detect_interval_ns{monitor="` + name + `"}`)
-		}
-	}
-	return m
 }
 
 // maybeEmitHealthLocked sends a health snapshot through the exporter

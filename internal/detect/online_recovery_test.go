@@ -1,8 +1,8 @@
 package detect
 
 // The acceptance test for shard-local online recovery: inject faults
-// into k of n monitors under the per-monitor adaptive+batched
-// checkpoint mode with Policy=ResetMonitor, and require
+// into k of n monitors under the per-monitor batched checkpoint mode
+// with Policy=ResetMonitor, and require
 //
 //	(a) no world stop — checkpoints keep completing after the resets
 //	    were applied, observed via Stats, and every untouched monitor's
@@ -104,14 +104,12 @@ func runOnlineRecoveryWorkload(t *testing.T, withRecovery bool) recoveryRunResul
 	rt := proc.NewRuntime()
 	var mgr *recovery.Manager
 	cfg := Config{
-		Clock:       clock.Real{},
-		HoldWorld:   false, // per-monitor mode: the whole point
-		Workers:     4,
-		BatchSize:   8,
-		MinInterval: 2 * time.Millisecond,
-		MaxInterval: 25 * time.Millisecond,
-		TargetBatch: 8,
-		Exporter:    exp,
+		Clock:     clock.Real{},
+		HoldWorld: false, // per-monitor mode: the whole point
+		Workers:   4,
+		Interval:  2 * time.Millisecond,
+		BatchSize: 8,
+		Exporter:  exp,
 	}
 	if withRecovery {
 		mgr = recovery.NewManager(recovery.ResetMonitor, rt,

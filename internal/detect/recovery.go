@@ -12,8 +12,8 @@ package detect
 // replays, checking-list seeds), so the online reset lives here:
 // RequestReset enqueues, and the reset is applied under the checkpoint
 // lock at a checkpoint boundary — freeze only the offending monitor,
-// discard its buffered history, reinitialise monitor + checking state
-// + scheduler state, emit a recovery marker, thaw. Every other monitor
+// discard its buffered history, reinitialise monitor + checking
+// state, emit a recovery marker, thaw. Every other monitor
 // keeps recording, checkpointing and exporting throughout.
 
 import (
@@ -41,23 +41,20 @@ type resetReq struct {
 // else — including the real-time checker's callback, which runs inside
 // the faulty monitor's own critical section — is applied by a detached
 // goroutine as soon as the lock is free. That indirection is what
-// fences the reset against an in-flight adaptive/batched checkpoint on
-// the same shard: the checkpoint fixed its horizon under the monitor's
+// fences the reset against an in-flight (possibly batched) checkpoint
+// on the same shard: the checkpoint fixed its horizon under the monitor's
 // freeze, and the reset can only run after that checkpoint (and its
 // batched drains) fully completed, taking a fresh horizon of its own.
 //
 // What one applied reset does, with only the offending monitor frozen:
 //
 //   - history.DB.ResetMonitor discards the shard's buffered unchecked
-//     events (they are not exported — the marker records the gap) and
-//     restarts the per-monitor rate counter;
+//     events (they are not exported — the marker records the gap);
 //   - monitor.ResetFrozen clears the queues and the inside set,
 //     restores R#, and aborts the parked processes;
 //   - the monitor's checking state is reseeded from a fresh post-reset
 //     snapshot (previous snapshot, cumulative send/receive counts,
 //     request list);
-//   - the adaptive scheduler re-arms the monitor at Tmin with its rate
-//     history cleared (sched.Reset);
 //   - a history.RecoveryMarker is emitted through Config.Exporter's
 //     ConsumeMarker when an exporter is wired.
 //
@@ -144,9 +141,6 @@ func (d *Detector) resetOneLocked(r resetReq) {
 	ms.prev = snap
 	ms.tot = counts{}
 	ms.rl = checklists.NewRequestList(ms.mon.Spec())
-	if d.sched != nil {
-		d.sched.Reset(r.name, now)
-	}
 
 	d.stats.Resets++
 	d.stats.ResetDropped += dropped

@@ -28,15 +28,6 @@
 // covered by no detector (and never drained) buffers its events
 // indefinitely; give every recording monitor a detector, or drain its
 // shard yourself.
-//
-// # Batched publication
-//
-// Append pays one shard-lock acquire and three atomic updates per
-// event. AppendBatch publishes a block under a single acquire with one
-// contiguous sequence-range claim, and BatchWriter (see batch.go)
-// stages events per producer so blocks form without shared state; the
-// checkpoint flush handshake (FlushWriters) keeps drains and
-// checkpoints exactly as consistent as the singleton path.
 package history
 
 import (
@@ -57,21 +48,11 @@ type shard struct {
 	mu      sync.Mutex
 	segment []event.Event
 	full    event.Seq
-	// counter is the owning monitor's cumulative event counter,
-	// resolved once at shard creation so Append never touches the
-	// counter map.
-	counter *counter
 	// met points at the owning DB's obs handles (never nil; the
 	// handles inside are nil without WithObs), so the drain path can
 	// count pool traffic without reaching back to the DB.
 	met *histMetrics
 }
-
-// counter is one monitor's cumulative event count. It lives outside
-// the shard so that rate estimators (the adaptive checkpoint
-// scheduler) can read it lock-free while appends and drains are in
-// flight.
-type counter struct{ n atomic.Int64 }
 
 // DrainTee observes drained segments. The database calls each
 // installed tee once per (monitor, segment) pair for every Drain,
@@ -99,20 +80,6 @@ type DB struct {
 	shardMu sync.RWMutex
 	shards  map[string]*shard
 
-	// countMu guards the counters map itself; the counts are atomics so
-	// readers (EventCount) never take a lock on the hot path.
-	countMu sync.RWMutex
-	counts  map[string]*counter
-
-	// writerMu guards the registry of live BatchWriters — the set the
-	// checkpoint flush handshake (FlushWriters) publishes. Writers
-	// register in NewBatchWriter and leave in Close; the registry is
-	// touched at construction, close and checkpoint rhythm, never per
-	// event. Close and the handshake also flush under it, so the two
-	// never publish the same staged block.
-	writerMu sync.Mutex
-	writers  map[*BatchWriter]struct{}
-
 	// stateMu guards the checkpoint snapshots — a cold path written only
 	// at checkpoints, deliberately outside the shard locks.
 	stateMu sync.Mutex
@@ -137,7 +104,6 @@ func WithFullTrace() Option {
 func New(opts ...Option) *DB {
 	db := &DB{
 		shards: make(map[string]*shard, 8),
-		counts: make(map[string]*counter, 8),
 	}
 	for _, o := range opts {
 		o(db)
@@ -157,38 +123,10 @@ func (db *DB) shardFor(monitor string) *shard {
 	db.shardMu.Lock()
 	defer db.shardMu.Unlock()
 	if s = db.shards[monitor]; s == nil {
-		s = &shard{counter: db.counterFor(monitor), met: &db.met}
+		s = &shard{met: &db.met}
 		db.shards[monitor] = s
 	}
 	return s
-}
-
-// counterFor returns the named monitor's cumulative event counter,
-// creating it on first use.
-func (db *DB) counterFor(monitor string) *counter {
-	db.countMu.RLock()
-	c := db.counts[monitor]
-	db.countMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	db.countMu.Lock()
-	defer db.countMu.Unlock()
-	if c = db.counts[monitor]; c == nil {
-		c = &counter{}
-		db.counts[monitor] = c
-	}
-	return c
-}
-
-// EventCount returns how many events the named monitor has recorded
-// over the database's lifetime (drains do not decrement it). It is a
-// single atomic load after the first call for a monitor, so rate
-// estimators — the adaptive checkpoint scheduler samples every
-// monitor's counter on each tick — can poll it while appends, drains
-// and hold-world barriers are in flight.
-func (db *DB) EventCount(monitor string) int64 {
-	return db.counterFor(monitor).n.Load()
 }
 
 // lockAllShards locks every shard in deterministic (name) order and
@@ -257,14 +195,12 @@ type teePair struct {
 // Append records the event, assigns it the next global sequence number
 // (starting at 1), and returns the stored copy. Appends to different
 // monitors contend only on the atomic counter, never on a common lock.
-// For block publication amortising the lock and the sequence claim,
-// see AppendBatch and BatchWriter (batch.go).
 //
-// This is the hottest function in the repository: the shard caches
-// its monitor's counter, the unlock is explicit rather than deferred,
-// and the atomic counter updates happen after the lock is released —
-// the critical section is exactly the sequence claim and the two slice
-// appends.
+// This is the hottest function in the repository: it pays one shard
+// lock, one sequence atomic and one total atomic per event. The unlock
+// is explicit rather than deferred, and the total is bumped after the
+// lock is released — the critical section is exactly the sequence
+// claim and the two slice appends.
 func (db *DB) Append(e event.Event) event.Event {
 	s := db.shardFor(e.Monitor)
 	s.mu.Lock()
@@ -277,7 +213,6 @@ func (db *DB) Append(e event.Event) event.Event {
 	}
 	s.mu.Unlock()
 	db.total.Add(1)
-	s.counter.n.Add(1)
 	db.met.appends.Inc()
 	return e
 }

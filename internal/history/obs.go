@@ -4,7 +4,7 @@ import "robustmon/internal/obs"
 
 // Instrumentation. The database self-reports through internal/obs:
 // WithObs hands it a registry and every layer of the record path
-// counts itself — appends and batch publications at event rhythm,
+// counts itself — appends at event rhythm,
 // slab-pool traffic and drain sizes at drain rhythm. Without WithObs
 // the handles are nil and every update is a nil-safe no-op (obs's
 // off switch), so the uninstrumented hot path pays only a predicted
@@ -16,9 +16,8 @@ import "robustmon/internal/obs"
 // so shard-side updates never touch the DB struct's hot cache lines
 // beyond the counters themselves.
 type histMetrics struct {
-	// appends counts singleton Append calls; batches and batchEvents
-	// count AppendBatch publications and the events they carried.
-	appends, batches, batchEvents *obs.Counter
+	// appends counts Append calls.
+	appends *obs.Counter
 	// poolHit/poolMiss count drain-rhythm slab requests served from
 	// the segment pool vs freshly allocated (requests outside the
 	// pooled classes count as neither). Hits are how recycled slabs
@@ -35,8 +34,6 @@ func newHistMetrics(reg *obs.Registry) histMetrics {
 	}
 	return histMetrics{
 		appends:     reg.Counter("history_append_total"),
-		batches:     reg.Counter("history_append_batch_total"),
-		batchEvents: reg.Counter("history_append_batch_events_total"),
 		poolHit:     reg.Counter("history_pool_hit_total"),
 		poolMiss:    reg.Counter("history_pool_miss_total"),
 		drainEvents: reg.Histogram("history_drain_events"),
@@ -44,8 +41,7 @@ func newHistMetrics(reg *obs.Registry) histMetrics {
 }
 
 // WithObs instruments the database on the given registry (see
-// internal/obs): history_append_total, history_append_batch_total,
-// history_append_batch_events_total, history_pool_hit_total,
+// internal/obs): history_append_total, history_pool_hit_total,
 // history_pool_miss_total and the history_drain_events histogram. Nil
 // disables at zero cost.
 func WithObs(reg *obs.Registry) Option {

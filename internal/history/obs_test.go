@@ -4,28 +4,21 @@ import (
 	"strings"
 	"testing"
 
-	"robustmon/internal/event"
 	"robustmon/internal/obs"
 )
 
 // TestWithObsCountsRecordPath drives every instrumented layer of the
-// record path — singleton appends, a batch publication, partial and
-// full drains, slab recycling — and checks the registry against the
-// exactly-known traffic. The drain sizes are chosen at the smallest
-// pool class (1024) so the hit/miss sequence is deterministic outside
-// -race: the first drain must miss (cold pool), recycled slabs must
-// hit.
+// record path — appends, partial and full drains, slab recycling — and
+// checks the registry against the exactly-known traffic. The drain
+// sizes are chosen at the smallest pool class (1024) so the hit/miss
+// sequence is deterministic outside -race: the first drain must miss
+// (cold pool), recycled slabs must hit.
 func TestWithObsCountsRecordPath(t *testing.T) {
 	reg := obs.NewRegistry()
 	db := New(WithObs(reg))
-	for i := int64(1); i <= 3000; i++ {
+	for i := int64(1); i <= 3010; i++ {
 		db.Append(ev(i))
 	}
-	batch := make([]event.Event, 10)
-	for i := range batch {
-		batch[i] = ev(int64(4000 + i))
-	}
-	db.AppendBatch("m", batch)
 	horizon := db.LastSeq()
 
 	// Partial cut: copies into a fresh class-1024 segment (cold pool →
@@ -55,9 +48,7 @@ func TestWithObsCountsRecordPath(t *testing.T) {
 		metric string
 		want   int64
 	}{
-		{"history_append_total", 3000},
-		{"history_append_batch_total", 1},
-		{"history_append_batch_events_total", 10},
+		{"history_append_total", 3010},
 		{"history_pool_miss_total", 1},
 		{"history_pool_hit_total", 2},
 	} {

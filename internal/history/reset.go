@@ -43,9 +43,8 @@ type RecoveryMarker struct {
 }
 
 // ResetMonitor discards the named monitor's buffered (not yet drained)
-// events and restarts its cumulative event counter from zero — the
-// history half of a shard-local recovery reset. It returns how many
-// events were discarded.
+// events — the history half of a shard-local recovery reset. It
+// returns how many events were discarded.
 //
 // Only the one shard is touched; appends and drains on every other
 // monitor proceed untouched, which is what makes the recovery path
@@ -55,11 +54,6 @@ type RecoveryMarker struct {
 // RecoveryMarker the caller emits records the gap instead. A full trace
 // retained under WithFullTrace is also kept intact: it records what the
 // monitors did, and the reset abandons only the unchecked segment.
-//
-// The counter restart is what re-seeds the adaptive scheduler: its next
-// Observe sees a negative delta, clamps the sample to zero and
-// re-learns the monitor's rate from its fresh life (detect additionally
-// calls sched.Reset so the interval re-arms eagerly).
 func (db *DB) ResetMonitor(monitor string) int {
 	s := db.shardFor(monitor)
 	s.mu.Lock()
@@ -69,6 +63,5 @@ func (db *DB) ResetMonitor(monitor string) int {
 	// retained capacity) stays with the shard. The stale entries beyond
 	// the new length are overwritten by the monitor's fresh life.
 	s.segment = s.segment[:0]
-	s.counter.n.Store(0)
 	return dropped
 }

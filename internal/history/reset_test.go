@@ -21,12 +21,6 @@ func TestResetMonitorDropsOnlyNamedMonitor(t *testing.T) {
 	if got := db.ResetMonitor("a"); got != 5 {
 		t.Fatalf("ResetMonitor dropped %d events, want 5", got)
 	}
-	if got := db.EventCount("a"); got != 0 {
-		t.Fatalf("EventCount(a) = %d after reset, want 0 (counter restarts)", got)
-	}
-	if got := db.EventCount("b"); got != 4 {
-		t.Fatalf("EventCount(b) = %d, want 4 (untouched)", got)
-	}
 	seg := db.Drain()
 	if len(seg) != 4 {
 		t.Fatalf("Drain returned %d events, want b's 4", len(seg))

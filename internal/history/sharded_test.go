@@ -118,13 +118,13 @@ func TestConcurrentMultiMonitorAppends(t *testing.T) {
 	t.Parallel()
 	db := New(WithFullTrace())
 	const monitors, perMonitor = 8, 300
-	var wg sync.WaitGroup
+	var reader, producers sync.WaitGroup
 	stop := make(chan struct{})
 	var drainMu sync.Mutex
 	var drained event.Seq
-	wg.Add(1)
+	reader.Add(1)
 	go func() { // concurrent checkpoint-ish reader
-		defer wg.Done()
+		defer reader.Done()
 		for {
 			select {
 			case <-stop:
@@ -148,19 +148,17 @@ func TestConcurrentMultiMonitorAppends(t *testing.T) {
 	}()
 	for m := 0; m < monitors; m++ {
 		name := fmt.Sprintf("mon%d", m)
-		wg.Add(1)
+		producers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer producers.Done()
 			for i := 0; i < perMonitor; i++ {
 				db.Append(mev(name, int64(i+1)))
 			}
 		}()
 	}
-	for db.Total() < monitors*perMonitor {
-		time.Sleep(time.Millisecond)
-	}
+	producers.Wait()
 	close(stop)
-	wg.Wait()
+	reader.Wait()
 	drained = append(drained, db.Drain()...)
 
 	if db.Total() != monitors*perMonitor {

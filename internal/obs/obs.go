@@ -217,7 +217,7 @@ const regShards = 8
 //
 // Names are conventionally snake_case with a subsystem prefix
 // ("history_append_total"); an optional {label="value"} suffix
-// ("detect_interval_ns{monitor=\"m1\"}") renders as Prometheus
+// ("collect_durable_seq{origin=\"a\"}") renders as Prometheus
 // labels. Histogram names must be label-free (the renderer splices
 // _bucket/_sum/_count suffixes).
 type Registry struct {

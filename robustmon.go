@@ -20,18 +20,13 @@
 // one database: wire them all with WithRecorder(db) and hand them to a
 // single detector.
 //
-// Checkpoint cost is governed by two further knobs. Batched replay
-// (DetectorConfig.BatchSize) drains and replays segments in bounded
-// batches with the checking-list seeding paid once per checkpoint, so
-// a shard that buffered millions of events cannot stall a checkpoint
-// (in the no-freeze mode the monitor is frozen only long enough to
-// fix the checkpoint horizon). The adaptive scheduler
-// (DetectorConfig.MinInterval/MaxInterval/TargetBatch) replaces the
-// single fixed checking interval in Run: each monitor's interval is
-// derived from its observed event rate, so hot monitors are checked
-// often and idle ones back off — Detector.Intervals exposes the live
-// values. Both knobs report the identical violation set as the
-// fixed-interval serial path.
+// Batched replay (DetectorConfig.BatchSize) bounds checkpoint cost: it
+// drains and replays segments in bounded batches with the
+// checking-list seeding paid once per checkpoint, so a shard that
+// buffered millions of events cannot stall a checkpoint (in the
+// no-freeze mode the monitor is frozen only long enough to fix the
+// checkpoint horizon). It reports the identical violation set as the
+// serial single-drain path.
 //
 // Offline artefacts no longer require holding the run in memory
 // (WithFullTrace): an Exporter (DetectorConfig.Exporter) streams every
@@ -200,17 +195,7 @@ type (
 	EventSeq = event.Seq
 	// Snapshot is a monitor scheduling state ⟨EQ, CQ[], R#⟩ + Running.
 	Snapshot = state.Snapshot
-	// BatchWriter stages one monitor's events in a lock-free local
-	// buffer and publishes them in blocks — the raw-speed record path.
-	// Construct with History.NewBatchWriter and wire it to a monitor via
-	// monitor.WithRecorder; the detector's checkpoint handshake flushes
-	// it automatically while the monitor is frozen.
-	BatchWriter = history.BatchWriter
 )
-
-// DefaultBatchSize is the BatchWriter staging capacity used when
-// History.NewBatchWriter is given a non-positive size.
-const DefaultBatchSize = history.DefaultBatchSize
 
 // NewHistory returns an empty history database, sharded per monitor:
 // events from different monitors are recorded into independent shards
@@ -638,7 +623,7 @@ func NewAssertionSet(monitorName string) *AssertionSet { return assert.NewSet(mo
 // detector checking those monitors to make the ResetMonitor policy
 // shard-local and online: a violation on monitor M then freezes and
 // reinitialises only M (history segment, queues, blocked processes,
-// R#, checking lists, adaptive interval) while every other monitor
+// R#, checking lists) while every other monitor
 // keeps running, and a RecoveryMarker is streamed through the exporter
 // so offline replay knows the reset horizon. Without a resetter the
 // policy falls back to the direct Monitor.Reset, which is only safe
