@@ -28,6 +28,7 @@ package robustmon_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,7 +205,9 @@ func BenchmarkHistoryAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db.Append(e)
 		if i%4096 == 4095 {
-			db.Drain() // keep the segment from growing unboundedly
+			// Keep the segment from growing unboundedly.
+			seg, _ := db.DrainMonitorUpTo("m", math.MaxInt64, 0)
+			history.Recycle(seg)
 		}
 	}
 }
@@ -231,7 +234,9 @@ func benchHistoryAppendParallel(b *testing.B, global *sync.Mutex) {
 			}
 			db.Append(e)
 			if i++; i%4096 == 0 {
-				db.DrainMonitor(e.Monitor) // keep the shard bounded
+				// Keep the shard bounded.
+				seg, _ := db.DrainMonitorUpTo(e.Monitor, math.MaxInt64, 0)
+				history.Recycle(seg)
 			}
 			if global != nil {
 				global.Unlock()

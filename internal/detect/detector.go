@@ -70,8 +70,9 @@ type Config struct {
 	// When false, each monitor is frozen only while its own snapshot is
 	// taken and its checkpoint horizon fixed; it is drained and replayed
 	// while it keeps running, and unrelated monitors never stop (the
-	// cheaper variant measured by the ablation benchmarks). Default true
-	// via New.
+	// cheaper variant measured by the ablation benchmarks). New keeps
+	// the value it is given, so the zero value is the per-monitor mode;
+	// NewDefault and the facade's NewDetector set it.
 	HoldWorld bool
 	// Workers bounds the checkpoint worker pool: how many monitors are
 	// checked concurrently within one checkpoint. Zero means
@@ -275,7 +276,7 @@ type Stats struct {
 // before starting the workload so the first segment is anchored at a
 // known state. Checkpoints drain only the shards of the monitors
 // given here: a monitor recording into db but listed with no detector
-// keeps buffering its events (see history.DB.DrainMonitor), so every
+// keeps buffering its events (see history.DB.DrainMonitorUpTo), so every
 // recording monitor should be covered by some detector.
 func New(db *history.DB, cfg Config, mons ...*monitor.Monitor) *Detector {
 	if cfg.Clock == nil {

@@ -79,6 +79,33 @@ func TestRealTimeReleaseWithoutAcquire(t *testing.T) {
 	}
 }
 
+// TestRealTimeMessageBoundedAcrossCycles pins that a violation message
+// names only the calls since the process last completed a cycle, not
+// its whole life: the FD-7b message after 10,000 clean cycles equals
+// the one after a single cycle.
+func TestRealTimeMessageBoundedAcrossCycles(t *testing.T) {
+	t.Parallel()
+	releaseAfter := func(cycles int) string {
+		m, rt, r := newAllocFixture(t)
+		r.Spawn("user", func(p *proc.P) {
+			for i := 0; i < cycles; i++ {
+				callProc(m, p, "Acquire")
+				callProc(m, p, "Release")
+			}
+			callProc(m, p, "Release") // fault III.a
+		})
+		r.Join()
+		vs := rt.Violations()
+		if len(vs) != 1 || vs[0].Rule != rules.FD7b {
+			t.Fatalf("after %d cycles: violations = %v, want one FD-7b", cycles, vs)
+		}
+		return vs[0].Message
+	}
+	if got, want := releaseAfter(10_000), releaseAfter(1); got != want {
+		t.Fatalf("FD-7b message after 10,000 cycles is %d bytes, want the single-cycle message %q", len(got), want)
+	}
+}
+
 func TestRealTimeSelfDeadlock(t *testing.T) {
 	t.Parallel()
 	m, rt, r := newAllocFixture(t)

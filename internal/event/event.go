@@ -103,10 +103,6 @@ func (e Event) String() string {
 	}
 }
 
-// Precedes reports the paper's <L relation: e occurred strictly before
-// o in the recorded sequence.
-func (e Event) Precedes(o Event) bool { return e.Seq < o.Seq }
-
 // Validate reports a non-nil error when the event is structurally
 // malformed (unknown type, missing pid, a Wait without a condition, or
 // a flag outside {0,1}).

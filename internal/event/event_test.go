@@ -52,15 +52,6 @@ func TestEventStringPaperNotation(t *testing.T) {
 	}
 }
 
-func TestPrecedesMatchesSeqOrder(t *testing.T) {
-	t.Parallel()
-	a := mk(1, Enter, 1, "P", "", 1)
-	b := mk(2, Wait, 1, "P", "c", 0)
-	if !a.Precedes(b) || b.Precedes(a) || a.Precedes(a) {
-		t.Fatal("Precedes is not the strict Seq order")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -120,19 +111,8 @@ func TestSeqFilters(t *testing.T) {
 		mk(3, SignalExit, 1, "Send", "empty", 1),
 	}
 	s[1].Monitor = "other"
-	if got := s.ByPid(1); len(got) != 2 {
-		t.Fatalf("ByPid(1) returned %d events, want 2", len(got))
-	}
 	if got := s.ByMonitor("buf"); len(got) != 2 {
 		t.Fatalf("ByMonitor(buf) returned %d events, want 2", len(got))
-	}
-	pids := s.Pids()
-	if len(pids) != 2 || pids[0] != 1 || pids[1] != 2 {
-		t.Fatalf("Pids = %v, want [1 2]", pids)
-	}
-	conds := s.Conds()
-	if len(conds) != 1 || conds[0] != "empty" {
-		t.Fatalf("Conds = %v, want [empty]", conds)
 	}
 }
 
@@ -149,20 +129,5 @@ func TestSeqValidate(t *testing.T) {
 	unregistered := Seq{mk(0, Enter, 1, "P", "", 1)}
 	if err := unregistered.Validate(); err == nil {
 		t.Fatal("Validate accepted a zero sequence number")
-	}
-}
-
-func TestSeqCounts(t *testing.T) {
-	t.Parallel()
-	s := Seq{
-		mk(1, Enter, 1, "Send", "", 1),
-		mk(2, SignalExit, 1, "Send", "notEmpty", 0),
-		mk(3, Enter, 2, "Receive", "", 1),
-		mk(4, SignalExit, 2, "Receive", "notFull", 0),
-		mk(5, SignalExit, 3, "Send", "notEmpty", 1),
-	}
-	sends, recvs := s.Counts("Send", "Receive")
-	if sends != 2 || recvs != 1 {
-		t.Fatalf("Counts = (%d,%d), want (2,1)", sends, recvs)
 	}
 }

@@ -23,51 +23,12 @@ func (s Seq) SubSeq(i, j int64) Seq {
 	return out
 }
 
-// ByPid returns the subsequence of events caused by process pid.
-func (s Seq) ByPid(pid int64) Seq {
-	out := make(Seq, 0, len(s))
-	for _, e := range s {
-		if e.Pid == pid {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ByMonitor returns the subsequence of events on the named monitor.
 func (s Seq) ByMonitor(name string) Seq {
 	out := make(Seq, 0, len(s))
 	for _, e := range s {
 		if e.Monitor == name {
 			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Pids returns the distinct pids appearing in the sequence, in order of
-// first appearance.
-func (s Seq) Pids() []int64 {
-	seen := make(map[int64]bool, 8)
-	var out []int64
-	for _, e := range s {
-		if !seen[e.Pid] {
-			seen[e.Pid] = true
-			out = append(out, e.Pid)
-		}
-	}
-	return out
-}
-
-// Conds returns the distinct condition names appearing in the sequence,
-// in order of first appearance (the empty condition is skipped).
-func (s Seq) Conds() []string {
-	seen := make(map[string]bool, 4)
-	var out []string
-	for _, e := range s {
-		if e.Cond != "" && !seen[e.Cond] {
-			seen[e.Cond] = true
-			out = append(out, e.Cond)
 		}
 	}
 	return out
@@ -92,10 +53,10 @@ func (s Seq) Validate() error {
 
 // Merge interleaves already-ordered sequences into one sequence ordered
 // by sequence number — the <L order. The sharded history database keeps
-// one seq-sorted segment per monitor and merges them on global drains
-// and full-trace exports, so the merged result is exactly the sequence
-// a single global database would have recorded. Inputs must each be
-// sorted by Seq (as database segments are); empty inputs are skipped.
+// one seq-sorted trace per monitor and merges them for its full trace,
+// so the merged result is exactly the sequence a single global
+// database would have recorded. Inputs must each be sorted by Seq (as
+// database segments are); empty inputs are skipped.
 func Merge(seqs ...Seq) Seq {
 	n, nonEmpty := 0, 0
 	var last Seq
@@ -148,23 +109,4 @@ func (h *mergeHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// Counts tallies successful Send/Receive completions in the sequence
-// for the resource-state invariants of FD-Rule 6 / ST-Rule 7: s is the
-// number of Signal-Exit events issued from sendProc, r the number
-// issued from recvProc.
-func (s Seq) Counts(sendProc, recvProc string) (sends, recvs int) {
-	for _, e := range s {
-		if e.Type != SignalExit {
-			continue
-		}
-		switch e.Proc {
-		case sendProc:
-			sends++
-		case recvProc:
-			recvs++
-		}
-	}
-	return sends, recvs
 }

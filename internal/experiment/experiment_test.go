@@ -80,7 +80,7 @@ func TestCoverageTableRendersAllRows(t *testing.T) {
 func TestSampleStats(t *testing.T) {
 	t.Parallel()
 	var s Sample
-	if s.Mean() != 0 || s.Stddev() != 0 || s.Min() != 0 || s.Max() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.N() != 0 {
 		t.Fatal("empty sample should be all zeros")
 	}
 	s.Add(10 * time.Millisecond)
@@ -88,15 +88,6 @@ func TestSampleStats(t *testing.T) {
 	s.Add(30 * time.Millisecond)
 	if got := s.Mean(); got != 20*time.Millisecond {
 		t.Fatalf("Mean = %v, want 20ms", got)
-	}
-	if got := s.Min(); got != 10*time.Millisecond {
-		t.Fatalf("Min = %v", got)
-	}
-	if got := s.Max(); got != 30*time.Millisecond {
-		t.Fatalf("Max = %v", got)
-	}
-	if got := s.Stddev(); got != 10*time.Millisecond {
-		t.Fatalf("Stddev = %v, want 10ms", got)
 	}
 	if s.N() != 3 {
 		t.Fatalf("N = %d", s.N())

@@ -12,7 +12,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -37,49 +36,6 @@ func (s *Sample) Mean() time.Duration {
 		sum += v
 	}
 	return sum / time.Duration(len(s.values))
-}
-
-// Stddev returns the sample standard deviation (0 for n < 2).
-func (s *Sample) Stddev() time.Duration {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var acc float64
-	for _, v := range s.values {
-		d := float64(v) - mean
-		acc += d * d
-	}
-	return time.Duration(math.Sqrt(acc / float64(n-1)))
-}
-
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	min := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	max := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // Ratio returns a/b as a float (NaN-free: 0 when b is 0).

@@ -3,6 +3,7 @@ package export
 import (
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"robustmon/internal/event"
@@ -28,7 +29,8 @@ func driveDB(db *history.DB, n int, consume func(monitor string, seg event.Seq))
 	names := [4]string{"m0", "m1", "m2", "m3"}
 	drain := func() {
 		for _, m := range names {
-			consume(m, db.DrainMonitor(m))
+			seg, _ := db.DrainMonitorUpTo(m, math.MaxInt64, 0)
+			consume(m, seg)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -47,7 +49,7 @@ func BenchmarkFullTraceExport(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				db := history.New(history.WithFullTrace())
 				driveDB(db, events, func(_ string, seg event.Seq) { history.Recycle(seg) })
-				if err := db.ExportBinary(io.Discard); err != nil {
+				if err := event.WriteBinary(io.Discard, db.Full()); err != nil {
 					b.Fatal(err)
 				}
 			}

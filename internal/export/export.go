@@ -52,7 +52,8 @@
 // (history.DB.DrainMonitorUpTo) change only how many records frame a
 // checkpoint's events, never which events are exported nor their
 // order: for a lossless (Block-policy) run Replay.Events is
-// byte-identical to what ExportBinary of a WithFullTrace run produces.
+// byte-identical to what event.WriteBinary of a WithFullTrace run's
+// Full() produces.
 //
 // # Record path
 //

@@ -44,9 +44,6 @@ type Config struct {
 	// Policy is the backpressure policy when the buffer is full
 	// (default Block).
 	Policy Policy
-	// OnError, when set, is called from the writer goroutine for each
-	// sink write error.
-	OnError func(error)
 	// Obs, when set, instruments the exporter: accept/write/drop
 	// counters mirroring Stats (drops split by reason — "full" vs
 	// "closed") and the export_queue_depth gauge. The counters are
@@ -236,9 +233,6 @@ func (e *Exporter) writeFailed(err error) {
 	e.writeErrors.Add(1)
 	e.met.writeErrors.Inc()
 	e.setErr(err)
-	if e.cfg.OnError != nil {
-		e.cfg.OnError(err)
-	}
 }
 
 // Consume accepts one drained per-monitor segment and takes ownership

@@ -2,6 +2,7 @@ package export
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -10,13 +11,13 @@ import (
 )
 
 // TestConcurrentDrainsNeverDupOrDropSeqs tails a live database with a
-// read-only drain tee while appenders, global Drains and per-monitor
-// DrainMonitors all race, and the drainers recycle every segment they
-// drained: every sequence number the database assigned must be
-// observed exactly once. This is the correctness contract of the drain
-// tee — each event is drained once (segments are swapped out under the
-// shard lock) and teed once, during the drain, before its drainer can
-// hand the slab back to the pool.
+// read-only drain tee while appenders and two per-monitor drain sweeps
+// all race, and the drainers recycle every segment they drained: every
+// sequence number the database assigned must be observed exactly once.
+// This is the correctness contract of the drain tee — each event is
+// drained once (segments are swapped out under the shard lock) and
+// teed once, during the drain, before its drainer can hand the slab
+// back to the pool.
 func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 	t.Parallel()
 	// global=false: the sharded layout, one lock per monitor.
@@ -50,38 +51,36 @@ func TestConcurrentDrainsNeverDupOrDropSeqs(t *testing.T) {
 				}
 			}()
 		}
-		// A global drainer and a per-monitor drainer race the
-		// appenders (and each other) until the appenders finish.
+		// Two per-monitor drain sweeps race the appenders (and each
+		// other) until the appenders finish: one drains each monitor
+		// up to the database's last seq at the time of its call, the
+		// other drains everything buffered.
+		sweep := func(horizon func() int64) {
+			for m := 0; m < monitors; m++ {
+				seg, _ := db.DrainMonitorUpTo(fmt.Sprintf("m%d", m), horizon(), 0)
+				history.Recycle(seg)
+			}
+		}
+		unbounded := func() int64 { return math.MaxInt64 }
 		var drainers sync.WaitGroup
-		drainers.Add(2)
-		go func() {
-			defer drainers.Done()
-			for {
-				history.Recycle(db.Drain())
-				select {
-				case <-stop:
-					return
-				default:
+		for _, horizon := range []func() int64{db.LastSeq, unbounded} {
+			drainers.Add(1)
+			go func() {
+				defer drainers.Done()
+				for {
+					sweep(horizon)
+					select {
+					case <-stop:
+						return
+					default:
+					}
 				}
-			}
-		}()
-		go func() {
-			defer drainers.Done()
-			for {
-				for m := 0; m < monitors; m++ {
-					history.Recycle(db.DrainMonitor(fmt.Sprintf("m%d", m)))
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}()
+			}()
+		}
 		wg.Wait()
 		close(stop)
 		drainers.Wait()
-		db.Drain() // final sweep for anything still buffered
+		sweep(unbounded) // final sweep for anything still buffered
 
 		want := db.LastSeq()
 		if want != monitors*appends {

@@ -184,8 +184,8 @@ func TestReplayMatchesFullTraceExportRecycled(t *testing.T) {
 			}
 
 			var want bytes.Buffer
-			if err := db.ExportBinary(&want); err != nil {
-				t.Fatalf("ExportBinary: %v", err)
+			if err := event.WriteBinary(&want, db.Full()); err != nil {
+				t.Fatalf("WriteBinary(full trace): %v", err)
 			}
 			rep, err := ReadDir(dir)
 			if err != nil {

@@ -446,7 +446,8 @@ func TestWALOnRotateSummariesMatchScan(t *testing.T) {
 // criterion: the same HoldWorld workload is recorded twice at once —
 // through WithFullTrace (the memory-unbounded baseline) and through
 // the detector-fed exporter — and replaying the exporter's on-disk
-// segments must be byte-identical to ExportBinary of the full trace.
+// segments must be byte-identical to event.WriteBinary of the full
+// trace.
 func TestReplayMatchesFullTraceExport(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -512,8 +513,8 @@ func TestReplayMatchesFullTraceExport(t *testing.T) {
 	}
 
 	var want bytes.Buffer
-	if err := db.ExportBinary(&want); err != nil {
-		t.Fatalf("ExportBinary: %v", err)
+	if err := event.WriteBinary(&want, db.Full()); err != nil {
+		t.Fatalf("WriteBinary(full trace): %v", err)
 	}
 	rep, err := ReadDir(dir)
 	if err != nil {

@@ -58,7 +58,7 @@ func TestDrainMonitorUpToBatches(t *testing.T) {
 		}
 		// The fifth a-event (beyond the horizon) and all of b's events
 		// must still be buffered.
-		rest := db.Drain()
+		rest := drainAll(db)
 		if len(rest) != 6 {
 			t.Fatalf("left %d events buffered, want 6 (1 of a + 5 of b)", len(rest))
 		}
@@ -156,7 +156,7 @@ func TestAppendConcurrentWithBatchedDrains(t *testing.T) {
 	producers.Wait()
 	close(stop)
 	drainers.Wait()
-	col.add(t, db.Drain())
+	col.add(t, drainAll(db))
 
 	const want = mons * perMon
 	if col.drained != want || len(col.seen) != want {

@@ -18,10 +18,10 @@
 // counter: every Append claims the next global sequence number while
 // holding only its shard's lock, so each shard's segment is internally
 // seq-sorted and the global sequence is recovered by merging shards
-// (event.Merge) on Drain, Full and the exports. The merged trace is
-// byte-identical to what a single global database would have recorded.
-// DrainMonitorUpTo lets the detector's parallel checkpoint pipeline
-// drain one monitor's shard without touching any other — which also
+// (event.Merge) on Full. The merged trace is byte-identical to what a
+// single global database would have recorded. DrainMonitorUpTo, the
+// one drain, lets the detector's parallel checkpoint pipeline drain
+// one monitor's shard without touching any other — which also
 // means detectors only consume the shards of monitors they were given,
 // so several detectors can share one database without stealing each
 // other's segments. The flip side: a monitor wired to a database but
@@ -31,8 +31,6 @@
 package history
 
 import (
-	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,12 +53,12 @@ type shard struct {
 }
 
 // DrainTee observes drained segments. The database calls each
-// installed tee once per (monitor, segment) pair for every Drain,
-// DrainMonitor and DrainMonitorUpTo, on the draining goroutine after
-// the shard locks are released. A tee only reads: the segment belongs
-// to the drain caller (and, in a detector, next to its exporter, which
-// recycles the slab once written), so a tee must neither mutate it nor
-// keep any reference to it after returning — copy out what it needs.
+// installed tee once per (monitor, segment) pair for every
+// DrainMonitorUpTo, on the draining goroutine after the shard lock is
+// released. A tee only reads: the segment belongs to the drain caller
+// (and, in a detector, next to its exporter, which recycles the slab
+// once written), so a tee must neither mutate it nor keep any
+// reference to it after returning — copy out what it needs.
 type DrainTee func(monitor string, seg event.Seq)
 
 // DB is a concurrent, append-only event store with checkpoint draining,
@@ -130,16 +128,15 @@ func (db *DB) shardFor(monitor string) *shard {
 }
 
 // lockAllShards locks every shard in deterministic (name) order and
-// returns them (with their monitor names, index-aligned) and an
-// unlock function. The shard-map read lock is held until unlock, so
-// no new shard can appear mid-operation, and with every shard lock
-// held no Append can be mid-flight: the recorded events are exactly
-// sequence numbers 1..nextSeq. Multi-shard operations therefore
-// observe one consistent global state even without freezing the
-// monitors. The deterministic order makes concurrent multi-shard
-// operations deadlock-free (single-shard paths hold at most one shard
-// lock and never a shard lock under shardMu).
-func (db *DB) lockAllShards() ([]string, []*shard, func()) {
+// returns them and an unlock function. The shard-map read lock is held
+// until unlock, so no new shard can appear mid-operation, and with
+// every shard lock held no Append can be mid-flight: the recorded
+// events are exactly sequence numbers 1..nextSeq. Multi-shard
+// operations therefore observe one consistent global state even
+// without freezing the monitors. The deterministic order makes
+// concurrent multi-shard operations deadlock-free (single-shard paths
+// hold at most one shard lock and never a shard lock under shardMu).
+func (db *DB) lockAllShards() ([]*shard, func()) {
 	db.shardMu.RLock()
 	names := make([]string, 0, len(db.shards))
 	for name := range db.shards {
@@ -153,7 +150,7 @@ func (db *DB) lockAllShards() ([]string, []*shard, func()) {
 	for _, s := range shards {
 		s.mu.Lock()
 	}
-	return names, shards, func() {
+	return shards, func() {
 		for _, s := range shards {
 			s.mu.Unlock()
 		}
@@ -162,14 +159,14 @@ func (db *DB) lockAllShards() ([]string, []*shard, func()) {
 }
 
 // AddDrainTee adds a read-only tee observing every segment drained
-// from now on — by any Drain or DrainMonitor caller, so several
-// detectors sharing the database each see the whole stream, not just
-// their own drains. Tees run on the draining goroutine after the shard
-// locks are released — a slow tee delays the drainer but never blocks
-// concurrent Appends. A tee reads the segment during its call and
-// never retains it (see DrainTee); an exporter is therefore not a tee:
-// it takes ownership of the segments it writes, so wire it through
-// the detector's Config.Exporter instead.
+// from now on — by any DrainMonitorUpTo caller, so several detectors
+// sharing the database each see the whole stream, not just their own
+// drains. Tees run on the draining goroutine after the shard lock is
+// released — a slow tee delays the drainer but never blocks concurrent
+// Appends. A tee reads the segment during its call and never retains
+// it (see DrainTee); an exporter is therefore not a tee: it takes
+// ownership of the segments it writes, so wire it through the
+// detector's Config.Exporter instead.
 func (db *DB) AddDrainTee(tee DrainTee) {
 	db.teeMu.Lock()
 	db.tees = append(db.tees, tee)
@@ -184,12 +181,6 @@ func (db *DB) drainTees() []DrainTee {
 		return nil
 	}
 	return append([]DrainTee(nil), db.tees...)
-}
-
-// teePair is one (monitor, drained segment) observation for the tee.
-type teePair struct {
-	monitor string
-	seg     event.Seq
 }
 
 // Append records the event, assigns it the next global sequence number
@@ -217,48 +208,6 @@ func (db *DB) Append(e event.Event) event.Event {
 	return e
 }
 
-// Drain returns the events recorded since the previous Drain (the
-// checking segment L = l1…ln of Algorithm 1–3), merged across shards
-// into global sequence order, and resets every shard's segment. It
-// holds every shard lock for the duration, so even without freezing
-// the monitors the drained segment is a consistent prefix of the
-// global sequence: it contains every recorded event up to its highest
-// sequence number. The drained per-monitor segments are fed to the
-// drain tee (if one is installed) after the locks are released.
-func (db *DB) Drain() event.Seq {
-	tees := db.drainTees()
-	names, shards, unlock := db.lockAllShards()
-	segs := make([]event.Seq, 0, len(shards))
-	var pairs []teePair
-	for i, s := range shards {
-		if len(s.segment) == 0 {
-			continue
-		}
-		seg := s.drainSegmentLocked(len(s.segment))
-		segs = append(segs, seg)
-		if tees != nil {
-			pairs = append(pairs, teePair{monitor: names[i], seg: seg})
-		}
-	}
-	unlock()
-	for _, tee := range tees {
-		for _, p := range pairs {
-			tee(p.monitor, p.seg)
-		}
-	}
-	if len(segs) == 1 {
-		return segs[0] // ownership transferred; skip Merge's copy
-	}
-	return event.Merge(segs...)
-}
-
-// DrainMonitor returns and resets only the named monitor's segment:
-// DrainMonitorUpTo with no horizon and no batch bound.
-func (db *DB) DrainMonitor(monitor string) event.Seq {
-	seg, _ := db.DrainMonitorUpTo(monitor, math.MaxInt64, 0)
-	return seg
-}
-
 // DrainMonitorUpTo drains at most max events (max <= 0 means no bound)
 // of the named monitor's segment, restricted to sequence numbers ≤
 // upTo, and reports whether more such events remain buffered. It is
@@ -269,7 +218,7 @@ func (db *DB) DrainMonitor(monitor string) event.Seq {
 // so the drained prefix is exactly what the monitor had recorded at
 // the freeze instant. Only the one shard is touched, so drains never
 // stop another monitor. Each batch is fed to the drain tees after the
-// shard lock is released, like every other drain path.
+// shard lock is released.
 func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (event.Seq, bool) {
 	s := db.shardFor(monitor)
 	s.mu.Lock()
@@ -295,49 +244,12 @@ func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (event.Seq, 
 	return seg, k > n
 }
 
-// Peek returns a copy of the current segment, merged across shards,
-// without draining it. Like Drain it holds every shard lock, so the
-// result is a consistent view of the buffered events.
-func (db *DB) Peek() event.Seq {
-	_, shards, unlock := db.lockAllShards()
-	defer unlock()
-	segs := make([]event.Seq, 0, len(shards))
-	for _, s := range shards {
-		if len(s.segment) > 0 {
-			// Merge never aliases its inputs into its output, so the live
-			// segments can be read directly under the held locks.
-			segs = append(segs, event.Seq(s.segment))
-		}
-	}
-	return event.Merge(segs...)
-}
-
 // LastSeq returns the sequence number of the most recently recorded
 // event (0 when nothing was recorded yet).
 func (db *DB) LastSeq() int64 { return db.nextSeq.Load() }
 
 // Total returns the number of events ever recorded.
 func (db *DB) Total() int64 { return db.total.Load() }
-
-// SegmentLen returns the number of events currently buffered across
-// all shards.
-func (db *DB) SegmentLen() int {
-	_, shards, unlock := db.lockAllShards()
-	defer unlock()
-	n := 0
-	for _, s := range shards {
-		n += len(s.segment)
-	}
-	return n
-}
-
-// Shards reports how many shards the database currently holds (one per
-// monitor seen so far).
-func (db *DB) Shards() int {
-	db.shardMu.RLock()
-	defer db.shardMu.RUnlock()
-	return len(db.shards)
-}
 
 // Full returns a copy of the complete trace in global sequence order.
 // It returns nil unless the database was built with WithFullTrace.
@@ -348,7 +260,7 @@ func (db *DB) Full() event.Seq {
 	if !db.keepFull {
 		return nil
 	}
-	_, shards, unlock := db.lockAllShards()
+	shards, unlock := db.lockAllShards()
 	defer unlock()
 	fulls := make([]event.Seq, 0, len(shards))
 	for _, s := range shards {
@@ -359,9 +271,6 @@ func (db *DB) Full() event.Seq {
 	}
 	return event.Merge(fulls...)
 }
-
-// KeepsFull reports whether the database retains the complete trace.
-func (db *DB) KeepsFull() bool { return db.keepFull }
 
 // AppendState records a checkpoint snapshot — §4's database "consists
 // of the scheduling event sequence recorded during monitor operation
@@ -409,16 +318,4 @@ func (db *DB) LastState(monitorName string) (state.Snapshot, bool) {
 		}
 	}
 	return state.Snapshot{}, false
-}
-
-// ExportJSON writes the full trace as JSON Lines. It requires
-// WithFullTrace.
-func (db *DB) ExportJSON(w io.Writer) error {
-	return event.WriteJSON(w, db.Full())
-}
-
-// ExportBinary writes the full trace in the binary format. It requires
-// WithFullTrace.
-func (db *DB) ExportBinary(w io.Writer) error {
-	return event.WriteBinary(w, db.Full())
 }

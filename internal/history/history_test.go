@@ -2,6 +2,8 @@ package history
 
 import (
 	"bytes"
+	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +23,36 @@ func ev(pid int64) event.Event {
 	}
 }
 
+// drainAll drains every shard through DrainMonitorUpTo, in monitor
+// name order, and merges the drained segments into global sequence
+// order.
+func drainAll(db *DB) event.Seq {
+	db.shardMu.RLock()
+	names := make([]string, 0, len(db.shards))
+	for name := range db.shards {
+		names = append(names, name)
+	}
+	db.shardMu.RUnlock()
+	sort.Strings(names)
+	segs := make([]event.Seq, 0, len(names))
+	for _, name := range names {
+		seg, _ := db.DrainMonitorUpTo(name, math.MaxInt64, 0)
+		segs = append(segs, seg)
+	}
+	return event.Merge(segs...)
+}
+
+// buffered returns the number of events buffered across all shards.
+func buffered(db *DB) int {
+	shards, unlock := db.lockAllShards()
+	defer unlock()
+	n := 0
+	for _, s := range shards {
+		n += len(s.segment)
+	}
+	return n
+}
+
 func TestAppendAssignsSequentialSeq(t *testing.T) {
 	t.Parallel()
 	db := New()
@@ -30,9 +62,9 @@ func TestAppendAssignsSequentialSeq(t *testing.T) {
 			t.Fatalf("Append #%d assigned seq %d", i, got.Seq)
 		}
 	}
-	if db.LastSeq() != 5 || db.Total() != 5 || db.SegmentLen() != 5 {
-		t.Fatalf("LastSeq=%d Total=%d SegmentLen=%d, want 5,5,5",
-			db.LastSeq(), db.Total(), db.SegmentLen())
+	if db.LastSeq() != 5 || db.Total() != 5 || buffered(db) != 5 {
+		t.Fatalf("LastSeq=%d Total=%d buffered=%d, want 5,5,5",
+			db.LastSeq(), db.Total(), buffered(db))
 	}
 }
 
@@ -41,46 +73,31 @@ func TestDrainResetsSegmentNotSeq(t *testing.T) {
 	db := New()
 	db.Append(ev(1))
 	db.Append(ev(2))
-	seg := db.Drain()
+	seg := drainAll(db)
 	if len(seg) != 2 {
-		t.Fatalf("Drain returned %d events, want 2", len(seg))
+		t.Fatalf("drain returned %d events, want 2", len(seg))
 	}
-	if db.SegmentLen() != 0 {
-		t.Fatalf("SegmentLen after drain = %d, want 0", db.SegmentLen())
+	if buffered(db) != 0 {
+		t.Fatalf("buffered after drain = %d, want 0", buffered(db))
 	}
 	e := db.Append(ev(3))
 	if e.Seq != 3 {
 		t.Fatalf("seq after drain = %d, want 3 (numbering must continue)", e.Seq)
 	}
-	seg2 := db.Drain()
+	seg2 := drainAll(db)
 	if len(seg2) != 1 || seg2[0].Seq != 3 {
-		t.Fatalf("second Drain = %v", seg2)
-	}
-}
-
-func TestPeekDoesNotDrain(t *testing.T) {
-	t.Parallel()
-	db := New()
-	db.Append(ev(1))
-	p1 := db.Peek()
-	p2 := db.Peek()
-	if len(p1) != 1 || len(p2) != 1 || db.SegmentLen() != 1 {
-		t.Fatal("Peek consumed the segment")
-	}
-	p1[0].Pid = 99 // must not alias internal storage
-	if db.Peek()[0].Pid == 99 {
-		t.Fatal("Peek aliases the internal segment")
+		t.Fatalf("second drain = %v", seg2)
 	}
 }
 
 func TestFullTraceRetention(t *testing.T) {
 	t.Parallel()
 	db := New(WithFullTrace())
-	if !db.KeepsFull() {
-		t.Fatal("KeepsFull = false with WithFullTrace")
+	if !db.keepFull {
+		t.Fatal("keepFull = false with WithFullTrace")
 	}
 	db.Append(ev(1))
-	db.Drain()
+	drainAll(db)
 	db.Append(ev(2))
 	full := db.Full()
 	if len(full) != 2 || full[0].Seq != 1 || full[1].Seq != 2 {
@@ -95,8 +112,8 @@ func TestFullIsNilWithoutOption(t *testing.T) {
 	if db.Full() != nil {
 		t.Fatal("Full returned data without WithFullTrace")
 	}
-	if db.KeepsFull() {
-		t.Fatal("KeepsFull = true without option")
+	if db.keepFull {
+		t.Fatal("keepFull = true without option")
 	}
 }
 
@@ -107,11 +124,11 @@ func TestExportRoundTrip(t *testing.T) {
 		db.Append(ev(i))
 	}
 	var jb, bb bytes.Buffer
-	if err := db.ExportJSON(&jb); err != nil {
-		t.Fatalf("ExportJSON: %v", err)
+	if err := event.WriteJSON(&jb, db.Full()); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
-	if err := db.ExportBinary(&bb); err != nil {
-		t.Fatalf("ExportBinary: %v", err)
+	if err := event.WriteBinary(&bb, db.Full()); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
 	}
 	js, err := event.ReadJSON(&jb)
 	if err != nil || len(js) != 4 {
@@ -195,7 +212,7 @@ func TestConcurrentAppendsGetUniqueSeqs(t *testing.T) {
 	if db.Total() != workers*each {
 		t.Fatalf("Total = %d, want %d", db.Total(), workers*each)
 	}
-	if err := db.Drain().Validate(); err != nil {
+	if err := drainAll(db).Validate(); err != nil {
 		t.Fatalf("drained segment invalid: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package history
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 )
 
 // Tests for the record path and the segment-slab pool. The -race
-// interleaving at the bottom races concurrent ingest against Drain,
+// interleaving at the bottom races concurrent ingest against
 // DrainMonitorUpTo and ResetMonitor.
 
 func eventsOf(mon string, n int) []event.Event {
@@ -95,7 +96,7 @@ func TestDrainRetainsSlabCapacityAcrossCycles(t *testing.T) {
 		for _, e := range eventsOf("a", burst) {
 			db.Append(e)
 		}
-		seg := db.DrainMonitor("a")
+		seg, _ := db.DrainMonitorUpTo("a", math.MaxInt64, 0)
 		if len(seg) != burst {
 			t.Fatalf("cycle %d drained %d, want %d", cycle, len(seg), burst)
 		}
@@ -174,8 +175,8 @@ func (c *raceCollector) add(t *testing.T, seg event.Seq) {
 }
 
 // TestIngestRacesDrainsAndResets races two Append producers per
-// monitor against bounded per-monitor drains, occasional resets and a
-// global drainer: every published event is either drained or
+// monitor against bounded per-monitor drains, occasional resets and an
+// all-shard drainer: every published event is either drained or
 // reset-dropped, sequence numbers are unique, and every drained
 // segment is seq-sorted.
 func TestIngestRacesDrainsAndResets(t *testing.T) {
@@ -231,16 +232,16 @@ func TestIngestRacesDrainsAndResets(t *testing.T) {
 				}
 			}()
 		}
-		// A global drainer racing everything above.
+		// An all-shard drainer racing everything above.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < blocks; i++ {
-				col.add(t, db.Drain())
+				col.add(t, drainAll(db))
 			}
 		}()
 		wg.Wait()
-		col.add(t, db.Drain())
+		col.add(t, drainAll(db))
 
 		want := int64(monitors) * producers * blocks * blockLen
 		if got := col.drained + resetDropped; got != want {

@@ -21,9 +21,9 @@ func TestResetMonitorDropsOnlyNamedMonitor(t *testing.T) {
 	if got := db.ResetMonitor("a"); got != 5 {
 		t.Fatalf("ResetMonitor dropped %d events, want 5", got)
 	}
-	seg := db.Drain()
+	seg := drainAll(db)
 	if len(seg) != 4 {
-		t.Fatalf("Drain returned %d events, want b's 4", len(seg))
+		t.Fatalf("drain returned %d events, want b's 4", len(seg))
 	}
 	for _, e := range seg {
 		if e.Monitor != "a" {
@@ -55,7 +55,7 @@ func TestResetMonitorDoesNotFeedTees(t *testing.T) {
 	if len(teed) != 0 {
 		t.Fatalf("reset fed the drain tees (%v); discarded events were never checked and must not be exported", teed)
 	}
-	db.Drain()
+	drainAll(db)
 	if len(teed) != 1 || teed[0] != "b" {
 		t.Fatalf("post-reset drain teed %v, want only monitor b's segment", teed)
 	}

@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestShardPerMonitor(t *testing.T) {
 	for _, m := range []string{"a", "b", "c", "a"} {
 		db.Append(mev(m, 1))
 	}
-	if got := db.Shards(); got != 3 {
+	if got := len(db.shards); got != 3 {
 		t.Fatalf("Shards = %d, want 3 (one per monitor)", got)
 	}
 }
@@ -41,9 +42,9 @@ func TestDrainMergesGlobalOrder(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		db.Append(mev(mons[i%3], int64(i+1)))
 	}
-	seg := db.Drain()
+	seg := drainAll(db)
 	if len(seg) != 30 {
-		t.Fatalf("Drain returned %d events, want 30", len(seg))
+		t.Fatalf("drain returned %d events, want 30", len(seg))
 	}
 	if err := seg.Validate(); err != nil {
 		t.Fatalf("merged segment out of order: %v", err)
@@ -62,14 +63,14 @@ func TestDrainMonitorTouchesOnlyOwnShard(t *testing.T) {
 	db.Append(mev("b", 2))
 	db.Append(mev("a", 3))
 
-	seg := db.DrainMonitor("a")
+	seg, _ := db.DrainMonitorUpTo("a", math.MaxInt64, 0)
 	if len(seg) != 2 || seg[0].Monitor != "a" || seg[1].Monitor != "a" {
-		t.Fatalf("DrainMonitor(a) = %v, want the two a events", seg)
+		t.Fatalf("DrainMonitorUpTo(a) = %v, want the two a events", seg)
 	}
-	if db.SegmentLen() != 1 {
-		t.Fatalf("SegmentLen after per-monitor drain = %d, want 1 (b retained)", db.SegmentLen())
+	if buffered(db) != 1 {
+		t.Fatalf("buffered after per-monitor drain = %d, want 1 (b retained)", buffered(db))
 	}
-	rest := db.Drain()
+	rest := drainAll(db)
 	if len(rest) != 1 || rest[0].Monitor != "b" {
 		t.Fatalf("remaining segment = %v, want only b", rest)
 	}
@@ -91,7 +92,7 @@ func TestExportParityShardedVsGlobal(t *testing.T) {
 		stream = append(stream, e)
 	}
 	var sj, gj, sb, gb bytes.Buffer
-	if err := sharded.ExportJSON(&sj); err != nil {
+	if err := event.WriteJSON(&sj, sharded.Full()); err != nil {
 		t.Fatal(err)
 	}
 	if err := event.WriteJSON(&gj, stream); err != nil {
@@ -100,7 +101,7 @@ func TestExportParityShardedVsGlobal(t *testing.T) {
 	if !bytes.Equal(sj.Bytes(), gj.Bytes()) {
 		t.Fatal("sharded JSON export differs from the appended stream")
 	}
-	if err := sharded.ExportBinary(&sb); err != nil {
+	if err := event.WriteBinary(&sb, sharded.Full()); err != nil {
 		t.Fatal(err)
 	}
 	if err := event.WriteBinary(&gb, stream); err != nil {
@@ -112,8 +113,8 @@ func TestExportParityShardedVsGlobal(t *testing.T) {
 }
 
 // TestConcurrentMultiMonitorAppends hammers one database from many
-// goroutines, each writing its own monitor, with concurrent Peeks and
-// Drains — the -race workout for the shard map and atomic counter.
+// goroutines, each writing its own monitor, with concurrent Fulls and
+// drains — the -race workout for the shard map and atomic counter.
 func TestConcurrentMultiMonitorAppends(t *testing.T) {
 	t.Parallel()
 	db := New(WithFullTrace())
@@ -130,7 +131,6 @@ func TestConcurrentMultiMonitorAppends(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				db.Peek()
 				// A mid-run Full must be a consistent prefix of the run:
 				// contiguous sequence numbers with nothing missing.
 				full := db.Full()
@@ -141,7 +141,7 @@ func TestConcurrentMultiMonitorAppends(t *testing.T) {
 					}
 				}
 				drainMu.Lock()
-				drained = append(drained, db.Drain()...)
+				drained = append(drained, drainAll(db)...)
 				drainMu.Unlock()
 			}
 		}
@@ -159,7 +159,7 @@ func TestConcurrentMultiMonitorAppends(t *testing.T) {
 	producers.Wait()
 	close(stop)
 	reader.Wait()
-	drained = append(drained, db.Drain()...)
+	drained = append(drained, drainAll(db)...)
 
 	if db.Total() != monitors*perMonitor {
 		t.Fatalf("Total = %d, want %d", db.Total(), monitors*perMonitor)
@@ -211,9 +211,9 @@ func TestDrainTeeObservesPerMonitorSegments(t *testing.T) {
 	for _, m := range []string{"a", "b", "a", "c"} {
 		db.Append(mev(m, 1))
 	}
-	drained := db.Drain()
+	drained := drainAll(db)
 	if len(drained) != 4 {
-		t.Fatalf("Drain returned %d events, want 4", len(drained))
+		t.Fatalf("drain returned %d events, want 4", len(drained))
 	}
 	if len(rec.pairs) != 3 {
 		t.Fatalf("tee observed %d segments, want 3 (one per monitor)", len(rec.pairs))
@@ -231,9 +231,9 @@ func TestDrainTeeObservesPerMonitorSegments(t *testing.T) {
 		t.Fatalf("tee observed %d events in total, want 4", total)
 	}
 	// A drain with nothing buffered must not call the tee.
-	db.Drain()
+	drainAll(db)
 	if len(rec.pairs) != 3 {
-		t.Fatalf("empty Drain fed the tee (now %d segments)", len(rec.pairs))
+		t.Fatalf("empty drain fed the tee (now %d segments)", len(rec.pairs))
 	}
 }
 
@@ -244,14 +244,14 @@ func TestDrainMonitorFeedsTee(t *testing.T) {
 	db.AddDrainTee(rec.tee)
 	db.Append(mev("a", 1))
 	db.Append(mev("b", 2))
-	if got := db.DrainMonitor("a"); len(got) != 1 {
-		t.Fatalf("DrainMonitor(a) = %d events, want 1", len(got))
+	if got, _ := db.DrainMonitorUpTo("a", math.MaxInt64, 0); len(got) != 1 {
+		t.Fatalf("DrainMonitorUpTo(a) = %d events, want 1", len(got))
 	}
 	if len(rec.pairs) != 1 || rec.pairs[0].monitor != "a" || len(rec.pairs[0].seg) != 1 {
 		t.Fatalf("tee observed %+v, want one single-event segment for a", rec.pairs)
 	}
 	// Draining another monitor feeds the tee that monitor's segment only.
-	db.DrainMonitor("b")
+	db.DrainMonitorUpTo("b", math.MaxInt64, 0)
 	if len(rec.pairs) != 2 || rec.pairs[1].monitor != "b" || len(rec.pairs[1].seg) != 1 {
 		t.Fatalf("tee observed %+v, want a's then b's single-event segment", rec.pairs)
 	}
@@ -264,9 +264,9 @@ func TestAddDrainTeeIsAdditive(t *testing.T) {
 	db.AddDrainTee(a.tee)
 	db.AddDrainTee(b.tee) // must not unwire a — both observe everything
 	db.Append(mev("m", 1))
-	db.DrainMonitor("m")
+	db.DrainMonitorUpTo("m", math.MaxInt64, 0)
 	db.Append(mev("m", 2))
-	db.Drain()
+	drainAll(db)
 	if len(a.pairs) != 2 || len(b.pairs) != 2 {
 		t.Fatalf("tees observed %d and %d segments, want 2 and 2", len(a.pairs), len(b.pairs))
 	}
@@ -274,7 +274,7 @@ func TestAddDrainTeeIsAdditive(t *testing.T) {
 	c := &teeRecorder{}
 	db.AddDrainTee(c.tee)
 	db.Append(mev("m", 3))
-	db.Drain()
+	drainAll(db)
 	if len(a.pairs) != 3 || len(b.pairs) != 3 || len(c.pairs) != 1 {
 		t.Fatalf("after a third AddDrainTee: observed %d/%d/%d segments, want 3/3/1", len(a.pairs), len(b.pairs), len(c.pairs))
 	}

@@ -193,16 +193,6 @@ func (e *Engine) Add(r Rule) error {
 // rule's ResetMonitor.
 func (e *Engine) Rules() []Rule { return e.rules }
 
-// Has reports whether a rule with the given name exists.
-func (e *Engine) Has(name string) bool {
-	for _, r := range e.rules {
-		if r.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Eval evaluates every rule against one snapshot, appending an Alert
 // to dst for each transition (fire or clear) and returning the slice.
 // at and seq stamp the alerts; the caller passes the snapshot's

@@ -13,7 +13,8 @@ type OrderError struct {
 	Path string
 	// Call is the offending procedure name.
 	Call string
-	// History is the accepted call prefix before the offending call.
+	// History is the calls accepted since the matcher last completed a
+	// traversal, in order.
 	History []string
 	// Expected lists the procedure names that would have been legal.
 	Expected []string
@@ -39,8 +40,10 @@ func (e *OrderError) Error() string {
 // procedure call to Request by the same process"). A Matcher is not
 // safe for concurrent use.
 type Matcher struct {
-	path    *Path
-	state   int
+	path  *Path
+	state int
+	// history holds the calls since the last completed traversal, so a
+	// process that keeps completing traversals never grows it.
 	history []string
 }
 
@@ -67,7 +70,11 @@ func (m *Matcher) Step(call string) error {
 		}
 	}
 	m.state = next
-	m.history = append(m.history, call)
+	if m.path.dfa.accepting[next] {
+		m.history = m.history[:0]
+	} else {
+		m.history = append(m.history, call)
+	}
 	return nil
 }
 
@@ -81,11 +88,6 @@ func (m *Matcher) AtCycleBoundary() bool {
 // Expected returns the procedure names that are legal next calls.
 func (m *Matcher) Expected() []string {
 	return m.path.dfa.expected(m.state)
-}
-
-// History returns the accepted calls so far.
-func (m *Matcher) History() []string {
-	return append([]string(nil), m.history...)
 }
 
 // Reset returns the matcher to the start of the path and clears the

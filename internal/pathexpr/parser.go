@@ -10,7 +10,6 @@ import (
 // immutable and safe for concurrent use (each process gets its own
 // Matcher).
 type Path struct {
-	src string
 	ast Expr
 	dfa *dfa
 	// syms is the set of procedure names the expression mentions,
@@ -42,7 +41,7 @@ func Parse(src string) (*Path, error) {
 	}
 	syms := make(map[string]bool)
 	ast.symbols(syms)
-	return &Path{src: src, ast: ast, dfa: buildDFA(buildNFA(ast)), syms: syms}, nil
+	return &Path{ast: ast, dfa: buildDFA(buildNFA(ast)), syms: syms}, nil
 }
 
 // MustParse is Parse for statically known expressions; it panics on
@@ -57,12 +56,6 @@ func MustParse(src string) *Path {
 
 // String returns the canonical rendering of the expression.
 func (p *Path) String() string { return "path " + p.ast.String() + " end" }
-
-// Source returns the original text the Path was parsed from.
-func (p *Path) Source() string { return p.src }
-
-// AST returns the root of the parsed expression.
-func (p *Path) AST() Expr { return p.ast }
 
 // Symbols returns the procedure names mentioned in the expression,
 // sorted.

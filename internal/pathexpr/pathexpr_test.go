@@ -213,8 +213,9 @@ func TestMatcherIgnoresUnmentionedProcedures(t *testing.T) {
 	if err := m.Step("Status"); err != nil {
 		t.Fatalf("unmentioned procedure rejected: %v", err)
 	}
-	if len(m.History()) != 0 {
-		t.Fatal("unmentioned procedure recorded in history")
+	var oe *OrderError
+	if err := m.Step("Release"); !errors.As(err, &oe) || len(oe.History) != 0 {
+		t.Fatalf("Step(Release) = %v, want an *OrderError with an empty history", err)
 	}
 }
 
@@ -236,8 +237,39 @@ func TestMatcherCycleBoundaryAndReset(t *testing.T) {
 		t.Fatalf("Expected = %v, want [Release]", exp)
 	}
 	m.Reset()
-	if !m.AtCycleBoundary() || len(m.History()) != 0 {
+	if !m.AtCycleBoundary() {
 		t.Fatal("Reset did not restore the start state")
+	}
+	var oe *OrderError
+	if err := m.Step("Release"); !errors.As(err, &oe) || len(oe.History) != 0 {
+		t.Fatalf("Step(Release) after Reset = %v, want an *OrderError with an empty history", err)
+	}
+}
+
+// TestMatcherHistoryRestartsEachTraversal pins that a matcher keeps
+// only the calls since its last completed traversal: after 10,000
+// whole traversals, a violating call reports the same error as on a
+// fresh matcher.
+func TestMatcherHistoryRestartsEachTraversal(t *testing.T) {
+	t.Parallel()
+	p := MustParse("path Open ; { Read , Write } ; Close end")
+	m := p.NewMatcher()
+	for i := 0; i < 10_000; i++ {
+		for _, call := range []string{"Open", "Read", "Write", "Read", "Close"} {
+			if err := m.Step(call); err != nil {
+				t.Fatalf("traversal %d: Step(%s): %v", i, call, err)
+			}
+		}
+	}
+	var oe *OrderError
+	if err := m.Step("Read"); !errors.As(err, &oe) {
+		t.Fatalf("Step(Read) = %v, want *OrderError", err)
+	}
+	if len(oe.History) != 0 {
+		t.Fatalf("History holds %d calls after whole traversals, want 0", len(oe.History))
+	}
+	if want := p.NewMatcher().Step("Read").Error(); oe.Error() != want {
+		t.Fatalf("Error() = %q, want the fresh matcher's %q", oe.Error(), want)
 	}
 }
 
@@ -427,12 +459,4 @@ func TestMustParsePanicsOnBadInput(t *testing.T) {
 		}
 	}()
 	MustParse("path ; end")
-}
-
-func TestSourcePreserved(t *testing.T) {
-	t.Parallel()
-	src := "Acquire ; Release"
-	if got := MustParse(src).Source(); got != src {
-		t.Fatalf("Source() = %q, want %q", got, src)
-	}
 }

@@ -217,16 +217,3 @@ func (r *Runtime) Get(pid int64) (*P, bool) {
 	p, ok := r.procs[pid]
 	return p, ok
 }
-
-// Procs returns all spawned processes in pid order.
-func (r *Runtime) Procs() []*P {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*P, 0, len(r.procs))
-	for pid := int64(1); pid <= r.nextPid; pid++ {
-		if p, ok := r.procs[pid]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}

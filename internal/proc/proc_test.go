@@ -131,15 +131,6 @@ func TestGetAndProcsOrdered(t *testing.T) {
 		ps = append(ps, r.Spawn("w", func(*P) {}))
 	}
 	r.Join()
-	got := r.Procs()
-	if len(got) != 5 {
-		t.Fatalf("Procs returned %d, want 5", len(got))
-	}
-	for i, p := range got {
-		if p.ID() != int64(i+1) {
-			t.Fatalf("Procs[%d].ID = %d, want %d", i, p.ID(), i+1)
-		}
-	}
 	if p, ok := r.Get(3); !ok || p != ps[2] {
 		t.Fatal("Get(3) did not return the third process")
 	}

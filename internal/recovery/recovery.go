@@ -18,7 +18,7 @@
 // ResetMonitor policy becomes shard-local and online: the reset is
 // linearised against checkpoints by the detector, freezes only the
 // offending monitor, discards its unchecked history, reseeds its
-// checking and scheduler state, and emits a recovery marker into the
+// checking state, and emits a recovery marker into the
 // export stream — while every other monitor keeps running. Without a
 // resetter the manager falls back to the direct Reset, preserving the
 // pre-shard-aware behaviour for callers that stop the world themselves.

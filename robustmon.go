@@ -40,10 +40,10 @@
 // its detector via SetResetter, resets a faulty monitor online —
 // shard-local and world-stop free. Only the offending monitor is
 // frozen while its unchecked history is discarded, its queues, blocked
-// processes and R# reinitialised and its checking/scheduler state
-// reseeded; every other monitor keeps running and checkpointing, and a
-// RecoveryMarker is streamed into the export so offline replay knows
-// the reset horizon.
+// processes and R# reinitialised and its checking state reseeded;
+// every other monitor keeps running and checkpointing, and a recovery
+// marker is streamed into the export so offline replay knows the reset
+// horizon.
 //
 // # Quick start
 //
@@ -101,7 +101,6 @@ import (
 	"robustmon/internal/recovery"
 	"robustmon/internal/report"
 	"robustmon/internal/rules"
-	"robustmon/internal/state"
 	"robustmon/internal/verify"
 )
 
@@ -112,8 +111,6 @@ type (
 	Monitor = monitor.Monitor
 	// Spec is the visible part of a monitor declaration.
 	Spec = monitor.Spec
-	// MonitorKind classifies a monitor per §2.1.
-	MonitorKind = monitor.Kind
 	// MonitorOption configures NewMonitor.
 	MonitorOption = monitor.Option
 	// Hooks is the fault-injection surface of the monitor protocol.
@@ -163,8 +160,6 @@ type (
 	Process = proc.P
 	// Runtime spawns and tracks processes.
 	Runtime = proc.Runtime
-	// ProcessStatus is a process life-cycle state.
-	ProcessStatus = proc.Status
 )
 
 // NewRuntime returns an empty process runtime.
@@ -174,8 +169,6 @@ func NewRuntime() *Runtime { return proc.NewRuntime() }
 type (
 	// Clock abstracts time (real or virtual).
 	Clock = clock.Clock
-	// RealClock is the wall clock.
-	RealClock = clock.Real
 	// VirtualClock is a deterministic, manually advanced clock.
 	VirtualClock = clock.Virtual
 )
@@ -189,12 +182,8 @@ type (
 	History = history.DB
 	// HistoryOption configures NewHistory.
 	HistoryOption = history.Option
-	// Event is one scheduling event.
-	Event = event.Event
 	// EventSeq is a scheduling event sequence L.
 	EventSeq = event.Seq
-	// Snapshot is a monitor scheduling state ⟨EQ, CQ[], R#⟩ + Running.
-	Snapshot = state.Snapshot
 )
 
 // NewHistory returns an empty history database, sharded per monitor:
@@ -216,29 +205,11 @@ type (
 	// ExporterConfig parameterises NewExporter (buffer size,
 	// backpressure policy).
 	ExporterConfig = export.Config
-	// ExporterStats counts exporter activity, including drops.
-	ExporterStats = export.Stats
-	// ExportPolicy is the backpressure policy when the buffer fills.
-	ExportPolicy = export.Policy
-	// ExportSegment is one drained per-monitor segment.
-	ExportSegment = export.Segment
 	// ExportSink persists exported segments.
 	ExportSink = export.Sink
-	// ExportMarkerSink is the optional ExportSink extension persisting
-	// recovery markers (both built-in sinks implement it).
-	ExportMarkerSink = export.MarkerSink
-	// ExportHealthSink is the optional ExportSink extension persisting
-	// health snapshots (both built-in sinks implement it).
-	ExportHealthSink = export.HealthSink
-	// ExportRecord is one trace record in standalone (wire) form.
-	ExportRecord = export.Record
 	// ExportSealedSink consumes sealed-file summaries
 	// (WALConfig.OnSeal fan-out).
 	ExportSealedSink = export.SealedSink
-	// ExportSealedSinkFunc adapts a function to ExportSealedSink.
-	ExportSealedSinkFunc = export.SealedSinkFunc
-	// TeeExportSink fans every record out to several sinks.
-	TeeExportSink = export.TeeSink
 	// WALSink persists segments to a directory of CRC-protected,
 	// fsync-on-rotate files.
 	WALSink = export.WALSink
@@ -246,8 +217,6 @@ type (
 	WALConfig = export.WALConfig
 	// ExportReplay is a trace read back from an export directory.
 	ExportReplay = export.Replay
-	// MemoryExportSink collects exported segments in memory.
-	MemoryExportSink = export.MemorySink
 )
 
 // Backpressure policies.
@@ -273,10 +242,6 @@ func NewExporter(sink ExportSink, cfg ExporterConfig) *Exporter { return export.
 // appending.
 func NewWALSink(dir string, cfg WALConfig) (*WALSink, error) { return export.NewWALSink(dir, cfg) }
 
-// NewTeeExportSink builds a tee over the given sinks; nil entries are
-// dropped.
-func NewTeeExportSink(sinks ...ExportSink) *TeeExportSink { return export.NewTeeSink(sinks...) }
-
 // ReadExportDir replays an export directory back into the global <L
 // order, recovering from a crash-truncated tail.
 func ReadExportDir(dir string) (*ExportReplay, error) { return export.ReadDir(dir) }
@@ -296,12 +261,6 @@ type (
 	// TraceSeekReader answers windowed replay queries through the
 	// index.
 	TraceSeekReader = index.SeekReader
-	// TraceSeekStats accounts one windowed query (files opened vs
-	// skipped).
-	TraceSeekStats = index.Stats
-	// TraceFileSummary describes one sealed WAL file (seq ranges,
-	// monitor set, marker offsets, header-chain CRC).
-	TraceFileSummary = export.FileSummary
 	// CompactionConfig parameterises CompactExportDir.
 	CompactionConfig = compact.Config
 	// CompactionResult accounts one compaction.
@@ -374,10 +333,6 @@ func NewNetSink(cfg NetSinkConfig) (*NetSink, error) { return netexport.NewNetSi
 // to Serve on any number of listeners.
 func NewCollector(cfg CollectorConfig) (*Collector, error) { return netexport.NewCollector(cfg) }
 
-// ValidOrigin reports whether name is usable as a producer origin
-// (portable filename charset, no path meaning).
-func ValidOrigin(name string) bool { return netexport.ValidOrigin(name) }
-
 // Self-observability (internal/obs): an allocation-free metrics
 // registry instrumenting every layer of the pipeline. Pass one
 // registry to the layers that accept it — NewHistory(WithObsMetrics
@@ -385,7 +340,7 @@ func ValidOrigin(name string) bool { return netexport.ValidOrigin(name) }
 // CompactionConfig.Obs — and read it back three ways: ObsRegistry.
 // Snapshot() in process, StartObsServer for a Prometheus-text
 // /metrics endpoint with the pprof suite on the same listener, and
-// DetectorConfig.HealthEvery for periodic HealthRecord snapshots
+// DetectorConfig.HealthEvery for periodic health snapshots
 // streamed into the export WAL (rendered by `montrace stats`).
 // Instrumentation is strictly optional: a nil registry configures
 // nil handles whose methods are no-ops, so an uninstrumented run
@@ -395,24 +350,11 @@ type (
 	// Histogram) are resolved once and then increment lock-free and
 	// allocation-free.
 	ObsRegistry = obs.Registry
-	// ObsCounter is a monotone counter handle.
-	ObsCounter = obs.Counter
-	// ObsGauge is a set/add gauge handle.
-	ObsGauge = obs.Gauge
-	// ObsHistogram is a fixed-bucket (power-of-two) histogram handle.
-	ObsHistogram = obs.Histogram
-	// ObsSnapshot is the registry captured as plain, name-sorted data.
-	ObsSnapshot = obs.Snapshot
 	// ObsConfig parameterises StartObsServer.
 	ObsConfig = obs.Config
 	// ObsServer is a running /metrics + /healthz + /debug/pprof
 	// endpoint.
 	ObsServer = obs.Server
-	// HealthRecord is one periodic health snapshot in the trace: the
-	// registry's metrics pinned to a wall-clock instant and a history
-	// sequence horizon. Exported through the WAL and returned by
-	// ReadExportDir in ExportReplay.Healths.
-	HealthRecord = obs.HealthRecord
 	// ObsRule is one declarative threshold over the registry — an
 	// absolute ceiling on a gauge or histogram quantile, or (with Rate)
 	// on a counter's per-second slope — with FireAfter/ClearAfter
@@ -424,11 +366,6 @@ type (
 	// allocation-free (pinned by TestEvalNoFireAllocs in
 	// internal/obs/rules).
 	ObsRule = obsrules.Rule
-	// ObsAlert is one rule transition (fired or cleared), streamed
-	// through the export WAL and returned by ReadExportDir in
-	// ExportReplay.Alerts; `montrace stats`/`dump`/`check` render
-	// alerts alongside the application's violations.
-	ObsAlert = obsrules.Alert
 )
 
 // MetaRule is the synthetic RuleID carried by violations that report
@@ -444,13 +381,10 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 // /debug/pprof suite, until Close.
 func StartObsServer(cfg ObsConfig) (*ObsServer, error) { return obs.StartServer(cfg) }
 
-// WritePrometheus renders a metrics snapshot in the Prometheus text
-// exposition format.
-func WritePrometheus(w io.Writer, s ObsSnapshot) error { return obs.WritePrometheus(w, s) }
-
-// WithObsMetrics instruments the history database on reg: append and
-// batch rates, slab-pool hit/miss/recycle counters and the drain-size
-// histogram. The option form matches the database's other knobs; the
+// WithObsMetrics instruments the history database on reg:
+// history_append_total, the slab-pool counters history_pool_hit_total
+// and history_pool_miss_total, and the drain-size histogram
+// history_drain_events. The option form matches the database's other knobs; the
 // detector, exporter and compactor take the same registry through
 // their config structs.
 func WithObsMetrics(reg *ObsRegistry) HistoryOption { return history.WithObs(reg) }
@@ -463,33 +397,18 @@ func WriteTraceJSON(w io.Writer, s EventSeq) error { return event.WriteJSON(w, s
 // ReadTraceJSON reads a JSON Lines trace.
 func ReadTraceJSON(r io.Reader) (EventSeq, error) { return event.ReadJSON(r) }
 
-// WriteTraceBinary writes a trace in the compact binary format.
-func WriteTraceBinary(w io.Writer, s EventSeq) error { return event.WriteBinary(w, s) }
-
-// ReadTraceBinary reads a binary trace.
-func ReadTraceBinary(r io.Reader) (EventSeq, error) { return event.ReadBinary(r) }
-
 // Detection.
 type (
 	// Detector is the periodic checking routine (Algorithms 1-3).
 	Detector = detect.Detector
 	// DetectorConfig parameterises a Detector.
 	DetectorConfig = detect.Config
-	// DetectorStats summarises detector activity.
-	DetectorStats = detect.Stats
 	// RealTime is the per-event calling-order checker for allocators.
 	RealTime = detect.RealTime
 	// Checker is an extra checkpoint-time check (assertions).
 	Checker = detect.Checker
 	// Violation is one detected rule violation.
 	Violation = rules.Violation
-	// RuleID names a violated rule (FD-* or ST-*).
-	RuleID = rules.ID
-	// TraceExporter is the one exporter seam the detector drives:
-	// segments, recovery markers, health snapshots, pipeline alerts
-	// and flush in a single interface (DetectorConfig.Exporter).
-	// Exporter, WALSink and NetSink all satisfy it.
-	TraceExporter = detect.TraceExporter
 )
 
 // NewDetector builds the periodic detector over the database and
@@ -517,8 +436,6 @@ func NewRealTime(next Recorder, specs []Spec, onViolation func(Violation)) (*Rea
 type (
 	// FaultKind identifies one fault from the §2.2 taxonomy.
 	FaultKind = faults.Kind
-	// FaultLevel is the taxonomy level.
-	FaultLevel = faults.Level
 	// Injector realises one fault kind.
 	Injector = faults.Injector
 )
@@ -560,10 +477,6 @@ func NewInjector(kind FaultKind, opts ...faults.InjectorOption) *Injector {
 type (
 	// Path is a compiled call-order declaration.
 	Path = pathexpr.Path
-	// PathMatcher tracks one process's position in a Path.
-	PathMatcher = pathexpr.Matcher
-	// OrderError reports a call violating the declared order.
-	OrderError = pathexpr.OrderError
 )
 
 // ParsePath parses and compiles a path expression such as
@@ -597,14 +510,6 @@ type (
 	RecoveryPolicy = recovery.Policy
 	// RecoveryAction records one step the recovery manager took.
 	RecoveryAction = recovery.Action
-	// RecoveryResetter performs shard-local online monitor resets; a
-	// Detector implements it (RequestReset).
-	RecoveryResetter = recovery.Resetter
-	// RecoveryMarker records one shard-local online reset in the
-	// history/export stream: the reset horizon and how many buffered,
-	// never-checked events were discarded. Exported through the WAL
-	// and returned by ReadExportDir in ExportReplay.Markers.
-	RecoveryMarker = history.RecoveryMarker
 )
 
 // Recovery policies.
@@ -624,7 +529,7 @@ func NewAssertionSet(monitorName string) *AssertionSet { return assert.NewSet(mo
 // shard-local and online: a violation on monitor M then freezes and
 // reinitialises only M (history segment, queues, blocked processes,
 // R#, checking lists) while every other monitor
-// keeps running, and a RecoveryMarker is streamed through the exporter
+// keeps running, and a recovery marker is streamed through the exporter
 // so offline replay knows the reset horizon. Without a resetter the
 // policy falls back to the direct Monitor.Reset, which is only safe
 // against a stopped world.
@@ -663,21 +568,10 @@ func QualifyProc(monitorName, procName string) string {
 }
 
 // Reporting.
-type (
-	// ViolationSummary aggregates a violation batch by rule, fault,
-	// monitor and phase.
-	ViolationSummary = report.Summary
-)
-
-// SummarizeViolations aggregates a violation batch.
-func SummarizeViolations(vs []Violation) ViolationSummary { return report.Summarize(vs) }
 
 // DedupViolations collapses repeated reports of the same underlying
 // problem (timer rules re-fire every checkpoint).
 func DedupViolations(vs []Violation) []Violation { return report.Dedup(vs) }
-
-// RenderViolations writes a grouped human-readable violation listing.
-func RenderViolations(w io.Writer, vs []Violation) error { return report.Render(w, vs) }
 
 // RenderRecoveryActions writes the recovery manager's action log as a
 // human-readable listing.
@@ -700,6 +594,3 @@ func RenderRecoveryActions(w io.Writer, actions []RecoveryAction) error {
 //
 // into validated Specs.
 func ParseDeclarations(src string) ([]Spec, error) { return mdl.Parse(src) }
-
-// FormatDeclaration renders a Spec back into declaration syntax.
-func FormatDeclaration(spec Spec) string { return mdl.Format(spec) }
