@@ -519,9 +519,7 @@ func BenchmarkAblationChecking(b *testing.B) {
 		snap := emptyBenchSnapshot(spec)
 		for i := 0; i < b.N; i++ {
 			lists := benchSeedLists(spec, snap)
-			for _, e := range trace {
-				lists.Apply(e)
-			}
+			lists.Replay(trace)
 			if vs := lists.Violations(); len(vs) != 0 {
 				b.Fatalf("violations: %v", vs)
 			}

@@ -34,6 +34,7 @@ package checklists
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"robustmon/internal/event"
@@ -56,12 +57,17 @@ type Entry struct {
 type Lists struct {
 	spec monitor.Spec
 
-	// EnterQ is Enter-0-List: processes awaiting entry.
+	// EnterQ is Enter-0-List: processes awaiting entry. Only Lists'
+	// own methods may write it, because the pid index ST-4 reads must
+	// match it.
 	EnterQ []Entry
-	// WaitCond maps each condition to its Wait-Cond-List.
+	// WaitCond maps each condition to its Wait-Cond-List. Only Lists'
+	// own methods may write it, because the pid index ST-4 reads must
+	// match it.
 	WaitCond map[string][]Entry
 	// Running is Running-List: processes inside the monitor. Correct
-	// operation keeps it at most a singleton.
+	// operation keeps it at most a singleton. Only Lists' own methods
+	// may write it, so that it moves in step with EnterQ and WaitCond.
 	Running []Entry
 	// ResourceNo is Resource-No, the reconstructed R#.
 	ResourceNo int
@@ -69,6 +75,12 @@ type Lists struct {
 	// (the paper's s and r), seeded with the totals carried over from
 	// previous segments.
 	Sends, Recvs int
+
+	// listed counts, per pid, the entries on Enter-0-List and the
+	// Wait-Cond-Lists, so ST-4 costs a lookup instead of a scan. It is
+	// allocated on the first push; a pid leaves it when its count
+	// reaches zero, so it is empty whenever nobody waits.
+	listed map[int64]int
 
 	violations []rules.Violation
 }
@@ -87,11 +99,13 @@ func FromSnapshot(spec monitor.Spec, snap state.Snapshot, prevSends, prevRecvs i
 	}
 	for _, e := range snap.EQ {
 		l.EnterQ = append(l.EnterQ, Entry{Pid: e.Pid, Proc: e.Proc, Since: e.Since})
+		l.list(e.Pid)
 	}
 	for cond, q := range snap.CQ {
 		entries := make([]Entry, 0, len(q))
 		for _, e := range q {
 			entries = append(entries, Entry{Pid: e.Pid, Proc: e.Proc, Since: e.Since})
+			l.list(e.Pid)
 		}
 		l.WaitCond[cond] = entries
 	}
@@ -117,12 +131,12 @@ func (l *Lists) Violations() []rules.Violation { return l.violations }
 // checkpoint, not once per batch, and a huge segment can be drained
 // and replayed in bounded slices.
 func (l *Lists) Replay(seg event.Seq) {
-	for _, e := range seg {
-		l.Apply(e)
+	for i := range seg {
+		l.Apply(&seg[i])
 	}
 }
 
-func (l *Lists) violate(rule rules.ID, e event.Event, fault faults.Kind, format string, args ...any) {
+func (l *Lists) violate(rule rules.ID, e *event.Event, fault faults.Kind, format string, args ...any) {
 	l.violations = append(l.violations, rules.Violation{
 		Rule:    rule,
 		Monitor: l.spec.Name,
@@ -138,7 +152,7 @@ func (l *Lists) violate(rule rules.ID, e event.Event, fault faults.Kind, format 
 
 // Apply replays one event through the lists, performing the Step-1
 // checks of Algorithm-1 and Algorithm-2.
-func (l *Lists) Apply(e event.Event) {
+func (l *Lists) Apply(e *event.Event) {
 	l.checkST4(e)
 	switch e.Type {
 	case event.Enter:
@@ -156,7 +170,7 @@ func (l *Lists) Apply(e event.Event) {
 
 // mutexFault classifies an ST-3a violation by the primitive that
 // caused the double occupancy.
-func (l *Lists) mutexFault(e event.Event) faults.Kind {
+func (l *Lists) mutexFault(e *event.Event) faults.Kind {
 	switch e.Type {
 	case event.Enter:
 		return faults.EnterMutexViolation
@@ -168,16 +182,21 @@ func (l *Lists) mutexFault(e event.Event) faults.Kind {
 }
 
 // checkST4 enforces ST-Rule 4: the causing process of a new event must
-// not be sitting on Enter-0-List or any Wait-Cond-List.
-func (l *Lists) checkST4(e event.Event) {
+// not be sitting on Enter-0-List or any Wait-Cond-List. The pid index
+// answers that; the lists are walked only to word a violation, one per
+// entry the process holds.
+func (l *Lists) checkST4(e *event.Event) {
+	if len(l.listed) == 0 || l.listed[e.Pid] == 0 {
+		return
+	}
 	for _, w := range l.EnterQ {
 		if w.Pid == e.Pid {
 			l.violate(rules.ST4, e, faults.EnterLostProcess,
 				"P%d emits %s while still on Enter-0-List", e.Pid, e.Type)
 		}
 	}
-	for cond, q := range l.WaitCond {
-		for _, w := range q {
+	for _, cond := range l.condOrder() {
+		for _, w := range l.WaitCond[cond] {
 			if w.Pid == e.Pid {
 				l.violate(rules.ST4, e, faults.WaitNoBlock,
 					"P%d emits %s while still on Wait-Cond-List[%s]", e.Pid, e.Type, cond)
@@ -186,7 +205,50 @@ func (l *Lists) checkST4(e event.Event) {
 	}
 }
 
-func (l *Lists) applyEnter(e event.Event) {
+// condOrder returns the Wait-Cond-List names in declaration order:
+// spec.Conditions first, then any other condition the lists hold, by
+// name. Every walk over the Wait-Cond-Lists uses it, so a checkpoint
+// reports its violations in the same order on every run.
+func (l *Lists) condOrder() []string {
+	var extra []string
+	for cond := range l.WaitCond {
+		if !slices.Contains(l.spec.Conditions, cond) {
+			extra = append(extra, cond)
+		}
+	}
+	if extra == nil {
+		return l.spec.Conditions
+	}
+	slices.Sort(extra)
+	return append(slices.Clip(l.spec.Conditions), extra...)
+}
+
+// list and unlist keep the pid index in step with a push onto, or a
+// pop off, Enter-0-List or a Wait-Cond-List.
+func (l *Lists) list(pid int64) {
+	if l.listed == nil {
+		l.listed = make(map[int64]int)
+	}
+	l.listed[pid]++
+}
+
+func (l *Lists) unlist(pid int64) {
+	if n := l.listed[pid] - 1; n > 0 {
+		l.listed[pid] = n
+	} else {
+		delete(l.listed, pid)
+	}
+}
+
+// popHead removes a list's head in place, so the backing array stays
+// for the next push and a replay in steady state allocates nothing.
+func popHead(q []Entry) []Entry {
+	n := copy(q, q[1:])
+	q[n] = Entry{}
+	return q[:n]
+}
+
+func (l *Lists) applyEnter(e *event.Event) {
 	if e.Flag == event.Completed {
 		// ST-3c: immediately granted entry requires an empty Running-List.
 		if len(l.Running) != 0 {
@@ -202,9 +264,10 @@ func (l *Lists) applyEnter(e event.Event) {
 			"Enter(flag 0) while Running-List = %v (monitor not in use)", l.runningPids())
 	}
 	l.EnterQ = append(l.EnterQ, Entry{Pid: e.Pid, Proc: e.Proc, Since: e.Time})
+	l.list(e.Pid)
 }
 
-func (l *Lists) applyWait(e event.Event) {
+func (l *Lists) applyWait(e *event.Event) {
 	l.checkST3b(e)
 	l.removeRunning(e.Pid)
 	if l.spec.Kind == monitor.CommunicationCoordinator {
@@ -224,10 +287,11 @@ func (l *Lists) applyWait(e event.Event) {
 		}
 	}
 	l.WaitCond[e.Cond] = append(l.WaitCond[e.Cond], Entry{Pid: e.Pid, Proc: e.Proc, Since: e.Time})
+	l.list(e.Pid)
 	l.popEnterQ(e)
 }
 
-func (l *Lists) applySignalExit(e event.Event) {
+func (l *Lists) applySignalExit(e *event.Event) {
 	l.checkST3b(e)
 	l.removeRunning(e.Pid)
 	if e.Flag == event.Completed {
@@ -237,7 +301,8 @@ func (l *Lists) applySignalExit(e event.Event) {
 				"Signal-Exit(flag 1) but Wait-Cond-List[%s] is empty", e.Cond)
 		} else {
 			head := q[0]
-			l.WaitCond[e.Cond] = q[1:]
+			l.WaitCond[e.Cond] = popHead(q)
+			l.unlist(head.Pid)
 			l.Running = append(l.Running, Entry{Pid: head.Pid, Proc: head.Proc, Since: e.Time})
 		}
 	} else {
@@ -265,7 +330,7 @@ func (l *Lists) applySignalExit(e event.Event) {
 
 // checkST3b enforces ST-Rule 3b: a Wait or Signal-Exit may only come
 // from the single process in Running-List.
-func (l *Lists) checkST3b(e event.Event) {
+func (l *Lists) checkST3b(e *event.Event) {
 	if len(l.Running) == 1 && l.Running[0].Pid == e.Pid {
 		return
 	}
@@ -284,12 +349,13 @@ func (l *Lists) removeRunning(pid int64) {
 
 // popEnterQ models the resumption of the entry-queue head caused by a
 // Wait or a non-signalling Signal-Exit.
-func (l *Lists) popEnterQ(e event.Event) {
+func (l *Lists) popEnterQ(e *event.Event) {
 	if len(l.EnterQ) == 0 {
 		return
 	}
 	head := l.EnterQ[0]
-	l.EnterQ = l.EnterQ[1:]
+	l.EnterQ = popHead(l.EnterQ)
+	l.unlist(head.Pid)
 	l.Running = append(l.Running, Entry{Pid: head.Pid, Proc: head.Proc, Since: e.Time})
 }
 
@@ -354,8 +420,8 @@ func (l *Lists) CheckTimers(now time.Time, tmax, tio time.Duration) []rules.Viol
 				})
 			}
 		}
-		for cond, q := range l.WaitCond {
-			for _, w := range q {
+		for _, cond := range l.condOrder() {
+			for _, w := range l.WaitCond[cond] {
 				if now.Sub(w.Since) >= tmax {
 					out = append(out, rules.Violation{
 						Rule: rules.ST5, Monitor: l.spec.Name, Pid: w.Pid, Cond: cond, At: now,

@@ -47,14 +47,14 @@ func emptySnap(spec monitor.Spec) state.Snapshot {
 	return state.Snapshot{Monitor: spec.Name, At: t0, CQ: cq, Resources: spec.Rmax}
 }
 
-func ev(seq int64, typ event.Type, pid int64, proc, cond string, flag int) event.Event {
-	return event.Event{
+func ev(seq int64, typ event.Type, pid int64, proc, cond string, flag int) *event.Event {
+	return &event.Event{
 		Seq: seq, Monitor: "m", Type: typ, Pid: pid, Proc: proc, Cond: cond, Flag: flag,
 		Time: t0.Add(time.Duration(seq) * time.Millisecond),
 	}
 }
 
-func apply(l *Lists, events ...event.Event) {
+func apply(l *Lists, events ...*event.Event) {
 	for _, e := range events {
 		l.Apply(e)
 	}
@@ -157,15 +157,27 @@ func TestST3bWaitByUnknownProcess(t *testing.T) {
 
 func TestST4EventWhileListed(t *testing.T) {
 	t.Parallel()
-	l := FromSnapshot(managerSpec(), emptySnap(managerSpec()), 0, 0)
-	apply(l,
-		ev(1, event.Enter, 1, "Op", "", 1),
-		ev(2, event.Wait, 1, "Op", "ok", 0),     // P1 now on Wait-Cond-List
-		ev(3, event.SignalExit, 1, "Op", "", 0), // …but acts anyway
-	)
-	vs := l.Violations()
-	if !rules.HasRule(vs, rules.ST4) || !rules.HasFault(vs, faults.WaitNoBlock) {
-		t.Fatalf("violations = %v, want ST-4/WaitNoBlock", vs)
+	for _, tc := range []struct {
+		fault  faults.Kind
+		events []*event.Event
+	}{
+		{faults.WaitNoBlock, []*event.Event{
+			ev(1, event.Enter, 1, "Op", "", 1),
+			ev(2, event.Wait, 1, "Op", "ok", 0),     // P1 now on Wait-Cond-List
+			ev(3, event.SignalExit, 1, "Op", "", 0), // …but acts anyway
+		}},
+		{faults.EnterLostProcess, []*event.Event{
+			ev(1, event.Enter, 1, "Op", "", 1),
+			ev(2, event.Enter, 2, "Op", "", 0),  // P2 now on Enter-0-List
+			ev(3, event.Wait, 2, "Op", "ok", 0), // …but acts anyway
+		}},
+	} {
+		l := FromSnapshot(managerSpec(), emptySnap(managerSpec()), 0, 0)
+		apply(l, tc.events...)
+		vs := l.Violations()
+		if !rules.HasRule(vs, rules.ST4) || !rules.HasFault(vs, tc.fault) {
+			t.Errorf("violations = %v, want ST-4/%v", vs, tc.fault)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (r *RequestList) Pids() []int64 {
 // flags, a queued request is still a request — and shrinks at
 // Signal-Exit(Pid, Release). Membership for a Release is checked at its
 // Enter so the violation is attributed to the offending call.
-func (r *RequestList) Apply(e event.Event) []rules.Violation {
+func (r *RequestList) Apply(e *event.Event) []rules.Violation {
 	if !r.Enabled() {
 		return nil
 	}

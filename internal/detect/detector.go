@@ -544,9 +544,9 @@ func (d *Detector) replayMonitor(ms *monState, drain func() (event.Seq, bool), c
 		if spec.Kind == monitor.ResourceAllocator {
 			// The request list interleaves its findings with replay, so
 			// allocators step event by event.
-			for _, e := range seg {
-				lists.Apply(e)
-				out = append(out, ms.rl.Apply(e)...)
+			for i := range seg {
+				lists.Apply(&seg[i])
+				out = append(out, ms.rl.Apply(&seg[i])...)
 			}
 		} else {
 			lists.Replay(seg)

@@ -98,10 +98,10 @@ func Trace(trace event.Seq, opts Options) ([]Result, error) {
 		lists := checklists.FromSnapshot(spec, emptySnapshot(spec), 0, 0)
 		rl := checklists.NewRequestList(spec)
 		var st []rules.Violation
-		for _, e := range seg {
-			lists.Apply(e)
+		for i := range seg {
+			lists.Apply(&seg[i])
 			if spec.Kind == monitor.ResourceAllocator {
-				st = append(st, rl.Apply(e)...)
+				st = append(st, rl.Apply(&seg[i])...)
 			}
 		}
 		st = append(st, lists.Violations()...)
