@@ -21,8 +21,9 @@
 //     (the parallel checkpoint pipeline across N monitors, in both
 //     hold-world and per-monitor modes).
 //   - BenchmarkRecordCheckExport — the closed record → checkpoint →
-//     export loop on one hot monitor, timed with recording included,
-//     so its B/op shows whether drained slabs come back to the shard.
+//     export loop on one hot monitor and on 64 monitors with batched
+//     per-monitor checkpoints, timed with recording included, so its
+//     B/op shows whether drained slabs come back to the shard.
 package robustmon_test
 
 import (
@@ -370,32 +371,63 @@ func BenchmarkCheckpoint(b *testing.B) {
 }
 
 // BenchmarkRecordCheckExport times one monitor call on the closed
-// record → checkpoint → export loop: Send/Receive on a recorded bounded
-// buffer, a hold-world checkpoint every checkEveryOps calls, and an
-// Exporter over a WALSink whose writer recycles each written segment's
-// slab into the history pool for the shard's next replacement. Unlike
-// BenchmarkCheckpoint, which fills its segments with the timer
-// stopped, the timed loop includes recording, so B/op shows a shard
-// regrowing its slab after every checkpoint. Run with -benchmem.
+// record → checkpoint → export loop, in the shapes of two of the
+// end-to-end benchmark's workloads:
+//
+//   - monitors=1: one hot bounded buffer, a hold-world unbatched
+//     checkpoint every 16,384 calls (32,768 events, a slab class), as
+//     buffer-wal records;
+//   - monitors=64/batch=256: 64 bounded buffers called in turn, with
+//     per-monitor checkpoints draining 256-event batches every 20,000
+//     calls (~625 events per monitor: two batch cuts and a final
+//     batch), as fanout-fleet records.
+//
+// Each feeds an Exporter over a WALSink whose writer recycles each
+// written segment's slab into the history pool for the shard's next
+// replacement. Unlike BenchmarkCheckpoint, which fills its segments
+// with the timer stopped, the timed loop includes recording, so B/op
+// shows a shard regrowing its slab after a checkpoint, and on the
+// batched shape what the batch cuts cost. Run with -benchmem.
 func BenchmarkRecordCheckExport(b *testing.B) {
-	const checkEveryOps = 16384 // 32,768 events: a 32,768-event slab class
+	b.Run("monitors=1", func(b *testing.B) {
+		benchRecordCheckExport(b, 1, 16384, detect.Config{HoldWorld: true})
+	})
+	b.Run("monitors=64/batch=256", func(b *testing.B) {
+		benchRecordCheckExport(b, 64, 20000, detect.Config{BatchSize: 256})
+	})
+}
+
+// benchRecordCheckExport runs BenchmarkRecordCheckExport's loop over
+// the given number of recorded bounded buffers: call i sends to
+// buffer i/2 mod n when even and receives from it when odd, so no
+// call blocks, and a checkpoint with cfg (plus the exporter) runs
+// every checkEveryOps calls.
+func benchRecordCheckExport(b *testing.B, monitors, checkEveryOps int, cfg detect.Config) {
 	db := history.New()
 	sink, err := export.NewWALSink(b.TempDir(), export.WALConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	exp := export.New(sink, export.Config{Policy: export.Block})
-	buf, err := boundedbuffer.New(16,
-		boundedbuffer.WithMonitorOptions(monitor.WithRecorder(db)))
-	if err != nil {
-		b.Fatal(err)
+	bufs := make([]*boundedbuffer.Buffer, monitors)
+	mons := make([]*monitor.Monitor, monitors)
+	for k := range bufs {
+		bufs[k], err = boundedbuffer.New(16,
+			boundedbuffer.WithName(fmt.Sprintf("buf%02d", k)),
+			boundedbuffer.WithMonitorOptions(monitor.WithRecorder(db)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mons[k] = bufs[k].Monitor()
 	}
-	det := detect.NewDefault(db, detect.Config{Exporter: exp}, buf.Monitor())
+	cfg.Exporter = exp
+	det := detect.New(db, cfg, mons...)
 	rt := proc.NewRuntime()
 	b.ReportAllocs()
 	b.ResetTimer()
 	rt.Spawn("load", func(p *proc.P) {
 		for i := 0; i < b.N; i++ {
+			buf := bufs[i/2%monitors]
 			var err error
 			if i%2 == 0 {
 				err = buf.Send(p, i)

@@ -14,10 +14,9 @@ import "sync"
 
 // payloadClasses are the pooled capacity classes, smallest first. A
 // typical drained segment (a few hundred events at tens of bytes
-// each) lands in the first two classes; the top class covers the
-// biggest segment history's slab pool recycles (65,536 events), so the
-// tens-of-thousands-event segments of a hot monitor's unbatched
-// checkpoints encode into a pooled buffer too.
+// each) lands in the first two classes; the top class covers a
+// 65,536-event segment, so the tens-of-thousands-event segments of a
+// hot monitor's unbatched checkpoints encode into a pooled buffer too.
 var payloadClasses = [...]int{4 << 10, 64 << 10, 1 << 20, 4 << 20}
 
 // payloadPools holds one pool per class. Entries are *[]byte so

@@ -59,8 +59,8 @@ func TestCheckpointExportRecyclesSlabs(t *testing.T) {
 		Tmax: time.Hour, Tio: time.Hour, HoldWorld: true, Exporter: exp,
 	}, m)
 
-	// One cycle: 1,024 Enter/Exit pairs record 2,048 events, exactly the
-	// second slab class; the checkpoint drains them and the flush waits
+	// One cycle: 1,024 Enter/Exit pairs record 2,048 events, exactly a
+	// slab class; the checkpoint drains them and the flush waits
 	// until the writer has written and recycled the segment.
 	const cycleEvents = 2048
 	rt := proc.NewRuntime()

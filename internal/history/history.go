@@ -31,6 +31,7 @@
 package history
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,13 +40,22 @@ import (
 	"robustmon/internal/state"
 )
 
-// shard holds one monitor's slice of the database. Its segment (and
-// full trace, when retained) is sorted by global sequence number,
-// because Append claims the sequence number under the shard lock.
+// shard holds one monitor's slice of the database. Its buffered
+// events (and full trace, when retained) are sorted by global sequence
+// number, because Append claims the sequence number under the shard
+// lock.
 type shard struct {
-	mu      sync.Mutex
-	segment []event.Event
-	full    event.Seq
+	mu sync.Mutex
+	// slab is the pooled backing array from its start (see pool.go);
+	// the buffered events are slab[head:], and slab[:head] is the
+	// region partial drains advanced past. Everything beyond len(slab)
+	// is zero.
+	slab []event.Event
+	head int
+	// cut counts the events partial drains handed out since the last
+	// full drain; with the final batch it sizes the replacement slab.
+	cut  int
+	full event.Seq
 	// met points at the owning DB's obs handles (never nil; the
 	// handles inside are nil without WithObs), so the drain path can
 	// count pool traffic without reaching back to the DB.
@@ -73,10 +83,15 @@ type DB struct {
 	teeMu sync.RWMutex
 	tees  []DrainTee
 
-	// shardMu guards the shards map itself (shard creation); appends on
-	// an existing shard take only the shard's own lock.
-	shardMu sync.RWMutex
-	shards  map[string]*shard
+	// shards maps each monitor to its shard. The map is copy-on-write:
+	// a published map is never written, so Append finds an existing
+	// shard with one atomic load and no lock. shardMu serialises shard
+	// creation, which publishes a copy with the new shard added, and
+	// lockAllShards holds it so no shard appears mid-operation.
+	// Creation copies the whole map, which is fine for the 1–64
+	// monitors a database here serves, each created once.
+	shardMu sync.Mutex
+	shards  atomic.Pointer[map[string]*shard]
 
 	// stateMu guards the checkpoint snapshots — a cold path written only
 	// at checkpoints, deliberately outside the shard locks.
@@ -100,9 +115,8 @@ func WithFullTrace() Option {
 
 // New returns an empty database, sharded per monitor.
 func New(opts ...Option) *DB {
-	db := &DB{
-		shards: make(map[string]*shard, 8),
-	}
+	db := &DB{}
+	db.shards.Store(&map[string]*shard{})
 	for _, o := range opts {
 		o(db)
 	}
@@ -112,24 +126,30 @@ func New(opts ...Option) *DB {
 // shardFor returns the shard receiving events of the named monitor,
 // creating it on first use.
 func (db *DB) shardFor(monitor string) *shard {
-	db.shardMu.RLock()
-	s := db.shards[monitor]
-	db.shardMu.RUnlock()
-	if s != nil {
+	if s := (*db.shards.Load())[monitor]; s != nil {
 		return s
 	}
 	db.shardMu.Lock()
 	defer db.shardMu.Unlock()
-	if s = db.shards[monitor]; s == nil {
-		s = &shard{met: &db.met}
-		db.shards[monitor] = s
+	old := *db.shards.Load()
+	if s := old[monitor]; s != nil {
+		return s
 	}
+	s := &shard{met: &db.met}
+	m := make(map[string]*shard, len(old)+1)
+	maps.Copy(m, old)
+	m[monitor] = s
+	db.shards.Store(&m)
 	return s
 }
 
+// buffered returns the shard's buffered (not yet drained) events.
+// Caller holds s.mu.
+func (s *shard) buffered() []event.Event { return s.slab[s.head:] }
+
 // lockAllShards locks every shard in deterministic (name) order and
-// returns them and an unlock function. The shard-map read lock is held
-// until unlock, so no new shard can appear mid-operation, and with
+// returns them and an unlock function. shardMu is held until unlock,
+// so no new shard can appear mid-operation, and with
 // every shard lock held no Append can be mid-flight: the recorded
 // events are exactly sequence numbers 1..nextSeq. Multi-shard
 // operations therefore observe one consistent global state even
@@ -137,15 +157,16 @@ func (db *DB) shardFor(monitor string) *shard {
 // concurrent multi-shard operations deadlock-free (single-shard paths
 // hold at most one shard lock and never a shard lock under shardMu).
 func (db *DB) lockAllShards() ([]*shard, func()) {
-	db.shardMu.RLock()
-	names := make([]string, 0, len(db.shards))
-	for name := range db.shards {
+	db.shardMu.Lock()
+	m := *db.shards.Load()
+	names := make([]string, 0, len(m))
+	for name := range m {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	shards := make([]*shard, 0, len(names))
 	for _, name := range names {
-		shards = append(shards, db.shards[name])
+		shards = append(shards, m[name])
 	}
 	for _, s := range shards {
 		s.mu.Lock()
@@ -154,7 +175,7 @@ func (db *DB) lockAllShards() ([]*shard, func()) {
 		for _, s := range shards {
 			s.mu.Unlock()
 		}
-		db.shardMu.RUnlock()
+		db.shardMu.Unlock()
 	}
 }
 
@@ -188,17 +209,22 @@ func (db *DB) drainTees() []DrainTee {
 // monitors contend only on the atomic counter, never on a common lock.
 //
 // This is the hottest function in the repository: it pays one shard
-// lock, one sequence atomic and one total atomic per event. The unlock
-// is explicit rather than deferred, and the total is bumped after the
-// lock is released — the critical section is exactly the sequence
-// claim and the two slice appends.
+// lookup (a lock-free map read), one shard lock, one sequence atomic
+// and one total atomic per event. The unlock is explicit rather than
+// deferred, and the total is bumped after the lock is released — the
+// critical section is exactly the sequence claim and the two slice
+// appends. A full slab grows into the next pooled class (pool.go), so
+// the segment append never reallocates.
 func (db *DB) Append(e event.Event) event.Event {
 	s := db.shardFor(e.Monitor)
 	s.mu.Lock()
-	// Claimed under the shard lock, so the shard's segment stays sorted
+	// Claimed under the shard lock, so the shard's buffer stays sorted
 	// by global sequence number.
 	e.Seq = db.nextSeq.Add(1)
-	s.segment = append(s.segment, e)
+	if len(s.slab) == cap(s.slab) {
+		s.grow()
+	}
+	s.slab = append(s.slab, e)
 	if db.keepFull {
 		s.full = append(s.full, e)
 	}
@@ -223,8 +249,9 @@ func (db *DB) DrainMonitorUpTo(monitor string, upTo int64, max int) (event.Seq, 
 	s := db.shardFor(monitor)
 	s.mu.Lock()
 	// The shard is seq-sorted, so the events ≤ upTo are a prefix.
-	k := sort.Search(len(s.segment), func(i int) bool {
-		return s.segment[i].Seq > upTo
+	buf := s.buffered()
+	k := sort.Search(len(buf), func(i int) bool {
+		return buf[i].Seq > upTo
 	})
 	n := k
 	if max > 0 && n > max {

@@ -27,12 +27,11 @@ func ev(pid int64) event.Event {
 // name order, and merges the drained segments into global sequence
 // order.
 func drainAll(db *DB) event.Seq {
-	db.shardMu.RLock()
-	names := make([]string, 0, len(db.shards))
-	for name := range db.shards {
+	shards := *db.shards.Load()
+	names := make([]string, 0, len(shards))
+	for name := range shards {
 		names = append(names, name)
 	}
-	db.shardMu.RUnlock()
 	sort.Strings(names)
 	segs := make([]event.Seq, 0, len(names))
 	for _, name := range names {
@@ -48,7 +47,7 @@ func buffered(db *DB) int {
 	defer unlock()
 	n := 0
 	for _, s := range shards {
-		n += len(s.segment)
+		n += len(s.buffered())
 	}
 	return n
 }

@@ -25,12 +25,23 @@ func eventsOf(mon string, n int) []event.Event {
 	return evs
 }
 
+// emptyPools takes every slab out of the class pools, so a test that
+// counts pool traffic starts cold whatever ran before it. Only for
+// tests that are not parallel: the pools are package-global.
+func emptyPools() {
+	for i := range segPools {
+		for segPools[i].Get() != nil {
+		}
+	}
+}
+
 func TestRecycleAndSlabReuse(t *testing.T) {
 	// Not parallel: the segment pool is package-global and this test
 	// reasons about what it returns.
-	seg, _ := newSegment(segClasses[0])
-	if len(seg) != segClasses[0] || cap(seg) != segClasses[0] {
-		t.Fatalf("newSegment(%d): len=%d cap=%d", segClasses[0], len(seg), cap(seg))
+	slab, _ := slabFor(segClasses[0])
+	seg := slab[:segClasses[0]]
+	if cap(seg) != segClasses[0] {
+		t.Fatalf("slabFor(%d): cap=%d", segClasses[0], cap(seg))
 	}
 	for i := range seg {
 		seg[i] = event.Event{Monitor: "x", Proc: "p", Seq: int64(i)}
@@ -60,9 +71,10 @@ func TestRecycleRejectsOutOfClassCaps(t *testing.T) {
 
 func TestRecycleNormalisesOddCaps(t *testing.T) {
 	t.Parallel()
-	// An append-grown slab lands between classes; Recycle reslices it
-	// down so the pool's class promise (a Get's capacity is exactly the
-	// class) holds. classFor/slabFor agree on the boundaries.
+	// A segment whose capacity lies between classes (one its caller
+	// made itself) is resliced down by Recycle so the pool's class
+	// promise (a Get's capacity is exactly the class) holds.
+	// classFor/slabFor agree on the boundaries.
 	if i := classFor(segClasses[0]); i != 0 {
 		t.Fatalf("classFor(%d) = %d, want 0", segClasses[0], i)
 	}
@@ -77,10 +89,14 @@ func TestRecycleNormalisesOddCaps(t *testing.T) {
 	if s, _ := slabFor(segClasses[1]); cap(s) < segClasses[1] {
 		t.Fatalf("slabFor(%d) cap = %d, want >= class", segClasses[1], cap(s))
 	}
-	// A trickle hint below the smallest class may return nil (regrow
-	// naturally) but must never return an undersized slab.
-	if s, _ := slabFor(8); s != nil && cap(s) < 8 {
-		t.Fatalf("slabFor(8) returned undersized cap %d", cap(s))
+	// A trickle hint below the smallest class takes the smallest class:
+	// slabFor never returns nil, so a shard never regrows from nil.
+	if s, _ := slabFor(8); cap(s) != segClasses[0] {
+		t.Fatalf("slabFor(8) cap = %d, want the smallest class %d", cap(s), segClasses[0])
+	}
+	// Beyond the top class it allocates exactly the hint, unpooled.
+	if s, pooled := slabFor(maxRetainedCap + 1); cap(s) != maxRetainedCap+1 || pooled {
+		t.Fatalf("slabFor(max+1) cap = %d pooled=%v, want %d unpooled", cap(s), pooled, maxRetainedCap+1)
 	}
 }
 
@@ -103,7 +119,7 @@ func TestDrainRetainsSlabCapacityAcrossCycles(t *testing.T) {
 		Recycle(seg)
 		s := db.shardFor("a")
 		s.mu.Lock()
-		c := cap(s.segment)
+		c := cap(s.slab)
 		s.mu.Unlock()
 		if c < burst {
 			t.Fatalf("cycle %d left shard cap %d, want >= %d (swap must install a burst-sized slab)", cycle, c, burst)
@@ -131,7 +147,7 @@ func TestRecordPathAllocsPerEvent(t *testing.T) {
 			cycles++
 			Recycle(seg)
 		}
-		cycle() // warm-up: the shard's first slab grows from nil
+		cycle() // warm-up: the shard's first slab grows through the classes
 		allocs := testing.AllocsPerRun(50, cycle)
 		if drained != cycles*events {
 			t.Fatalf("drained %d events in %d cycles, want %d", drained, cycles, cycles*events)

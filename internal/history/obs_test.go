@@ -1,6 +1,7 @@
 package history
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -8,49 +9,53 @@ import (
 )
 
 // TestWithObsCountsRecordPath drives every instrumented layer of the
-// record path — appends, partial and full drains, slab recycling — and
-// checks the registry against the exactly-known traffic. The drain
-// sizes are chosen at the smallest pool class (1024) so the hit/miss
-// sequence is deterministic outside -race: the first drain must miss
-// (cold pool), recycled slabs must hit.
+// record path — appends, slab growth, partial and full drains, slab
+// recycling — and checks the registry against the exactly-known
+// traffic. Each cycle records 600 events and drains them in 256-event
+// batches, the smallest pool class, so the hit/miss sequence is
+// deterministic outside -race once the pools start empty: every class
+// is missed the first time it is asked for, and recycled slabs hit.
 func TestWithObsCountsRecordPath(t *testing.T) {
+	// One P: sync.Pool parks a slab in a per-P slot no other P can take
+	// from, so a goroutine that migrated could miss a recycled slab.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	emptyPools()
 	reg := obs.NewRegistry()
 	db := New(WithObs(reg))
-	for i := int64(1); i <= 3010; i++ {
-		db.Append(ev(i))
+	cycle := func(n int) {
+		for i := int64(1); i <= 600; i++ {
+			db.Append(ev(i))
+		}
+		horizon := db.LastSeq()
+		for _, want := range []int{256, 256, 88} {
+			seg, more := db.DrainMonitorUpTo("m", horizon, 256)
+			if len(seg) != want || more != (want == 256) {
+				t.Fatalf("cycle %d: cut of %d events, more=%v; want %d", n, len(seg), more, want)
+			}
+			if want < 256 && cap(seg) != 1024 {
+				t.Fatalf("cycle %d: final batch cap %d, want the shard's 1024-event class", n, cap(seg))
+			}
+			Recycle(seg)
+		}
 	}
-	horizon := db.LastSeq()
-
-	// Partial cut: copies into a fresh class-1024 segment (cold pool →
-	// miss), which Recycle then returns to exactly that class.
-	seg1, more := db.DrainMonitorUpTo("m", horizon, 1024)
-	if len(seg1) != 1024 || !more {
-		t.Fatalf("first cut: %d events, more=%v", len(seg1), more)
-	}
-	Recycle(seg1)
-
-	// Second cut: served by the slab just recycled — a pool hit.
-	seg2, _ := db.DrainMonitorUpTo("m", horizon, 1024)
-	if len(seg2) != 1024 {
-		t.Fatalf("second cut: %d events", len(seg2))
-	}
-	Recycle(seg2)
-
-	// The remainder (962 events) drains whole: the swap path asks the
-	// pool for a replacement slab and finds seg2's again.
-	seg3, more := db.DrainMonitorUpTo("m", horizon, 1024)
-	if len(seg3) != 962 || more {
-		t.Fatalf("final cut: %d events, more=%v", len(seg3), more)
-	}
+	// Cycle 1, cold pools. Growth takes 256, 512 and 1,024 (three
+	// misses) and recycles the first two; both cuts take the recycled
+	// 256-event slab (two hits); the final drain's replacement holds
+	// the 600-event interval, a 1,024 class nothing has recycled yet
+	// (a miss).
+	cycle(1)
+	// Cycle 2 records into that replacement without growing: the cuts
+	// and the replacement all hit (three hits).
+	cycle(2)
 
 	snap := reg.Snapshot()
 	for _, c := range []struct {
 		metric string
 		want   int64
 	}{
-		{"history_append_total", 3010},
-		{"history_pool_miss_total", 1},
-		{"history_pool_hit_total", 2},
+		{"history_append_total", 1200},
+		{"history_pool_miss_total", 4},
+		{"history_pool_hit_total", 5},
 	} {
 		if raceEnabled && strings.HasPrefix(c.metric, "history_pool_") {
 			continue // checked as a sum below
@@ -60,18 +65,17 @@ func TestWithObsCountsRecordPath(t *testing.T) {
 		}
 	}
 	if raceEnabled {
-		// Under -race sync.Pool drops Puts at random, so which drains hit
-		// is not deterministic. Each partial cut still counts once, as a
-		// hit or a miss; the final swap counts only when it hits, since a
-		// dry pool installs no slab for a burst below the smallest class.
+		// Under -race sync.Pool drops Puts at random, so which requests
+		// hit is not deterministic. Each of the nine slab requests still
+		// counts once, as a hit or a miss, and the four cold ones miss.
 		hit, _ := snap.Counter("history_pool_hit_total")
 		miss, _ := snap.Counter("history_pool_miss_total")
-		if miss > 2 || hit+miss < 2 || hit+miss > 3 {
-			t.Errorf("pool hits %d, misses %d: want the two cuts counted once each and the final swap at most once, as a hit", hit, miss)
+		if miss < 4 || hit+miss != 9 {
+			t.Errorf("pool hits %d, misses %d: want nine requests counted once each, at least four of them misses", hit, miss)
 		}
 	}
 	h, ok := snap.Histogram("history_drain_events")
-	if !ok || h.Count != 3 || h.Sum != 3010 {
-		t.Errorf("history_drain_events count=%d sum=%d (ok=%v), want 3 drains totalling 3010", h.Count, h.Sum, ok)
+	if !ok || h.Count != 6 || h.Sum != 1200 {
+		t.Errorf("history_drain_events count=%d sum=%d (ok=%v), want 6 drains totalling 1200", h.Count, h.Sum, ok)
 	}
 }

@@ -58,10 +58,13 @@ func (db *DB) ResetMonitor(monitor string) int {
 	s := db.shardFor(monitor)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dropped := len(s.segment)
+	dropped := len(s.buffered())
 	// Truncate in place: nothing is handed out, so the slab (and its
-	// retained capacity) stays with the shard. The stale entries beyond
-	// the new length are overwritten by the monitor's fresh life.
-	s.segment = s.segment[:0]
+	// capacity) stays with the shard. The discarded events, and the
+	// drained region before them, are cleared: the slab reaches the
+	// pool with the next full drain, and a pooled slab holds no stale
+	// events (see pool.go).
+	clear(s.slab)
+	s.slab, s.head = s.slab[:0], 0
 	return dropped
 }

@@ -73,3 +73,31 @@ func TestResetMonitorKeepsFullTrace(t *testing.T) {
 		t.Fatalf("full trace has %d events after reset, want 3 — the reset abandons only the unchecked segment", len(full))
 	}
 }
+
+// TestResetMonitorClearsDiscardedEvents: a reset truncates the shard's
+// slab in place, and a later full drain hands that slab out. The
+// discarded events must not ride along past the drained length into
+// the pool, which Recycle (clearing only the written prefix) would
+// never notice.
+func TestResetMonitorClearsDiscardedEvents(t *testing.T) {
+	t.Parallel()
+	db := New()
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			db.Append(mev("a", int64(i+1)))
+		}
+	}
+	appendN(3000)
+	seg, _ := db.DrainMonitorUpTo("a", db.LastSeq(), 0)
+	Recycle(seg)
+	appendN(2000)
+	if got := db.ResetMonitor("a"); got != 2000 {
+		t.Fatalf("ResetMonitor dropped %d events, want 2000", got)
+	}
+	appendN(10)
+	seg, _ = db.DrainMonitorUpTo("a", db.LastSeq(), 0)
+	if len(seg) != 10 {
+		t.Fatalf("drained %d events, want 10", len(seg))
+	}
+	zeroTail(t, "drain after a reset", seg)
+}

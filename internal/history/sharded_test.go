@@ -28,7 +28,7 @@ func TestShardPerMonitor(t *testing.T) {
 	for _, m := range []string{"a", "b", "c", "a"} {
 		db.Append(mev(m, 1))
 	}
-	if got := len(db.shards); got != 3 {
+	if got := len(*db.shards.Load()); got != 3 {
 		t.Fatalf("Shards = %d, want 3 (one per monitor)", got)
 	}
 }

@@ -2,6 +2,8 @@ package rules
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"robustmon/internal/event"
@@ -123,8 +125,8 @@ func (c *fdChecker) checkNotListed(e event.Event) {
 				"P%d acts while still on the entry queue (resumed without handoff)", e.Pid)
 		}
 	}
-	for cond, q := range c.cq {
-		for _, w := range q {
+	for _, cond := range c.condOrder() {
+		for _, w := range c.cq[cond] {
 			if w.pid == e.Pid {
 				c.violate(FD5a, e, faults.WaitNoBlock,
 					"P%d acts while still waiting on condition %q (resumed without signal)", e.Pid, cond)
@@ -274,10 +276,29 @@ func (c *fdChecker) finish() {
 	}
 }
 
+// condOrder returns the condition-queue names in declaration order:
+// Spec.Conditions first, then any other condition the trace used, by
+// name. With pids walked in ascending order, every walk over the
+// checker's maps reports in the same order on every run, as the
+// checklists' walks do.
+func (c *fdChecker) condOrder() []string {
+	var extra []string
+	for cond := range c.cq {
+		if !slices.Contains(c.cfg.Spec.Conditions, cond) {
+			extra = append(extra, cond)
+		}
+	}
+	if extra == nil {
+		return c.cfg.Spec.Conditions
+	}
+	slices.Sort(extra)
+	return append(slices.Clip(c.cfg.Spec.Conditions), extra...)
+}
+
 func (c *fdChecker) checkTimers(end time.Time) {
 	if c.cfg.Tmax > 0 {
-		for pid, since := range c.inside {
-			if end.Sub(since) >= c.cfg.Tmax {
+		for _, pid := range slices.Sorted(maps.Keys(c.inside)) {
+			if since := c.inside[pid]; end.Sub(since) >= c.cfg.Tmax {
 				c.out = append(c.out, Violation{
 					Rule: FD2, Monitor: c.cfg.Spec.Name, Pid: pid, At: end,
 					Fault:   faults.InternalTermination,
@@ -285,8 +306,8 @@ func (c *fdChecker) checkTimers(end time.Time) {
 				})
 			}
 		}
-		for cond, q := range c.cq {
-			for _, w := range q {
+		for _, cond := range c.condOrder() {
+			for _, w := range c.cq[cond] {
 				if end.Sub(w.since) >= c.cfg.Tmax {
 					c.out = append(c.out, Violation{
 						Rule: FD4, Monitor: c.cfg.Spec.Name, Pid: w.pid, Cond: cond, At: end,
@@ -309,8 +330,8 @@ func (c *fdChecker) checkTimers(end time.Time) {
 		}
 	}
 	if c.cfg.Tlimit > 0 {
-		for pid, ps := range c.matchers {
-			if !ps.openSince.IsZero() && end.Sub(ps.openSince) >= c.cfg.Tlimit {
+		for _, pid := range slices.Sorted(maps.Keys(c.matchers)) {
+			if ps := c.matchers[pid]; !ps.openSince.IsZero() && end.Sub(ps.openSince) >= c.cfg.Tlimit {
 				c.out = append(c.out, Violation{
 					Rule: FD7c, Monitor: c.cfg.Spec.Name, Pid: pid, At: end,
 					Fault:   faults.ResourceNeverReleased,
@@ -334,10 +355,7 @@ func (c *fdChecker) compareFinal(snap state.Snapshot) {
 		}
 		cq[cond] = pids
 	}
-	running := make([]int64, 0, len(c.inside))
-	for pid := range c.inside {
-		running = append(running, pid)
-	}
+	running := slices.Sorted(maps.Keys(c.inside))
 	wantRes := c.cfg.Spec.Kind == monitor.CommunicationCoordinator
 	for _, d := range snap.CompareLists(eq, cq, running, c.res, wantRes) {
 		rule := FD4

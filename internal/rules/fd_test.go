@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -443,5 +445,83 @@ func TestGroupingHelpers(t *testing.T) {
 	}
 	if !HasFault(vs, faults.EnterMutexViolation) || HasFault(vs, faults.SelfDeadlock) {
 		t.Fatal("HasFault wrong")
+	}
+}
+
+// TestCheckReportsInStableOrder: the end-of-trace checks walk the
+// checker's maps (processes inside, condition queues, call-order
+// matchers), and the same trace must give the same violations in the
+// same order on every call — conditions in declaration order, pids
+// ascending — as the checklists report theirs.
+func TestCheckReportsInStableOrder(t *testing.T) {
+	t.Parallel()
+	mgr := managerCfg()
+	mgr.Spec.Conditions = []string{"c", "a", "b"} // declaration order, not by name
+	mgr.Tmax = time.Second
+	mgr.End = t0.Add(time.Minute)
+	mgr.Final = &state.Snapshot{Monitor: "m", At: mgr.End}
+	alloc := allocCfg()
+	alloc.Tlimit = time.Second
+	alloc.End = t0.Add(time.Minute)
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		trace event.Seq
+		want  []string
+	}{
+		{
+			// Three waiters past Tmax, one per condition, and three
+			// processes inside (two of them let in by a mutex fault).
+			name: "inside and condition queues",
+			cfg:  mgr,
+			trace: tr(
+				enter(1, "Op", 1), wait(1, "Op", "b"),
+				enter(2, "Op", 1), wait(2, "Op", "a"),
+				enter(3, "Op", 1), wait(3, "Op", "c"),
+				enter(6, "Op", 1), enter(4, "Op", 1), enter(5, "Op", 1),
+			),
+			want: []string{
+				"FD-1a[m] P4: entry granted while 1 process(es) inside",
+				"FD-1a[m] P5: entry granted while 2 process(es) inside",
+				"FD-2[m] P4: P4 inside the monitor for 59.993s ≥ Tmax",
+				"FD-2[m] P5: P5 inside the monitor for 59.992s ≥ Tmax",
+				"FD-2[m] P6: P6 inside the monitor for 59.994s ≥ Tmax",
+				`FD-4[m] P3: P3 waiting on "c" for 59.995s ≥ Tmax`,
+				`FD-4[m] P2: P2 waiting on "a" for 59.997s ≥ Tmax`,
+				`FD-4[m] P1: P1 waiting on "b" for 59.999s ≥ Tmax`,
+				"FD-4[m]: reconstructed CQ[a] = [2] but actual = []",
+				"FD-4[m]: reconstructed CQ[b] = [1] but actual = []",
+				"FD-4[m]: reconstructed CQ[c] = [3] but actual = []",
+				"FD-1a[m]: reconstructed Running = [4 5 6] but actual = []",
+			},
+		},
+		{
+			// Three acquisitions never released.
+			name: "call-order matchers",
+			cfg:  alloc,
+			trace: tr(
+				enter(3, "Acquire", 1), sigexit(3, "Acquire", "", 0),
+				enter(1, "Acquire", 1), sigexit(1, "Acquire", "", 0),
+				enter(2, "Acquire", 1), sigexit(2, "Acquire", "", 0),
+			),
+			want: []string{
+				"FD-7c[alloc] P1: P1 holds an unreleased obligation for 59.998s ≥ Tlimit",
+				"FD-7c[alloc] P2: P2 holds an unreleased obligation for 59.996s ≥ Tlimit",
+				"FD-7c[alloc] P3: P3 holds an unreleased obligation for 1m0s ≥ Tlimit",
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for call := 1; call <= 100; call++ {
+				vs := Check(c.trace, c.cfg)
+				got := make([]string, len(vs))
+				for i, v := range vs {
+					got[i] = v.String()
+				}
+				if !slices.Equal(got, c.want) {
+					t.Fatalf("call %d reported\n%s\nwant\n%s", call, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+				}
+			}
+		})
 	}
 }
