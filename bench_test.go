@@ -24,6 +24,8 @@
 //     export loop on one hot monitor and on 64 monitors with batched
 //     per-monitor checkpoints, timed with recording included, so its
 //     B/op shows whether drained slabs come back to the shard.
+//   - BenchmarkSegmentCodec — the segment codec's encode and in-place
+//     check, in ns per event.
 package robustmon_test
 
 import (
@@ -36,6 +38,7 @@ import (
 	"time"
 
 	"robustmon/internal/apps/boundedbuffer"
+	"robustmon/internal/apps/kvstore"
 	"robustmon/internal/checklists"
 	"robustmon/internal/clock"
 	"robustmon/internal/detect"
@@ -454,6 +457,115 @@ func benchRecordCheckExport(b *testing.B, monitors, checkEveryOps int, cfg detec
 	if err := exp.Close(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkSegmentCodec measures the segment codec per event: the
+// producer's encode (event.AppendBinary, as WALSink.WriteSegment and
+// AppendSegmentRecord call it) and the collector's in-place check
+// (event.VerifyBinary, as WALSink.WriteEncoded calls it), on a
+// 16,384-event one-monitor segment of a bounded buffer (buffer-wal's
+// shape) and on a 256-event batch of one of 64 kvstore monitors
+// (fanout-fleet's). The events are recorded by the real apps.
+func BenchmarkSegmentCodec(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		seg  func(b *testing.B) (event.Seq, string)
+	}{
+		{"segment=16384", bufferSegment},
+		{"batch=256", kvstoreBatch},
+	} {
+		seg, monitor := tc.seg(b)
+		payload := event.AppendBinary(nil, seg)
+		perEvent := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seg)), "ns/event")
+		}
+		b.Run(tc.name+"/encode", func(b *testing.B) {
+			// The first encode grows dst to what every later one needs.
+			dst := event.AppendBinary(nil, seg)
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = event.AppendBinary(dst[:0], seg)
+			}
+			perEvent(b)
+		})
+		b.Run(tc.name+"/verify", func(b *testing.B) {
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, _, _, err := event.VerifyBinary(payload, monitor); err != nil || n != len(seg) {
+					b.Fatalf("VerifyBinary = %d, %v; want %d events", n, err, len(seg))
+				}
+			}
+			perEvent(b)
+		})
+	}
+}
+
+// bufferSegment records 4,096 Send/Receive pairs on a bounded buffer
+// and drains them as one segment.
+func bufferSegment(b *testing.B) (event.Seq, string) {
+	db := history.New()
+	buf, err := boundedbuffer.New(16, boundedbuffer.WithMonitorOptions(monitor.WithRecorder(db)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := proc.NewRuntime()
+	rt.Spawn("load", func(p *proc.P) {
+		for i := 0; i < 4096; i++ {
+			if err := buf.Send(p, i); err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := buf.Receive(p); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	rt.Join()
+	name := buf.Monitor().Name()
+	seg, _ := db.DrainMonitorUpTo(name, db.LastSeq(), 0)
+	if len(seg) != 16384 {
+		b.Fatalf("recorded %d events, want 16384", len(seg))
+	}
+	return seg, name
+}
+
+// kvstoreBatch records Put+Get round-robin over 64 kvstore monitors
+// and drains one monitor's first 256-event batch.
+func kvstoreBatch(b *testing.B) (event.Seq, string) {
+	db := history.New()
+	stores := make([]*kvstore.Store, 64)
+	for i := range stores {
+		var err error
+		stores[i], err = kvstore.New(kvstore.WithName(fmt.Sprintf("kv-%02d", i)),
+			kvstore.WithMonitorOptions(monitor.WithRecorder(db)))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	rt := proc.NewRuntime()
+	rt.Spawn("driver", func(p *proc.P) {
+		for i := 0; i < 64*64; i++ {
+			st := stores[i%len(stores)]
+			if err := st.Put(p, "key", "v"); err != nil {
+				b.Error(err)
+				return
+			}
+			if _, _, err := st.Get(p, "key"); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	rt.Join()
+	seg, _ := db.DrainMonitorUpTo("kv-00", db.LastSeq(), 256)
+	if len(seg) != 256 {
+		b.Fatalf("drained %d events, want 256", len(seg))
+	}
+	return seg, "kv-00"
 }
 
 // --- ablations (DESIGN.md §8) ----------------------------------------

@@ -169,8 +169,10 @@ func (b *Buffer) Receive(p *proc.P) (int, error) {
 	b.mu.Lock()
 	var v int
 	if len(b.items) > 0 {
+		// Shift the rest down rather than reslice past the head, so the
+		// backing array is kept and Send's append reuses it.
 		v = b.items[0]
-		b.items = b.items[1:]
+		b.items = b.items[:copy(b.items, b.items[1:])]
 	}
 	b.mu.Unlock()
 	return v, b.mon.SignalExit(p, ProcReceive, CondNotFull)

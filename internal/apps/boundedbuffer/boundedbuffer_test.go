@@ -76,6 +76,44 @@ func TestFIFOTransfer(t *testing.T) {
 	}
 }
 
+// TestSendReceiveAllocatesNothing pins that a Send+Receive pair on a
+// bare buffer reuses the buffer's backing array. Receive used to
+// reslice past the head, so once the first capacity slots were used up
+// every Send's append allocated a new one-element array.
+func TestSendReceiveAllocatesNothing(t *testing.T) {
+	// Not parallel: AllocsPerRun measures the whole process heap.
+	const capacity = 4
+	b, err := New(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := proc.NewRuntime()
+	var avg float64
+	r.Spawn("pair", func(p *proc.P) {
+		i := 0
+		pair := func() {
+			i++
+			if err := b.Send(p, i); err != nil {
+				t.Errorf("Send: %v", err)
+			}
+			if v, err := b.Receive(p); err != nil || v != i {
+				t.Errorf("Receive = %d, %v; want %d", v, err, i)
+			}
+		}
+		// Use up the first capacity slots before measuring: AllocsPerRun
+		// rounds down, so pairs that do not allocate would hide those
+		// that do.
+		for j := 0; j < capacity; j++ {
+			pair()
+		}
+		avg = testing.AllocsPerRun(1000, pair)
+	})
+	r.Join()
+	if avg != 0 {
+		t.Fatalf("a Send+Receive pair allocates %.2f times, want 0", avg)
+	}
+}
+
 func TestManyProducersManyConsumers(t *testing.T) {
 	t.Parallel()
 	b, err := New(2)

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -124,28 +126,29 @@ func AppendBinary(dst []byte, s Seq) []byte {
 }
 
 // appendEventBinary appends one event's binary encoding — the field
-// order of WriteBinary's encode loop.
+// order of WriteBinary's encode loop. It reserves the event's largest
+// encoding once (eight varints and its three strings) and writes each
+// field by index into that reservation, so no field pays for an
+// append's capacity check.
 func appendEventBinary(dst []byte, e *Event) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) {
-		dst = append(dst, scratch[:binary.PutVarint(scratch[:], v)]...)
-	}
-	putUvarint := func(v uint64) {
-		dst = append(dst, scratch[:binary.PutUvarint(scratch[:], v)]...)
-	}
-	putString := func(v string) {
-		putUvarint(uint64(len(v)))
-		dst = append(dst, v...)
-	}
-	putVarint(e.Seq)
-	putString(e.Monitor)
-	putUvarint(uint64(e.Type))
-	putVarint(e.Pid)
-	putString(e.Proc)
-	putString(e.Cond)
-	putUvarint(uint64(e.Flag))
-	putVarint(e.Time.UnixNano())
-	return dst
+	dst = slices.Grow(dst, 8*binary.MaxVarintLen64+len(e.Monitor)+len(e.Proc)+len(e.Cond))
+	b, i := dst[:cap(dst)], len(dst)
+	i += binary.PutVarint(b[i:], e.Seq)
+	i += putPrefixed(b[i:], e.Monitor)
+	i += binary.PutUvarint(b[i:], uint64(e.Type))
+	i += binary.PutVarint(b[i:], e.Pid)
+	i += putPrefixed(b[i:], e.Proc)
+	i += putPrefixed(b[i:], e.Cond)
+	i += binary.PutUvarint(b[i:], uint64(e.Flag))
+	i += binary.PutVarint(b[i:], e.Time.UnixNano())
+	return b[:i]
+}
+
+// putPrefixed writes s length-prefixed at the start of b and returns
+// the bytes written.
+func putPrefixed(b []byte, s string) int {
+	n := binary.PutUvarint(b, uint64(len(s)))
+	return n + copy(b[n:], s)
 }
 
 // errOverlongVarint reports a varint padded with continuation bytes.
@@ -281,6 +284,12 @@ func ReadBinary(r io.Reader) (Seq, error) {
 // and the last event (both 0 for an empty trace). It walks b in place
 // and allocates nothing, which is what lets a collector store a
 // received segment payload verbatim instead of decoding it.
+//
+// Each event is first offered to acceptEvent, a fast walk that only
+// accepts; an event it cannot vouch for is walked again from its start
+// by checkEvent, the exact walk, which accepts it or gives the error.
+// The verdict and the error text are therefore checkEvent's alone
+// (pinned by TestVerifyBinaryFastPathMatchesReference).
 func VerifyBinary(b []byte, monitor string) (n int, first, last int64, err error) {
 	if len(b) < len(binaryMagic) {
 		return 0, 0, 0, fmt.Errorf("event: read trace magic: %w", io.ErrUnexpectedEOF)
@@ -296,45 +305,137 @@ func VerifyBinary(b []byte, monitor string) (n int, first, last int64, err error
 	if count > 1<<30 {
 		return 0, 0, 0, fmt.Errorf("event: implausible trace length %d", count)
 	}
+	// Seq is each event's first field, so the first and the last Seq
+	// are read once the walk has accepted them, from these offsets.
+	firstAt, lastAt := off, off
 	for i := uint64(0); i < count; i++ {
-		var seq uint64
-		if seq, off, err = uvarintAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d seq: %w", i, err)
-		}
-		last = unzigzag(seq)
-		if i == 0 {
-			first = last
-		}
-		var mon []byte
-		if mon, off, err = stringAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d monitor: %w", i, err)
-		}
-		if string(mon) != monitor {
-			return 0, 0, 0, fmt.Errorf("event: event %d belongs to monitor %q, want %q", last, mon, monitor)
-		}
-		if _, off, err = uvarintAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d type: %w", i, err)
-		}
-		if _, off, err = uvarintAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d pid: %w", i, err)
-		}
-		if _, off, err = stringAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d proc: %w", i, err)
-		}
-		if _, off, err = stringAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d cond: %w", i, err)
-		}
-		if _, off, err = uvarintAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d flag: %w", i, err)
-		}
-		if _, off, err = uvarintAt(b, off); err != nil {
-			return 0, 0, 0, fmt.Errorf("event: read event %d time: %w", i, err)
+		lastAt = off
+		if next := acceptEvent(b, off, monitor); next > 0 {
+			off = next
+		} else if off, err = checkEvent(b, off, i, monitor); err != nil {
+			return 0, 0, 0, err
 		}
 	}
 	if rest := len(b) - off; rest > 0 {
 		return 0, 0, 0, fmt.Errorf("event: %d trailing bytes after the trace", rest)
 	}
+	if count > 0 {
+		ux, _ := binary.Uvarint(b[firstAt:])
+		first = unzigzag(ux)
+		ux, _ = binary.Uvarint(b[lastAt:])
+		last = unzigzag(ux)
+	}
 	return int(count), first, last, nil
+}
+
+// checkEvent checks the i-th event, at b[off:], under ReadBinary's
+// rules and returns the offset just past it, or the error ReadBinary's
+// verdict calls for.
+func checkEvent(b []byte, off int, i uint64, monitor string) (int, error) {
+	seq, off, err := uvarintAt(b, off)
+	if err != nil {
+		return off, fmt.Errorf("event: read event %d seq: %w", i, err)
+	}
+	var mon []byte
+	if mon, off, err = stringAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d monitor: %w", i, err)
+	}
+	if string(mon) != monitor {
+		return off, fmt.Errorf("event: event %d belongs to monitor %q, want %q", unzigzag(seq), mon, monitor)
+	}
+	if _, off, err = uvarintAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d type: %w", i, err)
+	}
+	if _, off, err = uvarintAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d pid: %w", i, err)
+	}
+	if _, off, err = stringAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d proc: %w", i, err)
+	}
+	if _, off, err = stringAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d cond: %w", i, err)
+	}
+	if _, off, err = uvarintAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d flag: %w", i, err)
+	}
+	if _, off, err = uvarintAt(b, off); err != nil {
+		return off, fmt.Errorf("event: read event %d time: %w", i, err)
+	}
+	return off, nil
+}
+
+// acceptEvent is VerifyBinary's fast walk over the event at b[off:]. It
+// returns the offset just past the event when every field is one
+// checkEvent accepts in a shape it handles — varints of at most nine
+// bytes with nine bytes readable at their start, strings shorter than
+// 128 bytes, the monitor's own name — and 0 otherwise. A 0 is no
+// verdict: the caller walks the event again with checkEvent.
+func acceptEvent(b []byte, off int, monitor string) int {
+	if off = skipUvarint(b, off); off < 0 { // seq
+		return 0
+	}
+	if len(monitor) >= 0x80 || off >= len(b) || int(b[off]) != len(monitor) ||
+		len(b)-off-1 < len(monitor) || string(b[off+1:off+1+len(monitor)]) != monitor {
+		return 0
+	}
+	off += 1 + len(monitor)
+	if off = skipUvarint(b, off); off < 0 { // type
+		return 0
+	}
+	if off = skipUvarint(b, off); off < 0 { // pid
+		return 0
+	}
+	if off = skipString(b, off); off < 0 { // proc
+		return 0
+	}
+	if off = skipString(b, off); off < 0 { // cond
+		return 0
+	}
+	if off = skipUvarint(b, off); off < 0 { // flag
+		return 0
+	}
+	if off = skipUvarint(b, off); off < 0 { // time
+		return 0
+	}
+	return off
+}
+
+// skipUvarint returns the offset just past the minimally encoded
+// uvarint at b[off:], or -1 when fewer than nine bytes are left at
+// off, the varint is not minimal, or it is longer than nine bytes. One
+// 8-byte load finds the terminator of a varint of up to eight bytes:
+// the lowest byte with its high bit clear. Small enough to inline.
+func skipUvarint(b []byte, off int) int {
+	if len(b)-off < 9 {
+		return -1
+	}
+	w := binary.LittleEndian.Uint64(b[off:])
+	if m := ^w & 0x8080808080808080; m != 0 {
+		n := bits.TrailingZeros64(m) >> 3 // the terminator's index
+		if n > 0 && byte(w>>(n<<3)) == 0 {
+			return -1 // a zero terminator pads the varint
+		}
+		return off + n + 1
+	}
+	// Eight continuation bytes: a ninth byte in 1..0x7f ends a minimal
+	// 63-bit value, which cannot overflow.
+	if b[off+8]-1 < 0x7f {
+		return off + 9
+	}
+	return -1
+}
+
+// skipString returns the offset just past the string at b[off:] when
+// its length prefix is one byte and the string fits in b, and -1
+// otherwise.
+func skipString(b []byte, off int) int {
+	if off >= len(b) || b[off] >= 0x80 {
+		return -1
+	}
+	if end := off + 1 + int(b[off]); end <= len(b) {
+		return end
+	}
+	return -1
 }
 
 // uvarintAt reads the uvarint at b[off:] under ReadUvarint's rules and

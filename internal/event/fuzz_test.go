@@ -2,7 +2,9 @@ package event
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -87,6 +89,9 @@ func FuzzVerifyBinary(f *testing.F) {
 	f.Add([]byte{'R', 'M', 'T', 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, "") // count beyond 64 bits
 	f.Add(good, "alloc")                                                                            // foreign monitor
 	f.Add(append(append([]byte(nil), good...), 0), "buf")                                           // a byte after the events
+	for _, bad := range handOffSeeds() {
+		f.Add(bad, "buf")
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, monitor string) {
 		rd := bytes.NewReader(data)
@@ -116,6 +121,51 @@ func FuzzVerifyBinary(f *testing.F) {
 			check(events[0].Monitor)
 		}
 	})
+}
+
+// handOffSeeds are two-event traces of monitor "buf" whose first event
+// is good and whose second carries, in one of its eight fields, an
+// overlong varint, a 10-byte varint (a shape only the exact walk
+// reads) or the end of the input; one more has a second event of a
+// foreign monitor. The fast walk accepts the first event and hands the
+// second to the exact walk, so FuzzVerifyBinary mutates that hand-off,
+// not only traces the fast walk refuses whole.
+func handOffSeeds() [][]byte {
+	at := time.Date(2001, 7, 1, 0, 0, 0, 0, time.UTC)
+	first := AppendBinary(nil, Seq{{Seq: 1, Monitor: "buf", Type: Enter, Pid: 3, Proc: "Send",
+		Flag: Completed, Time: at}})
+	first[len(binaryMagic)] = 2 // the count
+	str := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	fields := func(monitor string) [][]byte { // the second event, field by field
+		return [][]byte{
+			binary.AppendVarint(nil, 2), // seq
+			str(monitor),
+			binary.AppendUvarint(nil, uint64(SignalExit)),
+			binary.AppendVarint(nil, 3), // pid
+			str("Send"),
+			str("notEmpty"),
+			binary.AppendUvarint(nil, Blocked),
+			binary.AppendVarint(nil, at.Add(time.Second).UnixNano()),
+		}
+	}
+	trace := func(fs [][]byte) []byte { return slices.Concat(append([][]byte{first}, fs...)...) }
+	good := fields("buf")
+	var seeds [][]byte
+	for k, f := range good {
+		// The varint of field k (a string's length prefix) ends at its
+		// first byte below 0x80.
+		end := 1
+		for f[end-1] >= 0x80 {
+			end++
+		}
+		overlong, long := slices.Clone(good), slices.Clone(good)
+		overlong[k] = slices.Concat(f[:end-1], []byte{f[end-1] | 0x80, 0}, f[end:])
+		long[k] = slices.Concat([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, f[end:])
+		cut := slices.Clone(good[:k+1])
+		cut[k] = f[:len(f)/2]
+		seeds = append(seeds, trace(overlong), trace(long), trace(cut))
+	}
+	return append(seeds, trace(fields("alloc")))
 }
 
 // TestReadBinaryLyingCountDoesNotOverAllocate pins the pre-size guard

@@ -38,12 +38,17 @@ func opMonitor(t *testing.T, name string, db *history.DB) *monitor.Monitor {
 // so every checkpoint after warm-up takes its shard's replacement slab
 // from the pool — one pool hit and no miss per cycle.
 //
-// Not parallel, and GC off: the segment pool is package-global, and a
-// collection empties it.
+// Not parallel, on one P and with GC off: the segment pool is
+// package-global, a collection empties it, and sync.Pool parks each
+// Put in the putting P's private slot, which a Get on another P cannot
+// see. With more than one P the writer's Recycle and the detector's
+// drain can run on different Ps, and then the drain misses a slab the
+// pool holds, however many spares the pool was given beforehand.
 func TestCheckpointExportRecyclesSlabs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	gc := debug.SetGCPercent(-1)
 	t.Cleanup(func() { debug.SetGCPercent(gc) })
 
@@ -93,13 +98,7 @@ func TestCheckpointExportRecyclesSlabs(t *testing.T) {
 		return hit, miss
 	}
 
-	// sync.Pool is per P, and a slab parked in another P's private slot
-	// is invisible to a Get. One spare slab per P keeps more slabs pooled
-	// at every drain than there are other Ps' private slots, so whichever
-	// Ps the detector and the writer run on, a drain finds one.
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		history.Recycle(make(event.Seq, 0, cycleEvents))
-	}
+	// Warm-up: the first cycles take their slabs from a cold pool.
 	for i := 0; i < 3; i++ {
 		cycle()
 	}

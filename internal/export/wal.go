@@ -377,16 +377,17 @@ func (w *WALSink) WriteTombstone(t Tombstone) error {
 // verbatim: the bytes written are b. It first applies every check
 // DecodeRecord applies — the frame, the payload CRC, the payload and
 // its agreement with the header — so a collector can store the bytes
-// it received without trusting them. A segment's payload is checked in
-// place (event.VerifyBinary), never decoded, so for a segment the
-// returned Record has no field set; an annotation comes back decoded.
-// The sink keeps no reference to b.
+// it received without trusting them. The received header is written
+// as it came, so the payload's CRC is computed once, by the check. A
+// segment's payload is checked in place (event.VerifyBinary), never
+// decoded, so for a segment the returned Record has no field set; an
+// annotation comes back decoded. The sink keeps no reference to b.
 func (w *WALSink) WriteEncoded(b []byte) (Record, error) {
 	h, payload, rec, err := verifyRecord(b)
 	if err != nil {
 		return Record{}, err
 	}
-	if err := w.writeRecord(h.typ, h.monitor, h.first, h.last, h.count, payload); err != nil {
+	if err := w.writeFramed(h, payload); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -404,12 +405,23 @@ func (w *WALSink) writeAnnotation(r Record) error {
 	return err
 }
 
-// writeRecord appends one record of any kind and rotates if the file
-// outgrew the threshold.
+// writeRecord frames payload under the header appendRecordHeader
+// builds for it and writes the record.
 func (w *WALSink) writeRecord(typ Kind, monitor string, first, last int64, count uint32, payload []byte) error {
 	if len(monitor) > maxMonitorName {
 		return fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(monitor), maxMonitorName)
 	}
+	w.hdr = appendRecordHeader(w.hdr[:0], typ, monitor, first, last, count, payload)
+	return w.writeFramed(&recHeader{
+		typ: typ, monitor: monitor, first: first, last: last,
+		count: count, payloadLen: uint32(len(payload)), raw: w.hdr,
+	}, payload)
+}
+
+// writeFramed appends one record of any kind, the header bytes h.raw
+// (which already frame payload, CRC included) and then payload, and
+// rotates if the file outgrew the threshold.
+func (w *WALSink) writeFramed(h *recHeader, payload []byte) error {
 	if w.f != nil && w.stale() {
 		// Age-based rotation: seal the old file before this record, so
 		// the record lands in a fresh one and the backlog stays bounded
@@ -423,20 +435,17 @@ func (w *WALSink) writeRecord(typ Kind, monitor string, first, last int64, count
 			return err
 		}
 	}
-	w.hdr = appendRecordHeader(w.hdr[:0], typ, monitor, first, last, count, payload)
-	if _, err := w.bw.Write(w.hdr); err != nil {
+	if _, err := w.bw.Write(h.raw); err != nil {
 		return fmt.Errorf("export: write record header: %w", err)
 	}
 	if _, err := w.bw.Write(payload); err != nil {
 		return fmt.Errorf("export: write record payload: %w", err)
 	}
-	w.cur.add(&recHeader{
-		typ: typ, monitor: monitor, first: first, last: last,
-		count: count, payloadLen: uint32(len(payload)), raw: w.hdr,
-	}, w.size)
-	w.size += int64(len(w.hdr) + len(payload))
+	w.cur.add(h, w.size)
+	n := int64(len(h.raw) + len(payload))
+	w.size += n
 	w.met.records.Inc()
-	w.met.bytes.Add(int64(len(w.hdr) + len(payload)))
+	w.met.bytes.Add(n)
 	if w.size >= w.cfg.MaxFileBytes {
 		return w.rotate()
 	}
