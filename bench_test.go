@@ -26,12 +26,16 @@
 //     B/op shows whether drained slabs come back to the shard.
 //   - BenchmarkSegmentCodec — the segment codec's encode and in-place
 //     check, in ns per event.
+//   - BenchmarkNetShip — one batched checkpoint's segment shipped
+//     through a NetSink to a Collector over loopback, in ns and B per
+//     segment.
 package robustmon_test
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,6 +49,7 @@ import (
 	"robustmon/internal/event"
 	"robustmon/internal/experiment"
 	"robustmon/internal/export"
+	netexport "robustmon/internal/export/net"
 	"robustmon/internal/faults"
 	"robustmon/internal/history"
 	"robustmon/internal/monitor"
@@ -500,6 +505,51 @@ func BenchmarkSegmentCodec(b *testing.B) {
 			}
 			perEvent(b)
 		})
+	}
+}
+
+// BenchmarkNetShip times shipping one 256-event kvstore segment, a
+// batch as fanout-fleet's per-monitor checkpoints drain them, through a
+// NetSink to an in-process Collector over loopback: encoding into a
+// frame, the serve loop's copy onto the wire, the collector's check and
+// WAL write, and the acknowledgements that free the frame. An op is one
+// segment, so ns/op and B/op are per segment.
+func BenchmarkNetShip(b *testing.B) {
+	events, name := kvstoreBatch(b)
+	seg := export.Segment{Monitor: name, Events: events}
+	col, err := netexport.NewCollector(netexport.CollectorConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- col.Serve(l) }()
+	sink, err := netexport.NewNetSink(netexport.NetSinkConfig{Addr: l.Addr().String(), Origin: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sink.WriteSegment(seg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if err := sink.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := col.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		b.Fatal(err)
 	}
 }
 

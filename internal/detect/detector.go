@@ -290,7 +290,7 @@ func New(db *history.DB, cfg Config, mons ...*monitor.Monitor) *Detector {
 	d.byName = make(map[string]int, len(mons))
 	for _, m := range mons {
 		m.Freeze()
-		prev := m.Snapshot().Clone()
+		prev := m.Snapshot()
 		m.Thaw()
 		d.byName[m.Name()] = len(d.mons)
 		d.mons = append(d.mons, &monState{
@@ -394,7 +394,7 @@ func (d *Detector) checkLocked() []rules.Violation {
 		lastSeq := d.db.LastSeq()
 		snaps := make([]state.Snapshot, len(d.mons))
 		for k, ms := range d.mons {
-			snap := ms.mon.Snapshot().Clone()
+			snap := ms.mon.Snapshot()
 			snap.LastSeq = lastSeq
 			snaps[k] = snap
 			// §4: the database keeps the checkpoint states alongside the
@@ -430,7 +430,7 @@ func (d *Detector) checkLocked() []rules.Violation {
 			ms := d.mons[k]
 			ms.mon.Freeze()
 			t0 := d.cfg.Clock.Now()
-			snap := ms.mon.Snapshot().Clone()
+			snap := ms.mon.Snapshot()
 			horizon := d.db.LastSeq()
 			snap.LastSeq = horizon
 			d.db.AppendState(snap)

@@ -127,7 +127,7 @@ func (d *Detector) resetOneLocked(r resetReq) {
 	horizon := d.db.LastSeq()
 	dropped := d.db.ResetMonitor(r.name)
 	parked := ms.mon.ResetFrozen()
-	snap := ms.mon.Snapshot().Clone()
+	snap := ms.mon.Snapshot()
 	snap.LastSeq = horizon
 	d.db.AppendState(snap)
 	ms.mon.Thaw()

@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -332,11 +333,18 @@ func FuzzDecodeRecord(f *testing.F) {
 // checkDecodeRecord also runs WriteEncoded's check (verifyRecord) on
 // every input: it must accept exactly what DecodeRecord accepts, and
 // the header and payload it hands the WAL writer must frame back to
-// the input byte for byte.
+// the input byte for byte. Both parse the header in place
+// (parseHeader), which must read every input as the WAL file reader's
+// readHeader does, error for error.
 func checkDecodeRecord(t *testing.T, data []byte) {
 	t.Helper()
+	want, werr := readHeader(bytes.NewReader(data), walVersionLatest)
+	got, gerr := parseHeader(data, nil)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || werr == nil && !reflect.DeepEqual(got, *want) {
+		t.Fatalf("parseHeader and readHeader disagree on %x:\n parse %+v, %v\n read  %+v, %v", data, got, gerr, want, werr)
+	}
 	rec, err := DecodeRecord(data)
-	h, payload, vrec, verr := verifyRecord(data)
+	h, payload, vrec, verr := verifyRecord(data, nil)
 	if (err == nil) != (verr == nil) {
 		t.Fatalf("DecodeRecord and WriteEncoded's check disagree on %x:\n decode %v\n verify %v", data, err, verr)
 	}

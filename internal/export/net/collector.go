@@ -345,8 +345,9 @@ func (c *Collector) handle(conn net.Conn) {
 
 	// One frame buffer serves the whole connection: apply copies the
 	// record bytes into the WAL's buffer and the annotations it decodes
-	// own their strings, so nothing holds the previous frame.
-	var buf []byte
+	// own their strings, so nothing holds the previous frame. Every ACK
+	// frame is built in one reused buffer too.
+	var buf, ack []byte
 	for {
 		body, err := readFrame(br, buf)
 		if err != nil {
@@ -360,7 +361,7 @@ func (c *Collector) handle(conn net.Conn) {
 				_, _ = conn.Write(appendFrame(nil, appendErrorFrame(nil, err.Error())))
 				return
 			}
-			if err := c.apply(st, conn, seq, rec); err != nil {
+			if err := c.apply(st, conn, &ack, seq, rec); err != nil {
 				_, _ = conn.Write(appendFrame(nil, appendErrorFrame(nil, err.Error())))
 				return
 			}
@@ -373,7 +374,7 @@ func (c *Collector) handle(conn net.Conn) {
 				_, _ = conn.Write(appendFrame(nil, appendErrorFrame(nil, err.Error())))
 				return
 			}
-			if _, err := conn.Write(appendFrame(nil, appendAck(nil, durable))); err != nil {
+			if err := writeAck(conn, &ack, durable); err != nil {
 				return
 			}
 		default:
@@ -391,7 +392,7 @@ func (c *Collector) handle(conn net.Conn) {
 // past a lost resume-state file, where the producer's trim — which
 // only ever follows an ack, which only ever follows durability — is
 // the authority.
-func (c *Collector) apply(st *originState, conn net.Conn, seq uint64, recBytes []byte) error {
+func (c *Collector) apply(st *originState, conn net.Conn, ack *[]byte, seq uint64, recBytes []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if seq <= st.applied {
@@ -415,11 +416,20 @@ func (c *Collector) apply(st *originState, conn net.Conn, seq uint64, recBytes [
 		if err := st.flushLocked(); err != nil {
 			return err
 		}
-		if _, err := conn.Write(appendFrame(nil, appendAck(nil, st.durable))); err != nil {
+		if err := writeAck(conn, ack, st.durable); err != nil {
 			return fmt.Errorf("netexport: write ack: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeAck sends an ACK frame for seq, built in *buf, the connection's
+// reused ACK buffer.
+func writeAck(conn net.Conn, buf *[]byte, seq uint64) error {
+	b, at := beginFrame((*buf)[:0])
+	*buf = endFrame(appendAck(b, seq), at)
+	_, err := conn.Write(*buf)
+	return err
 }
 
 // Origins lists the origins the collector has seen this process

@@ -2,7 +2,7 @@
 // collector service over a stream transport — fleet mode for the
 // export pipeline. A NetSink is an export.Sink whose storage is on
 // the other end of a TCP connection: records are framed with the same
-// codec the local WAL uses (export.AppendSegmentRecord and friends),
+// codec the local WAL uses (export.EncodeFrame, into pooled buffers),
 // numbered with a per-origin ship sequence, buffered until the
 // collector acknowledges them durable, and replayed after partitions.
 // The Collector runs the familiar server-side stack — WALSink, index
@@ -68,8 +68,22 @@ var (
 
 // appendFrame wraps body in the length/CRC framing.
 func appendFrame(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
+	dst, at := beginFrame(dst)
+	return endFrame(append(dst, body...), at)
+}
+
+// beginFrame appends the length placeholder of a frame whose body the
+// caller then appends in place, and returns the placeholder's offset;
+// endFrame, given that offset, fills in the length and appends the
+// body's CRC. A body built this way is framed without a copy, in a
+// buffer the caller reuses.
+func beginFrame(dst []byte) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0), len(dst)
+}
+
+func endFrame(dst []byte, at int) []byte {
+	body := dst[at+4:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(body)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
 }
 
@@ -164,16 +178,13 @@ func parseWelcome(body []byte) (lastDurable uint64, err error) {
 
 // appendRecordFrame appends one whole RECORD frame — the bytes
 // appendFrame would wrap around the body (frame type, ship seq, record
-// bytes) — building the body in place after a length placeholder, so
-// the record bytes are copied once.
+// bytes) — building the body in place, so the record bytes are copied
+// once.
 func appendRecordFrame(dst []byte, seq uint64, rec []byte) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, frameRecord)
+	dst, at := beginFrame(dst)
+	dst = append(dst, frameRecord)
 	dst = binary.AppendUvarint(dst, seq)
-	dst = append(dst, rec...)
-	body := dst[start+4:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	return endFrame(append(dst, rec...), at)
 }
 
 // recordFrameOverhead bounds the bytes appendRecordFrame adds around

@@ -53,10 +53,21 @@ type NetSinkConfig struct {
 
 // shipRec is one buffered record: its ship sequence and its fully
 // framed record bytes (export record framing, ready for the wire and
-// byte-identical to the local WAL form).
+// byte-identical to the local WAL form), held in frame, a buffer from
+// export's frame pool (export.EncodeFrame).
 type shipRec struct {
-	seq  uint64
-	data []byte
+	seq   uint64
+	data  []byte
+	frame *[]byte
+}
+
+// release returns r's frame to the pool: r must be out of the buffer
+// and out of the serve loop's hands, since the next record encoded may
+// reuse the bytes.
+func (r shipRec) release() {
+	if r.frame != nil {
+		export.PutFrame(r.frame)
+	}
 }
 
 type shipMetrics struct {
@@ -125,6 +136,13 @@ type NetSink struct {
 	closed bool
 	stats  NetSinkStats
 
+	// The serve loop copies the frames of seqs readFirst..readLast onto
+	// the wire without holding mu (readLast and readTrimmed are 0
+	// between copies). trimLocked leaves those frames in its hands,
+	// raising readTrimmed to the last one it trims, and the serve loop
+	// releases them once its copy is done (doneReading).
+	readFirst, readLast, readTrimmed uint64
+
 	done chan struct{} // shipper goroutine exited
 }
 
@@ -167,42 +185,38 @@ func (s *NetSink) WriteSegment(seg export.Segment) error {
 	if len(seg.Events) == 0 {
 		return nil
 	}
-	data, err := export.AppendSegmentRecord(nil, seg)
-	if err != nil {
-		return err
-	}
-	return s.enqueue(data)
+	return s.write(export.Record{Segment: &seg})
 }
 
 // WriteMarker encodes and buffers one recovery-marker record.
 func (s *NetSink) WriteMarker(m history.RecoveryMarker) error {
-	return s.writeAnnotation(export.Record{Marker: &m})
+	return s.write(export.Record{Marker: &m})
 }
 
 // WriteHealth encodes and buffers one health-snapshot record.
 func (s *NetSink) WriteHealth(h obs.HealthRecord) error {
-	return s.writeAnnotation(export.Record{Health: &h})
+	return s.write(export.Record{Health: &h})
 }
 
 // WriteAlert encodes and buffers one threshold-alert record.
 func (s *NetSink) WriteAlert(a obsrules.Alert) error {
-	return s.writeAnnotation(export.Record{Alert: &a})
+	return s.write(export.Record{Alert: &a})
 }
 
-// writeAnnotation encodes and buffers one annotation record, so it
-// reaches the fleet root in the same byte-identical record framing the
-// local WAL uses.
-func (s *NetSink) writeAnnotation(r export.Record) error {
-	data, err := export.AppendRecord(nil, r)
+// write encodes one record into a pooled frame, in the byte-identical
+// record framing the local WAL uses, and buffers it.
+func (s *NetSink) write(r export.Record) error {
+	f, err := export.EncodeFrame(r)
 	if err != nil {
 		return err
 	}
-	return s.enqueue(data)
+	return s.enqueue(shipRec{data: *f, frame: f})
 }
 
 // enqueue applies the backpressure policy and appends the record to
-// the un-acked buffer.
-func (s *NetSink) enqueue(data []byte) error {
+// the un-acked buffer, numbering it; a record it drops goes straight
+// back to the frame pool.
+func (s *NetSink) enqueue(r shipRec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Accepted++
@@ -211,6 +225,7 @@ func (s *NetSink) enqueue(data []byte) error {
 		if s.cfg.Policy == export.Drop {
 			s.stats.Dropped++
 			s.met.dropped.Inc()
+			r.release()
 			return nil
 		}
 		s.cond.Wait()
@@ -218,10 +233,12 @@ func (s *NetSink) enqueue(data []byte) error {
 	if s.closed {
 		s.stats.Dropped++
 		s.met.dropped.Inc()
+		r.release()
 		return fmt.Errorf("netexport: sink closed")
 	}
 	s.seq++
-	s.buf = append(s.buf, shipRec{seq: s.seq, data: data})
+	r.seq = s.seq
+	s.buf = append(s.buf, r)
 	s.met.buffered.Set(int64(len(s.buf)))
 	s.cond.Broadcast()
 	return nil
@@ -386,13 +403,21 @@ func (s *NetSink) connect() (net.Conn, error) {
 }
 
 // trimLocked discards buffered records with seq ≤ durable and credits
-// them as acked. Caller holds mu.
+// them as acked. Each record's frame goes back to the pool, unless the
+// serve loop is still copying it: a collector may ack ahead of what it
+// has read, and then the serve loop releases it (doneReading). Caller
+// holds mu.
 func (s *NetSink) trimLocked(durable uint64) {
 	if durable <= s.acked {
 		return
 	}
 	i := 0
 	for i < len(s.buf) && s.buf[i].seq <= durable {
+		if r := s.buf[i]; r.seq >= s.readFirst && r.seq <= s.readLast {
+			s.readTrimmed = r.seq
+		} else {
+			r.release()
+		}
 		i++
 	}
 	if i > 0 {
@@ -426,11 +451,13 @@ func (s *NetSink) serve(conn net.Conn) {
 	go func() {
 		defer close(readerDone)
 		br := bufio.NewReader(conn)
+		var buf []byte
 		for {
-			body, err := readFrame(br, nil)
+			body, err := readFrame(br, buf)
 			if err != nil {
 				break
 			}
+			buf = body
 			if len(body) > 0 && body[0] == frameError {
 				break
 			}
@@ -449,7 +476,10 @@ func (s *NetSink) serve(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
+	// The batch of records to send and the frames built from them are
+	// reused from wake to wake.
 	var frame []byte
+	var batch []shipRec
 	var flushSent uint64
 	for {
 		s.mu.Lock()
@@ -460,7 +490,7 @@ func (s *NetSink) serve(conn net.Conn) {
 			s.mu.Unlock()
 			break
 		}
-		var batch []shipRec
+		batch = batch[:0]
 		for _, r := range s.buf {
 			if r.seq > s.sent {
 				batch = append(batch, r)
@@ -470,34 +500,19 @@ func (s *NetSink) serve(conn net.Conn) {
 		closed := s.closed
 		if len(batch) > 0 {
 			s.sent = batch[len(batch)-1].seq
+			s.readFirst, s.readLast = batch[0].seq, s.sent
 		}
 		if wantFlush {
 			flushSent = s.flushQ
 		}
 		s.mu.Unlock()
 
-		// The frames are built in place in one reused buffer and written
-		// in chunks of up to maxShipWrite bytes (a larger frame goes
-		// alone); the FLUSH frame rides the last chunk.
-		frame = frame[:0]
-		for _, r := range batch {
-			if len(frame) > 0 && len(frame)+len(r.data)+recordFrameOverhead > maxShipWrite {
-				if _, err := conn.Write(frame); err != nil {
-					s.rewind()
-					goto out
-				}
-				frame = frame[:0]
-			}
-			frame = appendRecordFrame(frame, r.seq, r.data)
-		}
-		if wantFlush {
-			frame = appendFrame(frame, appendFlushFrame(nil))
-		}
-		if len(frame) > 0 {
-			if _, err := conn.Write(frame); err != nil {
-				s.rewind()
-				goto out
-			}
+		var err error
+		frame, err = s.ship(conn, frame, batch, wantFlush)
+		s.doneReading(batch)
+		if err != nil {
+			s.rewind()
+			break
 		}
 		if closed {
 			// Give in-flight acks a moment to land, then let the deferred
@@ -506,9 +521,51 @@ func (s *NetSink) serve(conn net.Conn) {
 			break
 		}
 	}
-out:
 	conn.Close()
 	<-readerDone
+}
+
+// ship writes batch's RECORD frames, and a FLUSH frame if asked, to
+// conn. The frames are built in place in frame, which it returns for
+// reuse, and written in chunks of up to maxShipWrite bytes (a larger
+// frame goes alone); the FLUSH frame rides the last chunk.
+func (s *NetSink) ship(conn net.Conn, frame []byte, batch []shipRec, wantFlush bool) ([]byte, error) {
+	frame = frame[:0]
+	for _, r := range batch {
+		if len(frame) > 0 && len(frame)+len(r.data)+recordFrameOverhead > maxShipWrite {
+			if _, err := conn.Write(frame); err != nil {
+				return frame, err
+			}
+			frame = frame[:0]
+		}
+		frame = appendRecordFrame(frame, r.seq, r.data)
+	}
+	if wantFlush {
+		var at int
+		frame, at = beginFrame(frame)
+		frame = endFrame(appendFlushFrame(frame), at)
+	}
+	if len(frame) > 0 {
+		if _, err := conn.Write(frame); err != nil {
+			return frame, err
+		}
+	}
+	return frame, nil
+}
+
+// doneReading ends the serve loop's copy of batch: the frames trimmed
+// meanwhile — the acknowledged prefix of batch — go back to the pool
+// now. It clears batch, so the reused slice keeps no frame reachable.
+func (s *NetSink) doneReading(batch []shipRec) {
+	s.mu.Lock()
+	for _, r := range batch {
+		if r.seq <= s.readTrimmed {
+			r.release()
+		}
+	}
+	s.readLast, s.readTrimmed = 0, 0
+	s.mu.Unlock()
+	clear(batch)
 }
 
 // hasUnsentLocked reports whether any buffered record still awaits

@@ -392,11 +392,59 @@ func readHeader(r io.Reader, version byte) (*recHeader, error) {
 		return nil, noEOFBoundary(err)
 	}
 	h.sum = binary.LittleEndian.Uint32(scratch[:4])
+	if err := h.plausible(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// recordHeaderSize is the size of a v2 record header less its monitor
+// name: type, name length, seq range, count, payload length and CRC.
+const recordHeaderSize = 1 + 2 + 8 + 8 + 4 + 4 + 4
+
+// parseHeader parses the v2 record header at the start of b in place,
+// as readHeader reads one from bytes.NewReader(b), with the same
+// errors: raw is a prefix of b, and the monitor name comes from
+// names.name, so a name the current file already holds costs no
+// allocation.
+func parseHeader(b []byte, names *summaryBuilder) (h recHeader, err error) {
+	if len(b) == 0 {
+		return h, io.EOF
+	}
+	h.typ = Kind(b[0])
+	if h.typ > KindAlert {
+		return h, fmt.Errorf("export: unknown record type %d", h.typ)
+	}
+	if len(b) < 3 {
+		return h, io.ErrUnexpectedEOF
+	}
+	monLen := int(binary.LittleEndian.Uint16(b[1:3]))
+	if monLen > maxMonitorName {
+		return h, fmt.Errorf("export: monitor name %d bytes long (limit %d)", monLen, maxMonitorName)
+	}
+	n := recordHeaderSize + monLen
+	if len(b) < n {
+		return h, io.ErrUnexpectedEOF
+	}
+	h.monitor = names.name(b[3 : 3+monLen])
+	f := b[3+monLen : n]
+	h.first = int64(binary.LittleEndian.Uint64(f))
+	h.last = int64(binary.LittleEndian.Uint64(f[8:]))
+	h.count = binary.LittleEndian.Uint32(f[16:])
+	h.payloadLen = binary.LittleEndian.Uint32(f[20:])
+	h.sum = binary.LittleEndian.Uint32(f[24:])
+	h.raw = b[:n:n]
+	return h, h.plausible()
+}
+
+// plausible refuses the header fields no writer produces, the last
+// check of both header readers.
+func (h *recHeader) plausible() error {
 	// Guard the allocation before trusting the length field: a torn or
 	// bit-flipped header must not make the reader balloon.
 	const maxPayload = 1 << 30
 	if h.payloadLen > maxPayload {
-		return nil, fmt.Errorf("export: implausible payload length %d", h.payloadLen)
+		return fmt.Errorf("export: implausible payload length %d", h.payloadLen)
 	}
 	if h.typ == KindSegment && h.count == 0 {
 		// The writer skips empty segments, so no real segment record has
@@ -406,9 +454,9 @@ func readHeader(r io.Reader, version byte) (*recHeader, error) {
 		// are exempt: a reset that found nothing buffered legitimately
 		// drops 0 events, and a tombstone's count merely mirrors its
 		// (possibly zero, possibly saturated) dropped total.
-		return nil, fmt.Errorf("export: zero-count record (zero-filled torn tail)")
+		return fmt.Errorf("export: zero-count record (zero-filled torn tail)")
 	}
-	return h, nil
+	return nil
 }
 
 // readRecord reads one WAL record of the given format version. A short

@@ -157,40 +157,64 @@ func (r Record) Key() string {
 // (header + payload, no file magic) and returns the extended buffer.
 // The bytes are exactly what WALSink.WriteSegment would put on disk.
 func AppendSegmentRecord(dst []byte, seg Segment) ([]byte, error) {
-	if len(seg.Events) == 0 {
-		return dst, fmt.Errorf("export: encode record: empty segment")
-	}
-	if len(seg.Monitor) > maxMonitorName {
-		return dst, fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(seg.Monitor), maxMonitorName)
-	}
-	p := getPayloadBuf(16 + 48*len(seg.Events))
-	*p = event.AppendBinary((*p)[:0], seg.Events)
-	dst = appendRecordHeader(dst, KindSegment, seg.Monitor,
-		seg.First(), seg.Last(), uint32(len(seg.Events)), *p)
-	dst = append(dst, *p...)
-	putPayloadBuf(p)
-	return dst, nil
+	return AppendRecord(dst, Record{Segment: &seg})
 }
 
 // AppendRecord appends r fully framed; the bytes are exactly what the
 // matching WALSink write would put on disk.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
-	if r.Segment != nil {
-		return AppendSegmentRecord(dst, *r.Segment)
+	h, p, err := encodePayload(r)
+	if err != nil {
+		return dst, err
 	}
+	return appendFramed(dst, h, p), nil
+}
+
+// EncodeFrame returns r fully framed, the bytes AppendRecord appends,
+// in a pooled buffer of the smallest frame class that holds them. The
+// caller owns the buffer until it hands it back with PutFrame, which
+// it may do only once nothing reads the bytes any more.
+func EncodeFrame(r Record) (*[]byte, error) {
+	h, p, err := encodePayload(r)
+	if err != nil {
+		return nil, err
+	}
+	f := frameBufs.get(recordHeaderSize + len(h.monitor) + len(*p))
+	*f = appendFramed(*f, h, p)
+	return f, nil
+}
+
+// PutFrame returns a buffer EncodeFrame handed out to its pool.
+func PutFrame(f *[]byte) { frameBufs.put(f) }
+
+// encodePayload checks that r can be framed and encodes its payload
+// into a pooled payload buffer, which appendFramed returns.
+func encodePayload(r Record) (recHeader, *[]byte, error) {
 	h, ok := r.header()
-	if !ok {
-		return dst, fmt.Errorf("export: encode record: empty record")
+	switch {
+	case !ok:
+		return h, nil, fmt.Errorf("export: encode record: empty record")
+	case r.Segment != nil && len(r.Segment.Events) == 0:
+		return h, nil, fmt.Errorf("export: encode record: empty segment")
+	case len(h.monitor) > maxMonitorName:
+		return h, nil, fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(h.monitor), maxMonitorName)
 	}
-	if len(h.monitor) > maxMonitorName {
-		return dst, fmt.Errorf("export: monitor name %d bytes long (limit %d)", len(h.monitor), maxMonitorName)
+	hint := 0
+	if r.Segment != nil {
+		hint = 16 + 48*len(r.Segment.Events) // as WALSink.WriteSegment sizes it
 	}
-	p := getPayloadBuf(0)
+	p := payloadBufs.get(hint)
 	*p = r.appendPayload((*p)[:0])
+	return h, p, nil
+}
+
+// appendFramed appends the record header h and the payload *p to dst,
+// then returns p to its pool.
+func appendFramed(dst []byte, h recHeader, p *[]byte) []byte {
 	dst = appendRecordHeader(dst, h.typ, h.monitor, h.first, h.last, h.count, *p)
 	dst = append(dst, *p...)
-	putPayloadBuf(p)
-	return dst, nil
+	payloadBufs.put(p)
+	return dst
 }
 
 // DecodeRecord decodes exactly one framed record from b, applying the
@@ -198,11 +222,11 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 // applies on disk. Trailing bytes are an error: a frame carries one
 // record.
 func DecodeRecord(b []byte) (Record, error) {
-	h, payload, err := checkFrame(b)
+	h, payload, err := checkFrame(b, nil)
 	if err != nil {
 		return Record{}, err
 	}
-	rec, err := decodeChecked(h, payload)
+	rec, err := decodeChecked(&h, payload)
 	if err != nil {
 		return Record{}, fmt.Errorf("export: decode record: %w", err)
 	}
@@ -212,43 +236,46 @@ func DecodeRecord(b []byte) (Record, error) {
 // verifyRecord applies DecodeRecord's checks to b, but checks a
 // segment's payload in place (event.VerifyBinary) instead of building
 // its events: it accepts exactly what DecodeRecord accepts. It returns
-// the header and the payload, a sub-slice of b, and the decoded record
-// for an annotation; for a segment rec has no field set.
-func verifyRecord(b []byte) (h *recHeader, payload []byte, rec Record, err error) {
-	if h, payload, err = checkFrame(b); err != nil {
-		return nil, nil, Record{}, err
+// the header, parsed in place (checkFrame), and the payload, a
+// sub-slice of b, and the decoded record for an annotation; for a
+// segment rec has no field set.
+func verifyRecord(b []byte, names *summaryBuilder) (h recHeader, payload []byte, rec Record, err error) {
+	if h, payload, err = checkFrame(b, names); err != nil {
+		return recHeader{}, nil, Record{}, err
 	}
 	if h.typ != KindSegment {
-		rec, err = decodeChecked(h, payload)
+		rec, err = decodeChecked(&h, payload)
 	} else if n, first, last, verr := event.VerifyBinary(payload, h.monitor); verr != nil {
 		err = fmt.Errorf("decode %s payload: %w", h.typ, verr)
 	} else {
 		err = h.agree(recHeader{typ: KindSegment, monitor: h.monitor, first: first, last: last, count: uint32(n)})
 	}
 	if err != nil {
-		return nil, nil, Record{}, fmt.Errorf("export: decode record: %w", err)
+		return recHeader{}, nil, Record{}, fmt.Errorf("export: decode record: %w", err)
 	}
 	return h, payload, rec, nil
 }
 
 // checkFrame checks that b is exactly one framed record — a header, a
 // payload of the length it states, and that payload's CRC — and
-// returns the header and the payload, a sub-slice of b.
-func checkFrame(b []byte) (*recHeader, []byte, error) {
-	h, err := readHeader(bytes.NewReader(b), walVersionLatest)
+// returns the header, parsed in place (parseHeader: its raw bytes are
+// b's prefix, its monitor name comes from names), and the payload, a
+// sub-slice of b.
+func checkFrame(b []byte, names *summaryBuilder) (recHeader, []byte, error) {
+	h, err := parseHeader(b, names)
 	if err != nil {
-		return nil, nil, fmt.Errorf("export: decode record: truncated: %w", err)
+		return recHeader{}, nil, fmt.Errorf("export: decode record: truncated: %w", err)
 	}
 	rest := b[len(h.raw):]
 	if uint64(len(rest)) < uint64(h.payloadLen) {
-		return nil, nil, fmt.Errorf("export: decode record: truncated: %w", io.ErrUnexpectedEOF)
+		return recHeader{}, nil, fmt.Errorf("export: decode record: truncated: %w", io.ErrUnexpectedEOF)
 	}
 	payload := rest[:h.payloadLen]
 	if got := crc32.ChecksumIEEE(payload); got != h.sum {
-		return nil, nil, fmt.Errorf("export: decode record: %w (got %08x, header says %08x)", errCRCMismatch, got, h.sum)
+		return recHeader{}, nil, fmt.Errorf("export: decode record: %w (got %08x, header says %08x)", errCRCMismatch, got, h.sum)
 	}
 	if extra := len(rest) - len(payload); extra > 0 {
-		return nil, nil, fmt.Errorf("export: decode record: %d trailing bytes", extra)
+		return recHeader{}, nil, fmt.Errorf("export: decode record: %d trailing bytes", extra)
 	}
 	return h, payload, nil
 }

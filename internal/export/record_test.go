@@ -94,6 +94,11 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		f, err := EncodeFrame(want)
+		if err != nil || !bytes.Equal(*f, b) {
+			t.Fatalf("EncodeFrame = %x, %v; want AppendRecord's %x", *f, err, b)
+		}
+		PutFrame(f)
 		got, err := DecodeRecord(b)
 		if err != nil {
 			t.Fatalf("DecodeRecord: %v", err)
@@ -164,6 +169,33 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestWriteEncodedAllocatesNothing: once the current file holds a
+// segment of a monitor, storing a received segment record of it
+// allocates nothing: the header is parsed in place and its monitor
+// name taken from the file's summary.
+func TestWriteEncodedAllocatesNothing(t *testing.T) {
+	sink, err := NewWALSink(t.TempDir(), WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AppendSegmentRecord(nil, Segment{Monitor: "m", Events: tseq("m", 1, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func() {
+		if _, err := sink.WriteEncoded(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // opens the file and names the monitor
+	if n := testing.AllocsPerRun(100, write); n != 0 {
+		t.Fatalf("WriteEncoded allocated %v times per record, want 0", n)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestWALOnSealFanOut: every OnSeal consumer sees every seal in
 // order, an erroring consumer never starves the ones after it, and

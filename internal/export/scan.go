@@ -119,6 +119,20 @@ func newSummaryBuilder(name string, version byte) *summaryBuilder {
 	}
 }
 
+// name returns mon as a string: the summary's own key when the file
+// already holds a segment of that monitor, else a fresh copy. A nil
+// builder always copies. The table is the summary's, which holds one
+// entry per monitor with a segment in the file, so a stream of
+// received records adds no table of its own.
+func (b *summaryBuilder) name(mon []byte) string {
+	if b != nil {
+		if mr, ok := b.mons[string(mon)]; ok {
+			return mr.Monitor
+		}
+	}
+	return string(mon)
+}
+
 // add folds one record (its decoded header and byte offset) into the
 // summary.
 func (b *summaryBuilder) add(h *recHeader, offset int64) {

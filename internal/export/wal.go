@@ -341,11 +341,11 @@ func (w *WALSink) WriteSegment(seg Segment) error {
 	// ~48 bytes/event covers typical traces; undersizing only costs
 	// one growth step inside AppendBinary (and the grown buffer is
 	// what re-enters the pool).
-	p := getPayloadBuf(16 + 48*len(seg.Events))
+	p := payloadBufs.get(16 + 48*len(seg.Events))
 	*p = event.AppendBinary((*p)[:0], seg.Events)
 	err := w.writeRecord(KindSegment, seg.Monitor,
 		seg.First(), seg.Last(), uint32(len(seg.Events)), *p)
-	putPayloadBuf(p)
+	payloadBufs.put(p)
 	return err
 }
 
@@ -383,11 +383,11 @@ func (w *WALSink) WriteTombstone(t Tombstone) error {
 // decoded, so for a segment the returned Record has no field set; an
 // annotation comes back decoded. The sink keeps no reference to b.
 func (w *WALSink) WriteEncoded(b []byte) (Record, error) {
-	h, payload, rec, err := verifyRecord(b)
+	h, payload, rec, err := verifyRecord(b, w.cur)
 	if err != nil {
 		return Record{}, err
 	}
-	if err := w.writeFramed(h, payload); err != nil {
+	if err := w.writeFramed(&h, payload); err != nil {
 		return Record{}, err
 	}
 	return rec, nil
@@ -398,10 +398,10 @@ func (w *WALSink) WriteEncoded(b []byte) (Record, error) {
 // buffer.
 func (w *WALSink) writeAnnotation(r Record) error {
 	h, _ := r.header()
-	p := getPayloadBuf(0)
+	p := payloadBufs.get(0)
 	*p = r.appendPayload((*p)[:0])
 	err := w.writeRecord(h.typ, h.monitor, h.first, h.last, h.count, *p)
-	putPayloadBuf(p)
+	payloadBufs.put(p)
 	return err
 }
 

@@ -436,7 +436,9 @@ func (m *Monitor) Thaw() { m.gate.Unlock() }
 
 // Snapshot captures the actual scheduling state ⟨EQ, CQ[], R#⟩ plus the
 // Running set. Call with the monitor frozen for a checkpoint-consistent
-// view (calling it unfrozen is safe but racy by nature).
+// view (calling it unfrozen is safe but racy by nature). The result
+// shares no memory with the monitor: its slices and map are built
+// fresh, so a caller may keep it across checkpoints without a Clone.
 func (m *Monitor) Snapshot() state.Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()

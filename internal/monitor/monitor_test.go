@@ -447,17 +447,28 @@ func TestSnapshotReflectsQueues(t *testing.T) {
 	snap := m.Snapshot()
 	m.Thaw()
 
-	if got := snap.CQPids("ok"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("snapshot CQ[ok] = %v, want [1]", got)
+	check := func(when string) {
+		t.Helper()
+		if got := snap.CQPids("ok"); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s: snapshot CQ[ok] = %v, want [1]", when, got)
+		}
+		if got := snap.EQPids(); len(got) != 1 || got[0] != 3 {
+			t.Fatalf("%s: snapshot EQ = %v, want [3]", when, got)
+		}
+		if got := snap.RunningPids(); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("%s: snapshot Running = %v, want [2]", when, got)
+		}
 	}
-	if got := snap.EQPids(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("snapshot EQ = %v, want [3]", got)
-	}
-	if got := snap.RunningPids(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("snapshot Running = %v, want [2]", got)
-	}
+	check("at capture")
 	close(hold)
 	r.Join()
+	// Every queue has changed since: the snapshot shares no memory with
+	// the monitor (the detector keeps it without a Clone).
+	if m.CondLen("ok") != 0 || m.EntryLen() != 0 || m.InsideCount() != 0 {
+		t.Fatalf("after the run: CQ[ok] %d, EQ %d, inside %d; want all 0",
+			m.CondLen("ok"), m.EntryLen(), m.InsideCount())
+	}
+	check("after the queues changed")
 }
 
 func TestFreezeBlocksPrimitives(t *testing.T) {

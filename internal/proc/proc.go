@@ -75,6 +75,8 @@ type P struct {
 	// wake-up we must never produce ourselves - unless injected at the
 	// monitor layer, where the detector can see it).
 	wake chan ParkResult
+	// aborting is the runtime's AbortAll flag.
+	aborting *atomic.Bool
 }
 
 // ID returns the process identifier (Pid in the paper's notation).
@@ -87,10 +89,24 @@ func (p *P) Name() string { return p.name }
 func (p *P) Status() Status { return Status(p.status.Load()) }
 
 // Park blocks the calling goroutine until Unpark or Abort. Only the
-// goroutine bound to this process may call Park.
+// goroutine bound to this process may call Park. Once its runtime's
+// AbortAll has begun, Park does not block: it returns a wake-up already
+// pending, else Aborted.
 func (p *P) Park() ParkResult {
 	p.status.Store(int32(Parked))
-	r := <-p.wake
+	var r ParkResult
+	if p.aborting.Load() {
+		// AbortAll's scan may have missed this process: it stored
+		// Parked only now. Both are sequentially consistent atomics, so
+		// either the scan saw Parked or this load sees the flag.
+		select {
+		case r = <-p.wake:
+		default:
+			r = Aborted
+		}
+	} else {
+		r = <-p.wake
+	}
 	p.status.Store(int32(Ready))
 	return r
 }
@@ -125,11 +141,12 @@ type Outcome struct {
 // Runtime spawns and tracks processes. The zero value is not usable;
 // construct with NewRuntime.
 type Runtime struct {
-	mu      sync.Mutex
-	nextPid int64
-	procs   map[int64]*P
-	results map[int64]Outcome
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	nextPid  int64
+	procs    map[int64]*P
+	results  map[int64]Outcome
+	wg       sync.WaitGroup
+	aborting atomic.Bool // set by AbortAll, never cleared
 }
 
 // NewRuntime returns an empty process runtime.
@@ -147,9 +164,10 @@ func (r *Runtime) Spawn(name string, body func(*P)) *P {
 	r.mu.Lock()
 	r.nextPid++
 	p := &P{
-		id:   r.nextPid,
-		name: name,
-		wake: make(chan ParkResult, 1),
+		id:       r.nextPid,
+		name:     name,
+		wake:     make(chan ParkResult, 1),
+		aborting: &r.aborting,
 	}
 	p.status.Store(int32(Ready))
 	r.procs[p.id] = p
@@ -186,8 +204,12 @@ func (r *Runtime) Join() {
 }
 
 // AbortAll delivers an abort wake-up to every currently parked process
-// so Join can complete even after wake-ups were deliberately lost.
+// so Join can complete even after wake-ups were deliberately lost. The
+// abort is sticky: a process of this runtime that parks afterwards —
+// one the scan found still running towards its Park — returns from
+// Park at once, with Aborted unless a wake-up was already pending.
 func (r *Runtime) AbortAll() {
+	r.aborting.Store(true)
 	r.mu.Lock()
 	procs := make([]*P, 0, len(r.procs))
 	for _, p := range r.procs {

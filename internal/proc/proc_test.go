@@ -87,6 +87,41 @@ func TestAbortAllOnlyTouchesParked(t *testing.T) {
 	r.Join()
 }
 
+// TestAbortAllIsSticky: processes that park only after AbortAll has
+// returned — its scan found them still running — do not block: one
+// with a wake-up pending gets it, the other is aborted, so Join
+// returns instead of waiting forever.
+func TestAbortAllIsSticky(t *testing.T) {
+	t.Parallel()
+	r := NewRuntime()
+	gate := make(chan struct{})
+	r.Spawn("late", func(p *P) {
+		<-gate
+		if got := p.Park(); got != Aborted {
+			t.Errorf("late: Park after AbortAll = %v, want Aborted", got)
+		}
+	})
+	pending := r.Spawn("pending", func(p *P) {
+		<-gate
+		if got := p.Park(); got != Resumed {
+			t.Errorf("pending: Park after AbortAll = %v, want its pending Resumed", got)
+		}
+	})
+	r.AbortAll()
+	pending.Unpark()
+	close(gate)
+	joined := make(chan struct{})
+	go func() {
+		r.Join()
+		close(joined)
+	}()
+	select {
+	case <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Join still waiting 5 s after AbortAll: a process that parked after its scan was never woken")
+	}
+}
+
 func TestOutcomeNormalReturn(t *testing.T) {
 	t.Parallel()
 	r := NewRuntime()

@@ -76,8 +76,9 @@ func (s Snapshot) CondNames() []string {
 	return names
 }
 
-// Clone returns a deep copy; detectors retain the previous snapshot
-// across checkpoints and must not alias live monitor state.
+// Clone returns a deep copy, for a holder that keeps a snapshot it was
+// handed and must not share its slices with the caller's (the history
+// database's retained states).
 func (s Snapshot) Clone() Snapshot {
 	out := s
 	out.EQ = append([]QueueEntry(nil), s.EQ...)
